@@ -31,6 +31,7 @@ from .graphs import (
     is_neighborhood_distinguishable,
     kneser,
     path,
+    read_graph6_lines,
     subgraph,
 )
 from .graphs import connected_components
@@ -47,37 +48,38 @@ def _err(msg: str) -> None:
     print(f"ramat: {msg}", file=sys.stderr)
 
 
+def _read_graph6_file(path):
+    """``read_graph6_lines`` over a file; a non-ASCII byte becomes U+FFFD, so
+    its line is reported as a parse error like any other bad line."""
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        yield from read_graph6_lines(fh)
+
+
 def _iter_graph6_inputs(args):
-    """Yield (source, line_number, text) for graph6 arguments: each argument
-    is a file path if one exists, '-' for stdin, else a literal string."""
+    """Yield (source, line_number, Graph or ValueError) for graph6 arguments:
+    each argument is a file path if one exists, '-' for stdin, else a
+    literal string."""
     if not args:
         args = ["-"]
     for arg in args:
         if arg == "-":
-            for lineno, line in enumerate(sys.stdin, start=1):
-                yield "stdin", lineno, line
+            source, lines = "stdin", read_graph6_lines(sys.stdin)
         elif os.path.exists(arg):
-            with open(arg, "r", encoding="ascii") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    yield arg, lineno, line
+            source, lines = arg, _read_graph6_file(arg)
         else:
-            yield "arg", 1, arg
+            source, lines = "arg", read_graph6_lines([arg])
+        for lineno, g in lines:
+            yield source, lineno, g
 
 
 def _records_for(g: Graph):
     """Classification records, one per connected component."""
     comps = connected_components(g)
-    if len(comps) == 1:
-        c = classify(g)
-        rec = classification_record(g, c)
-        rec["graph6"] = graph6_encode(g)
-        return [rec]
+    parts = [g] if len(comps) == 1 else [subgraph(g, comp) for comp in comps]
     out = []
-    for comp in comps:
-        sub = subgraph(g, comp)
-        c = classify(sub)
-        rec = classification_record(sub, c)
-        rec["graph6"] = graph6_encode(sub)
+    for part in parts:
+        rec = classification_record(part, classify(part))
+        rec["graph6"] = graph6_encode(part)
         out.append(rec)
     return out
 
@@ -106,14 +108,9 @@ def _print_record(rec: dict, fmt: str, axis: bool) -> None:
 def cmd_analyze(ns) -> int:
     fmt = "tsv" if ns.tsv else "json"
     had_error = False
-    for source, lineno, text in _iter_graph6_inputs(ns.inputs):
-        s = text.strip()
-        if not s or s == ">>graph6<<":
-            continue
-        try:
-            g = graph6_decode(s)
-        except ValueError as exc:
-            _err(f"{source} line {lineno}: {exc}")
+    for source, lineno, g in _iter_graph6_inputs(ns.inputs):
+        if isinstance(g, ValueError):
+            _err(f"{source} line {lineno}: {g}")
             had_error = True
             continue
         for rec in _records_for(g):
@@ -246,43 +243,38 @@ def batch_category(g: Graph):
     return ("5+", "all")
 
 
+def _count_categories(graphs) -> Counter:
+    return Counter(batch_category(g) for g in graphs)
+
+
 def _batch_chunk(lines) -> Counter:
-    counts: Counter = Counter()
-    for s in lines:
-        counts[batch_category(graph6_decode(s))] += 1
-    return counts
+    """Category counts of a list of graph6 strings."""
+    return _count_categories(graph6_decode(s) for s in lines)
 
 
 def cmd_batch(ns) -> int:
+    graphs = []
+    had_error = False
     try:
-        with open(ns.file, "r", encoding="ascii") as fh:
-            raw = fh.readlines()
+        for lineno, g in _read_graph6_file(ns.file):
+            if isinstance(g, ValueError):
+                _err(f"{ns.file} line {lineno}: {g}")
+                had_error = True
+            else:
+                graphs.append(g)
     except OSError as exc:
         _err(str(exc))
         return EXIT_INPUT
-    lines = []
-    had_error = False
-    for lineno, line in enumerate(raw, start=1):
-        s = line.strip()
-        if not s or s == ">>graph6<<":
-            continue
-        try:
-            graph6_decode(s)
-        except ValueError as exc:
-            _err(f"{ns.file} line {lineno}: {exc}")
-            had_error = True
-            continue
-        lines.append(s)
     workers = ns.workers
     counts: Counter = Counter()
-    if workers > 1 and len(lines) > 100:
-        chunk = (len(lines) + workers - 1) // workers
-        chunks = [lines[i:i + chunk] for i in range(0, len(lines), chunk)]
+    if workers > 1 and len(graphs) > 100:
+        chunk = (len(graphs) + workers - 1) // workers
+        chunks = [graphs[i:i + chunk] for i in range(0, len(graphs), chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_batch_chunk, chunks):
+            for part in pool.map(_count_categories, chunks):
                 counts.update(part)
     else:
-        counts = _batch_chunk(lines)
+        counts = _count_categories(graphs)
     total = sum(counts.values())
     print("girth\tcategory\tcount")
     for key in BATCH_CATEGORIES:

@@ -86,6 +86,9 @@ class Graph:
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count()})"
 
+    def __reduce__(self):
+        return Graph, (self.n, self.adj)
+
     def vertices(self) -> range:
         return range(1, self.n + 1)
 

@@ -280,17 +280,19 @@ def is_G_RA(g: FiniteGroup, graph: Graph, cap: int = DEFAULT_CAP) -> bool:
     """Whether every single-vertex placement of a commutator lies in the
     graph power, i.e. [G,G]^n is inside it."""
     power = graph_power(g, graph, cap)
-    comm = commutator_subgroup(g)
-    n = graph.n
+    return _placements_in(g, power, commutator_subgroup(g), graph.n)
+
+
+def _placements_in(g: FiniteGroup, power, comm, n: int) -> bool:
+    """Whether ``power`` holds every n-tuple that is the identity except for
+    one nonidentity element of ``comm`` at one vertex."""
     ident = g.identity
-    for c in comm:
-        if c == ident:
-            continue
-        for v in range(n):
-            t = tuple(c if j == v else ident for j in range(n))
-            if t not in power:
-                return False
-    return True
+    return all(
+        tuple(c if j == v else ident for j in range(n)) in power
+        for c in comm
+        if c != ident
+        for v in range(n)
+    )
 
 
 def comm_b(g: FiniteGroup, graph: Graph, cap: int = DEFAULT_CAP) -> frozenset:
@@ -374,23 +376,11 @@ def oracle_record(
     n = graph.n
     inter = sum(1 for t in power if all(a in comm for a in t))
     bracket = comm_b(g, graph, cap)
-    ident = g.identity
-    ok = True
-    for c in comm:
-        if c == ident:
-            continue
-        for v in range(n):
-            t = tuple(c if j == v else ident for j in range(n))
-            if t not in power:
-                ok = False
-                break
-        if not ok:
-            break
     return {
         "group": g.name,
         "graph": descriptor,
         "order_G_Gamma": len(power),
-        "is_G_RA": ok,
+        "is_G_RA": _placements_in(g, power, comm, n),
         "intersection_order": inter,
         "comm_b_order": len(bracket),
     }

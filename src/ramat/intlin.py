@@ -26,6 +26,7 @@ __all__ = [
     "smith_normal_form",
     "hermite_normal_form",
     "row_lattice",
+    "lattice_smith_form",
     "lattice_contains",
     "minimal_axis_multiple",
     "kernel_basis_mod_p",
@@ -65,6 +66,9 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.data]})"
+
+    def __reduce__(self):
+        return IntMatrix, (self.data,)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -341,28 +345,37 @@ def _snf_divisors(mat: list) -> list:
     return divisors
 
 
-def smith_normal_form(m: IntMatrix) -> SmithForm:
-    """Smith normal form of ``m``: the chain of elementary divisors.
-
-    Duplicate and zero rows are removed first (they cannot change the row
-    lattice), and the ``O(rows)`` matrix is compressed to its Hermite basis
-    before the dense elimination runs, which keeps the quadratic part of the
-    work at ``rank x cols``.
-    """
-    n = m.cols
-    basis = _echelon_basis(m.data, n)
-    work = [list(basis[j]) for j in sorted(basis)]
-    nonzero = _snf_divisors(work)
-    rank = len(nonzero)
-    length = min(m.rows, m.cols)
-    divisors = tuple(nonzero) + (0,) * (length - rank)
-    return SmithForm(divisors=divisors, rank=rank, nullity=m.cols - rank)
-
-
 def row_lattice(m: IntMatrix) -> RowLattice:
     """Integer span of the rows of ``m``, held as its Hermite basis."""
     h = hermite_normal_form(m)
     return RowLattice(basis=h, ambient_dim=m.cols, rank=len(h.pivot_columns))
+
+
+def lattice_smith_form(lattice: RowLattice, length: int) -> SmithForm:
+    """Smith form of any matrix whose row lattice is ``lattice``.
+
+    The divisors are invariants of the lattice, so the dense elimination
+    runs on the ``rank x cols`` Hermite basis; the nonzero divisors are
+    padded with zeros to ``length``.
+    """
+    nonzero = _snf_divisors([list(row) for row in lattice.basis.matrix.data])
+    rank = len(nonzero)
+    return SmithForm(
+        divisors=tuple(nonzero) + (0,) * (length - rank),
+        rank=rank,
+        nullity=lattice.ambient_dim - rank,
+    )
+
+
+def smith_normal_form(m: IntMatrix) -> SmithForm:
+    """Smith normal form of ``m``: the chain of elementary divisors, padded
+    with zeros to ``min(rows, cols)``.
+
+    It is read off the Hermite basis of the row lattice of ``m``
+    (``lattice_smith_form`` of ``row_lattice(m)``), so duplicate, zero and
+    dependent rows never reach the dense elimination.
+    """
+    return lattice_smith_form(row_lattice(m), min(m.rows, m.cols))
 
 
 def lattice_contains(lattice: RowLattice, v) -> bool:
@@ -431,20 +444,24 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+# products of two residues mod p are formed in int64
+_MAX_INT64_MODULUS = isqrt(2**63 - 1)
+
+
 def kernel_basis_mod_p(m: IntMatrix, p: int) -> list:
     """Basis of the right kernel of ``m`` over Z/pZ.
 
     Returns ``cols - rank_mod_p`` vectors with entries in 0..p-1.  Entries of
     ``m`` are reduced mod p exactly before any fixed-width arithmetic, so
-    arbitrary-size inputs are safe.
+    arbitrary-size inputs are safe; a p whose square overflows int64 is
+    rejected before the primality test.
     """
+    if p > _MAX_INT64_MODULUS:
+        raise ValueError(f"modulus {p} is too large: p*p must fit in int64")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     a = np.array([[x % p for x in row] for row in m.data], dtype=np.int64)
     nrows, ncols = a.shape
-    inv = [0] * p
-    for x in range(1, p):
-        inv[x] = pow(x, p - 2, p)
     pivot_of_col = {}
     r = 0
     for j in range(ncols):
@@ -456,7 +473,7 @@ def kernel_basis_mod_p(m: IntMatrix, p: int) -> list:
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * inv[int(a[r, j])]) % p
+        a[r] = (a[r] * pow(int(a[r, j]), -1, p)) % p
         col = a[:, j].copy()
         col[r] = 0
         rows_hit = np.nonzero(col)[0]

@@ -24,11 +24,10 @@ from .intlin import (
     IntMatrix,
     RowLattice,
     SmithForm,
-    hermite_normal_form,
     lattice_contains,
+    lattice_smith_form,
     minimal_axis_multiple,
     row_lattice,
-    smith_normal_form,
 )
 
 __all__ = [
@@ -132,15 +131,17 @@ def ra_matrix(g: Graph) -> RAMatrix:
 
 
 def ra_lattice(g: Graph) -> RowLattice:
-    """Integer row lattice of the RA matrix."""
+    """Integer row lattice of the RA matrix, held as its Hermite basis.
+
+    This is the one echelon build per graph: divisors, nullity, axis
+    multiples and pair signs are all read off it.
+    """
     return row_lattice(ra_matrix(g).matrix)
 
 
 def elementary_divisors(g: Graph) -> SmithForm:
     """Smith divisors of the RA matrix, padded with zeros to length n."""
-    sf = smith_normal_form(ra_matrix(g).matrix)
-    divisors = tuple(sf.divisors) + (0,) * (g.n - len(sf.divisors))
-    return SmithForm(divisors=divisors[: g.n], rank=sf.rank, nullity=g.n - sf.rank)
+    return lattice_smith_form(ra_lattice(g), g.n)
 
 
 def classify(g: Graph):
@@ -150,52 +151,26 @@ def classify(g: Graph):
     if len(comps) > 1:
         return [classify(subgraph(g, comp)) for comp in comps]
     n = g.n
-    cm = ra_matrix(g).matrix
-    h = hermite_normal_form(cm)
-    rank = len(h.pivot_columns)
-    lat = RowLattice(basis=h, ambient_dim=n, rank=rank)
-    sf = smith_normal_form(h.matrix)
-    divisors = tuple(sf.divisors[:rank]) + (0,) * (n - rank)
+    lat = ra_lattice(g)
+    sf = lattice_smith_form(lat, n)
+    divisors = sf.divisors
     axis = tuple(minimal_axis_multiple(lat, i) for i in range(1, n + 1))
-    nullity = n - rank
+    status, mu, nonuniform = "general", None, False
     if all(d == 1 for d in divisors):
-        return RAClassification(
-            status="RA",
-            mu=1,
-            divisors=divisors,
-            nullity=0,
-            axis_multiples=axis,
-        )
-    shape_ok = (
-        nullity == 0
-        and n >= 1
-        and all(d == 1 for d in divisors[: n - 1])
-        and divisors[-1] >= 2
-    )
-    if shape_ok:
+        status, mu = "RA", 1
+    elif sf.nullity == 0 and all(d == 1 for d in divisors[:-1]):
         k = divisors[-1]
         if all(a in (1, k) for a in axis):
-            return RAClassification(
-                status=f"1/{k}-RA",
-                mu=k,
-                divisors=divisors,
-                nullity=0,
-                axis_multiples=axis,
-            )
-        return RAClassification(
-            status="general",
-            mu=None,
-            divisors=divisors,
-            nullity=0,
-            axis_multiples=axis,
-            nonuniform_axis=True,
-        )
+            status, mu = f"1/{k}-RA", k
+        else:
+            nonuniform = True
     return RAClassification(
-        status="general",
-        mu=None,
+        status=status,
+        mu=mu,
         divisors=divisors,
-        nullity=nullity,
+        nullity=sf.nullity,
         axis_multiples=axis,
+        nonuniform_axis=nonuniform,
     )
 
 
@@ -212,7 +187,7 @@ def classification_record(g: Graph, c: RAClassification | None = None) -> dict:
         "connected": is_connected(g),
         "divisors": list(c.divisors),
         "nullity": c.nullity,
-        "status": "general" if c.status == "general" else c.status,
+        "status": c.status,
         "mu": c.mu,
         "axis_multiples": list(c.axis_multiples),
     }

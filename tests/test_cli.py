@@ -1,16 +1,22 @@
 """Command-line behavior: output formats, exit codes, and that CLI output
 mirrors library serialization byte for byte."""
 
+import contextlib
 import io
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ramat import cli, graphs
 
 from ramat.cli import main
 from ramat.graphs import graph6_decode, graph6_encode, crown, kneser
 from ramat.graphs import connected_components
 from ramat.products import disjoint_union
-from ramat.ra_core import classification_record, classify
+from ramat.ra_core import classification_record, classify, ra_matrix
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +85,55 @@ class TestAnalyze:
         rc, out, _ = run_cli(capsys, "analyze")
         assert rc == 0
         assert len(out.splitlines()) == 2
+
+
+class TestInputRobustness:
+    NON_ASCII = b"C~\n\xc3\xa9\nA_\n"
+
+    def test_analyze_non_ascii_line_is_input_error(self, capsys, tmp_path):
+        f = tmp_path / "latin.g6"
+        f.write_bytes(self.NON_ASCII)
+        rc, out, err = run_cli(capsys, "analyze", str(f))
+        assert rc == 2
+        assert "line 2" in err
+        assert [json.loads(s)["graph6"] for s in out.splitlines()] == ["C~", "A_"]
+
+    def test_batch_non_ascii_line_is_input_error(self, capsys, tmp_path):
+        f = tmp_path / "latin.g6"
+        f.write_bytes(self.NON_ASCII)
+        rc, out, err = run_cli(capsys, "batch", str(f))
+        assert rc == 2
+        assert "line 2" in err
+        assert out.splitlines()[-1] == "total\t\t2"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.binary(max_size=64), st.sampled_from(["analyze", "batch"]))
+    def test_arbitrary_file_bytes_exit_0_or_2(self, tmp_path_factory, data, command):
+        f = tmp_path_factory.mktemp("fuzz") / "input.g6"
+        f.write_bytes(data)
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            rc = main([command, str(f)])
+        assert rc in (0, 2)
+
+    def test_one_decode_per_line(self, capsys, tmp_path, monkeypatch):
+        decoded = []
+        real = graphs.graph6_decode
+
+        def counted(text):
+            decoded.append(text)
+            return real(text)
+
+        monkeypatch.setattr(graphs, "graph6_decode", counted)
+        monkeypatch.setattr(cli, "graph6_decode", counted)
+        lines = [graph6_encode(crown(8)), "C~", graph6_encode(kneser(5, 2)), "A_"]
+        f = tmp_path / "four.g6"
+        f.write_text(">>graph6<<\n" + "\n\n".join(lines) + "\n", encoding="ascii")
+        for argv in (["batch", str(f), "--workers", "1"], ["analyze", str(f)]):
+            decoded.clear()
+            rc, _, _ = run_cli(capsys, *argv)
+            assert rc == 0
+            assert decoded == lines, argv[0]
 
 
 class TestGenAndProduct:
@@ -241,6 +296,28 @@ class TestPredictKernelOracle:
         rc, g6, _ = run_cli(capsys, "gen", "complete", "3")
         rc, _, err = run_cli(capsys, "kernel", "--mod", "4", g6.strip())
         assert rc == 2
+
+    def test_kernel_large_prime(self, capsys):
+        p = 1000003
+        g6 = "ICQrThix_"  # nullity 1 over Z, so one kernel vector mod any p
+        t0 = time.perf_counter()
+        rc, out, _ = run_cli(capsys, "kernel", "--mod", str(p), g6)
+        elapsed = time.perf_counter() - t0
+        assert rc == 0
+        assert elapsed < 0.1
+        basis = [[int(x) for x in line.split()] for line in out.splitlines()]
+        assert len(basis) == 1
+        mat = ra_matrix(graph6_decode(g6)).matrix
+        for v in basis:
+            assert all(x % p == 0 for x in mat.mul_vector(v))
+
+    def test_kernel_modulus_past_int64(self, capsys):
+        t0 = time.perf_counter()
+        rc, out, err = run_cli(capsys, "kernel", "--mod", "4000000007", "C~")
+        assert rc == 2
+        assert out == ""
+        assert "int64" in err
+        assert time.perf_counter() - t0 < 1.0
 
     def test_oracle_graph_record(self, capsys):
         rc, g6, _ = run_cli(capsys, "gen", "path", "3")

@@ -1,6 +1,7 @@
 """Families, structural queries, and the graph6 codec (cross-checked against
 networkx's independent implementation of the format)."""
 
+import pickle
 import random
 from itertools import combinations
 from math import comb
@@ -289,3 +290,11 @@ class TestGraphBasics:
         assert g == complete(3)
         assert g != complete(4)
         assert hash(g) == hash(complete(3))
+
+    def test_pickle_round_trip(self):
+        g = kneser(7, 2)
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g
+        assert hash(back) == hash(g)
+        with pytest.raises(AttributeError):
+            back.n = 4

@@ -1,6 +1,7 @@
 """Exact linear algebra: frozen examples, then randomized properties against
 the independent reduction and minor-gcd oracles."""
 
+import pickle
 import random
 from math import gcd, prod
 
@@ -301,6 +302,25 @@ class TestKernelModP:
         with pytest.raises(ValueError):
             kernel_basis_mod_p(IntMatrix.identity(2), 4)
 
+    def test_largest_int64_safe_prime(self):
+        # 3037000493 is the largest prime whose square fits in int64, so the
+        # elimination's residue products come close to the int64 limit
+        p = 3037000493
+        rng = random.Random(13)
+        for _ in range(20):
+            mat = IntMatrix(random_int_matrix(rng, rng.randint(1, 5), rng.randint(2, 6)))
+            basis = kernel_basis_mod_p(mat, p)
+            for v in basis:
+                assert all(x % p == 0 for x in mat.mul_vector(v))
+            rank = len([d for d in smith_normal_form(mat).divisors if d and d % p])
+            assert len(basis) + rank == mat.cols
+
+    def test_rejects_modulus_past_int64(self):
+        # the next prime, 3037000507, has a square past 2**63 - 1
+        for p in (3037000507, 10 ** 40 + 1):
+            with pytest.raises(ValueError, match="int64"):
+                kernel_basis_mod_p(IntMatrix.identity(2), p)
+
     def test_kernel_dimension_plus_rank(self):
         rng = random.Random(12)
         for p in (2, 3, 5):
@@ -354,6 +374,14 @@ class TestMatrixBasics:
     def test_text_round_trip(self):
         m = IntMatrix([[1, -2, 3], [0, 500, -6]])
         assert IntMatrix.from_text(m.to_text()) == m
+
+    def test_pickle_round_trip(self):
+        m = IntMatrix([[1, -2, 3], [0, 10 ** 30, -6]])
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m
+        assert (back.rows, back.cols) == (2, 3)
+        with pytest.raises(AttributeError):
+            back.rows = 5
 
     def test_huge_entries_survive(self):
         big = 10 ** 40

@@ -19,6 +19,7 @@ from ramat.graphs import (
     kneser,
     path,
 )
+from ramat import intlin
 from ramat.intlin import lattice_contains
 from ramat.products import cartesian, disjoint_union
 from ramat.ra_core import (
@@ -211,6 +212,23 @@ class TestClassify:
         g = disjoint_union([complete(2), complete(2)])
         with pytest.raises(ValueError):
             classification_record(g)
+
+
+class TestOneLatticePerGraph:
+    def test_one_echelon_build_per_connected_graph(self, monkeypatch):
+        builds = []
+        real = intlin._echelon_basis
+
+        def counted(rows, n):
+            builds.append(n)
+            return real(rows, n)
+
+        monkeypatch.setattr(intlin, "_echelon_basis", counted)
+        for g in (path(4), cube(3), crown(10), kneser(6, 2), complete(5)):
+            for fn in (classify, elementary_divisors):
+                builds.clear()
+                fn(g)
+                assert builds == [g.n], (fn.__name__, g)
 
 
 class TestArrangementQuantifier:

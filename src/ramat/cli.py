@@ -58,7 +58,8 @@ def _read_graph6_file(path):
 def _iter_graph6_inputs(args):
     """Yield (source, line_number, Graph or ValueError) for graph6 arguments:
     each argument is a file path if one exists, '-' for stdin, else a
-    literal string."""
+    literal string.  A path that cannot be read (a directory, say) yields
+    (source, None, OSError) and ends that argument only."""
     if not args:
         args = ["-"]
     for arg in args:
@@ -68,8 +69,11 @@ def _iter_graph6_inputs(args):
             source, lines = arg, _read_graph6_file(arg)
         else:
             source, lines = "arg", read_graph6_lines([arg])
-        for lineno, g in lines:
-            yield source, lineno, g
+        try:
+            for lineno, g in lines:
+                yield source, lineno, g
+        except OSError as exc:
+            yield source, None, exc
 
 
 def _records_for(g: Graph):
@@ -109,8 +113,8 @@ def cmd_analyze(ns) -> int:
     fmt = "tsv" if ns.tsv else "json"
     had_error = False
     for source, lineno, g in _iter_graph6_inputs(ns.inputs):
-        if isinstance(g, ValueError):
-            _err(f"{source} line {lineno}: {g}")
+        if isinstance(g, Exception):
+            _err(str(g) if lineno is None else f"{source} line {lineno}: {g}")
             had_error = True
             continue
         for rec in _records_for(g):
@@ -401,28 +405,31 @@ def cmd_kernel(ns) -> int:
     return EXIT_OK
 
 
-def _parse_group(text: str):
-    from .group_oracle import dihedral, heisenberg
+def _parse_group(text: str, cap: int):
+    """Build the group named by ``text``, refusing up front a group whose
+    multiplication table (order**2 entries) would exceed ``cap``."""
+    from .group_oracle import BudgetExceededError, dihedral, heisenberg
 
+    builders = {"heisenberg": heisenberg, "dihedral": dihedral}
     name, _, param = text.partition(":")
     if not param:
         raise ValueError("group spec looks like heisenberg:2 or dihedral:8")
-    if name == "heisenberg":
-        return heisenberg(int(param))
-    if name == "dihedral":
-        return dihedral(int(param))
-    raise ValueError(f"unknown group {name!r}")
+    if name not in builders:
+        raise ValueError(f"unknown group {name!r}")
+    param = int(param)
+    order = param ** 3 if name == "heisenberg" else param
+    if order ** 2 > cap:
+        raise BudgetExceededError(
+            f"{text} has a table of {order}**2 entries, over the cap {cap}"
+        )
+    return builders[name](param)
 
 
 def cmd_oracle(ns) -> int:
     from .group_oracle import BudgetExceededError, matrix_power, oracle_record
 
     try:
-        group = _parse_group(ns.group)
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_INPUT
-    try:
+        group = _parse_group(ns.group, ns.cap)
         if ns.matrix:
             m = IntMatrix.from_text(ns.matrix.replace(";", "\n"))
             sub = matrix_power(group, m, ns.cap)

@@ -71,25 +71,30 @@ class FiniteGroup:
                     break
             if inverse[a] is None:
                 raise ValueError(f"element {a} has no inverse")
-        for a in range(order):
-            ta = table[a]
-            for b in range(order):
-                tab = ta[b]
-                tb = table[b]
-                for c in range(order):
-                    if table[tab][c] != ta[tb[c]]:
-                        raise ValueError("multiplication is not associative")
+        generators = tuple(generators)
+        if any(not 0 <= s < order for s in generators):
+            raise ValueError("generator out of range")
         if labels is None:
             labels = tuple(str(i) for i in range(order))
-        return cls(
+        group = cls(
             name=name,
             order=order,
             table=table,
             identity=identity,
             inverse=tuple(inverse),
-            generators=tuple(generators),
+            generators=generators,
             labels=tuple(labels),
         )
+        # Light's test: the elements a with (x a) y = x (a y) for all x, y
+        # are closed under multiplication, so checking a generating set is
+        # exact: the given generators plus whatever their closure misses.
+        missed = set(range(order)) - group.closure(generators)
+        for a in set(generators) | missed:
+            ta = table[a]
+            for tx in table:
+                if table[tx[a]] != tuple(map(tx.__getitem__, ta)):
+                    raise ValueError("multiplication is not associative")
+        return group
 
     def mult(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -120,17 +125,7 @@ class FiniteGroup:
 
     def closure(self, seed) -> frozenset:
         """Subgroup generated by the given element indices."""
-        gens = sorted(set(seed))
-        seen = {self.identity}
-        queue = deque([self.identity])
-        while queue:
-            x = queue.popleft()
-            for g in gens:
-                y = self.table[x][g]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return frozenset(seen)
+        return frozenset(x for (x,) in _tuple_closure(self, [(s,) for s in seed], 1))
 
     def subgroup(self, elements, name=None) -> "FiniteGroup":
         """The given closed element set as a group in its own right."""
@@ -353,18 +348,7 @@ def enumerated_commutator_order(g: FiniteGroup, elements) -> int:
         xi = tinv(x)
         for y in elems:
             comms.add(tmul(tmul(tmul(xi, tinv(y)), x), y))
-    gens = sorted(comms)
-    ident = (g.identity,) * n
-    seen = {ident}
-    queue = deque([ident])
-    while queue:
-        x = queue.popleft()
-        for t in gens:
-            y = tmul(x, t)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen)
+    return len(_tuple_closure(g, comms, n))
 
 
 def oracle_record(

@@ -248,101 +248,32 @@ def hermite_normal_form(m: IntMatrix) -> HermiteForm:
     )
 
 
-def _snf_divisors(mat: list) -> list:
-    """Nonzero elementary divisors of a dense working matrix (mutated).
+def _snf_divisors(rows: list) -> list:
+    """Nonzero elementary divisors of the matrix with these rows.
 
-    Classic bidirectional elimination: each round moves a minimal-absolute
-    nonzero entry to the corner, clears its row and column, then repairs
-    divisibility of the trailing block before recursing into it.  Minimal
-    pivots keep entry growth down but correctness does not depend on the
-    choice.
+    Alternates Hermite reductions of rows and columns (Kannan and Bachem,
+    SIAM J. Comput. 1979): while some row has two nonzeros, the columns are
+    folded into a fresh echelon basis, the Hermite form of the transpose.
+    Each round leaves the corner entry no larger, as it becomes the gcd of
+    its row.  It shrinks strictly until it divides its row, and after that
+    its row and column are cleared and stay clear, so the rounds end with
+    one nonzero per row.  Replacing each pair (d_i, d_j), i < j, of that
+    diagonal by (gcd, lcm) then sorts every prime's exponents into the
+    divisor chain.
     """
-    if not mat:
-        return []
-    mrows, ncols = len(mat), len(mat[0])
-    divisors = []
-    s = 0
-    while s < mrows and s < ncols:
-        # locate a minimal-absolute-value nonzero entry in the trailing block
-        best = None
-        pos = None
-        for i in range(s, mrows):
-            row = mat[i]
-            for j in range(s, ncols):
-                v = row[j]
-                if v:
-                    a = -v if v < 0 else v
-                    if best is None or a < best:
-                        best, pos = a, (i, j)
-                        if a == 1:
-                            break
-            if best == 1:
-                break
-        if pos is None:
-            break
-        i0, j0 = pos
-        if i0 != s:
-            mat[s], mat[i0] = mat[i0], mat[s]
-        if j0 != s:
-            for row in mat:
-                row[s], row[j0] = row[j0], row[s]
-        while True:
-            # clear column s; a nonzero remainder becomes the new pivot
-            changed = True
-            while changed:
-                changed = False
-                p = mat[s][s]
-                for i in range(s + 1, mrows):
-                    v = mat[i][s]
-                    if v:
-                        q = v // p
-                        if q:
-                            ri, rs = mat[i], mat[s]
-                            ri[s:] = [a - q * c for a, c in zip(ri[s:], rs[s:])]
-                        if mat[i][s]:
-                            mat[s], mat[i] = mat[i], mat[s]
-                            changed = True
-                            break
-            # clear row s the same way
-            changed = True
-            while changed:
-                changed = False
-                p = mat[s][s]
-                row_s = mat[s]
-                for j in range(s + 1, ncols):
-                    v = row_s[j]
-                    if v:
-                        q = v // p
-                        if q:
-                            for i in range(s, mrows):
-                                mat[i][j] -= q * mat[i][s]
-                        if row_s[j]:
-                            for i in range(s, mrows):
-                                mat[i][s], mat[i][j] = mat[i][j], mat[i][s]
-                            changed = True
-                            break
-            if all(mat[i][s] == 0 for i in range(s + 1, mrows)):
-                break
-        if mat[s][s] < 0:
-            mat[s] = [-x for x in mat[s]]
-        p = mat[s][s]
-        # repair divisibility: pivot must divide every trailing entry
-        fixed = False
-        for i in range(s + 1, mrows):
-            row = mat[i]
-            for j in range(s + 1, ncols):
-                if row[j] % p:
-                    rs = mat[s]
-                    mat[s] = [a + c for a, c in zip(rs, row)]
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        divisors.append(p)
-        s += 1
-    return divisors
+    while any(sum(1 for x in row if x) > 1 for row in rows):
+        n = len(rows)
+        basis: dict = {}
+        for col in zip(*rows):
+            if _insert_row(basis, list(col), n):
+                _reduce_above(basis, n)
+        rows = _reduce_above(basis, n)
+    d = [x for row in rows for x in row if x]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return d
 
 
 def row_lattice(m: IntMatrix) -> RowLattice:
@@ -354,11 +285,11 @@ def row_lattice(m: IntMatrix) -> RowLattice:
 def lattice_smith_form(lattice: RowLattice, length: int) -> SmithForm:
     """Smith form of any matrix whose row lattice is ``lattice``.
 
-    The divisors are invariants of the lattice, so the dense elimination
-    runs on the ``rank x cols`` Hermite basis; the nonzero divisors are
-    padded with zeros to ``length``.
+    The divisors are invariants of the lattice, so the column Hermite rounds
+    of ``_snf_divisors`` start from the ``rank x cols`` Hermite basis; the
+    nonzero divisors are padded with zeros to ``length``.
     """
-    nonzero = _snf_divisors([list(row) for row in lattice.basis.matrix.data])
+    nonzero = _snf_divisors(lattice.basis.matrix.data)
     rank = len(nonzero)
     return SmithForm(
         divisors=tuple(nonzero) + (0,) * (length - rank),
@@ -373,7 +304,7 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
 
     It is read off the Hermite basis of the row lattice of ``m``
     (``lattice_smith_form`` of ``row_lattice(m)``), so duplicate, zero and
-    dependent rows never reach the dense elimination.
+    dependent rows never reach the Smith step.
     """
     return lattice_smith_form(row_lattice(m), min(m.rows, m.cols))
 

@@ -193,12 +193,6 @@ def classification_record(g: Graph, c: RAClassification | None = None) -> dict:
     }
 
 
-def _basis_vector(n: int, v: int) -> list:
-    e = [0] * n
-    e[v - 1] = 1
-    return e
-
-
 def pair_sign_from_lattice(lat: RowLattice, u: int, v: int) -> str:
     n = lat.ambient_dim
     plus = [0] * n

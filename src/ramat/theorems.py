@@ -252,31 +252,36 @@ def _is_complete(g: Graph) -> bool:
     return g.edge_count() == g.n * (g.n - 1) // 2
 
 
-def _tensor_one_bipartite(nonbip: Graph, bip: Graph, parts) -> MuPrediction:
-    tid = "tensor-bipartite"
-    delta = gcd_all(
-        degree(nonbip, v) * degree(bip, lam) - 1
-        for v in nonbip.vertices()
-        for lam in bip.vertices()
-    )
-    terms = []
-    for part in parts:
-        for l1 in part:
-            for l2 in part:
-                lam_common = _open_common(bip, l1, l2) if l1 != l2 else degree(bip, l1)
-                for u in nonbip.vertices():
-                    for v in nonbip.vertices():
+def _tensor_delta_kappa(a: Graph, b: Graph, blocks):
+    """(delta, kappa) of a tensor product over (vertices of a, vertices of b)
+    blocks: delta is the gcd of deg(u) * deg(l) - 1 over each block, kappa
+    the gcd of common-neighbor products over the pairs (u, v) x (l1, l2) of
+    a block other than u = v and l1 = l2 together."""
+    deltas = []
+    kappas = []
+    for va, vb in blocks:
+        deltas.extend(degree(a, v) * degree(b, lam) - 1 for v in va for lam in vb)
+        for u in va:
+            for v in va:
+                g_common = _open_common(a, u, v) if u != v else degree(a, u)
+                for l1 in vb:
+                    for l2 in vb:
                         if u == v and l1 == l2:
                             continue
-                        g_common = (
-                            _open_common(nonbip, u, v) if u != v else degree(nonbip, u)
+                        lam_common = (
+                            _open_common(b, l1, l2) if l1 != l2 else degree(b, l1)
                         )
-                        terms.append(g_common * lam_common)
-    kappa = gcd_all(terms)
+                        kappas.append(g_common * lam_common)
+    return gcd_all(deltas), gcd_all(kappas)
+
+
+def _tensor_one_bipartite(nonbip: Graph, bip: Graph, parts) -> MuPrediction:
+    verts = nonbip.vertices()
+    delta, kappa = _tensor_delta_kappa(nonbip, bip, [(verts, part) for part in parts])
     return MuPrediction(
         applicable=True,
         mu=gcd(delta, kappa),
-        theorem_id=tid,
+        theorem_id="tensor-bipartite",
         ingredients={"delta": delta, "kappa": kappa},
     )
 
@@ -284,35 +289,16 @@ def _tensor_one_bipartite(nonbip: Graph, bip: Graph, parts) -> MuPrediction:
 def _tensor_two_bipartite(a: Graph, b: Graph, parts_a, parts_b):
     """Both factors bipartite: the product splits into two components; one
     prediction per component, pairing parts directly then crosswise."""
-    tid = "tensor-2bipartite"
     preds = []
     for flip in (0, 1):
-        deltas = []
-        kappas = []
-        for idx in (0, 1):
-            ga = parts_a[idx]
-            gb = parts_b[idx ^ flip]
-            deltas.extend(
-                degree(a, v) * degree(b, lam) - 1 for v in ga for lam in gb
-            )
-            for u in ga:
-                for v in ga:
-                    g_common = _open_common(a, u, v) if u != v else degree(a, u)
-                    for l1 in gb:
-                        for l2 in gb:
-                            if u == v and l1 == l2:
-                                continue
-                            lam_common = (
-                                _open_common(b, l1, l2) if l1 != l2 else degree(b, l1)
-                            )
-                            kappas.append(g_common * lam_common)
-        delta = gcd_all(deltas)
-        kappa = gcd_all(kappas)
+        delta, kappa = _tensor_delta_kappa(
+            a, b, [(parts_a[i], parts_b[i ^ flip]) for i in (0, 1)]
+        )
         preds.append(
             MuPrediction(
                 applicable=True,
                 mu=gcd(delta, kappa),
-                theorem_id=tid,
+                theorem_id="tensor-2bipartite",
                 ingredients={"delta": delta, "kappa": kappa, "component": flip + 1},
             )
         )

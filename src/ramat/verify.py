@@ -34,20 +34,23 @@ from .intlin import IntMatrix, hermite_normal_form, kernel_basis_mod_p, kronecke
 from .products import cartesian, prism, pyramid, tensor, tensor_all
 from .ra_core import classify, elementary_divisors, ra_matrix
 
-SUITES = (
-    "hermite",
-    "cubes",
-    "crowns",
-    "kneser-table",
-    "kernel-graphs",
-    "girth3-minimal",
-    "z",
-    "prescribed",
-    "kneser-kernel",
-    "strong-product",
-    "predictors",
-    "group-oracle",
-)
+# suite name -> its rows; each lambda looks its ``suite_*`` function up at
+# call time, so a rebound name (a tracer, a monkeypatch) takes effect
+_SUITE_ROWS = {
+    "hermite": lambda slow: suite_hermite(),
+    "cubes": lambda slow: suite_cubes(),
+    "crowns": lambda slow: suite_crowns(),
+    "kneser-table": lambda slow: suite_kneser_table(slow=slow),
+    "kernel-graphs": lambda slow: suite_kernel_graphs(),
+    "girth3-minimal": lambda slow: suite_girth3_minimal(),
+    "z": lambda slow: suite_z(),
+    "prescribed": lambda slow: suite_prescribed(),
+    "kneser-kernel": lambda slow: suite_kneser_kernel(),
+    "strong-product": lambda slow: suite_strong_product(),
+    "predictors": lambda slow: suite_predictors(),
+    "group-oracle": lambda slow: suite_group_oracle(),
+}
+SUITES = tuple(_SUITE_ROWS)
 
 KNESER_TABLE = {
     (6, 2): {2: 4},
@@ -484,32 +487,10 @@ def _connected_small_graphs(max_n: int):
 
 
 def run_suite(name: str, slow: bool = False):
-    if name == "hermite":
-        yield from suite_hermite()
-    elif name == "cubes":
-        yield from suite_cubes()
-    elif name == "crowns":
-        yield from suite_crowns()
-    elif name == "kneser-table":
-        yield from suite_kneser_table(slow=slow)
-    elif name == "kernel-graphs":
-        yield from suite_kernel_graphs()
-    elif name == "girth3-minimal":
-        yield from suite_girth3_minimal()
-    elif name == "z":
-        yield from suite_z()
-    elif name == "prescribed":
-        yield from suite_prescribed()
-    elif name == "kneser-kernel":
-        yield from suite_kneser_kernel()
-    elif name == "strong-product":
-        yield from suite_strong_product()
-    elif name == "predictors":
-        yield from suite_predictors()
-    elif name == "group-oracle":
-        yield from suite_group_oracle()
-    elif name == "all":
+    if name == "all":
         for s in SUITES:
             yield from run_suite(s, slow=slow)
+    elif name in _SUITE_ROWS:
+        yield from _SUITE_ROWS[name](slow)
     else:
         raise ValueError(f"unknown suite {name!r} (choose from {SUITES + ('all',)})")

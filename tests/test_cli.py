@@ -80,6 +80,13 @@ class TestAnalyze:
         assert "line 2" in err
         assert len(out.splitlines()) == 2
 
+    def test_directory_argument_is_input_error(self, capsys, tmp_path):
+        rc, out, err = run_cli(capsys, "analyze", "C~", str(tmp_path), "D?{")
+        assert rc == 2
+        assert len(out.splitlines()) == 2  # the other arguments still ran
+        assert err.startswith("ramat: ") and str(tmp_path) in err
+        assert "Traceback" not in err
+
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("C~\n\nD?{\n"))
         rc, out, _ = run_cli(capsys, "analyze")
@@ -339,6 +346,15 @@ class TestPredictKernelOracle:
                              g6.strip(), "--cap", "1000")
         assert rc == 2
         assert "cap" in err
+
+    @pytest.mark.parametrize("group", ["dihedral:100000", f"heisenberg:{10**18 + 9}"])
+    def test_oracle_refuses_table_over_cap_up_front(self, capsys, group):
+        t0 = time.perf_counter()
+        rc, out, err = run_cli(capsys, "oracle", "--group", group, "--matrix", "1")
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 2
+        assert out == ""
+        assert "cap 10000000" in err
 
 
 class TestVerify:

@@ -1,6 +1,8 @@
 """Finite-group engine: group constructions, closures, and the divisor
 criterion checked against direct enumeration."""
 
+import time
+
 import pytest
 
 from ramat.graphs import complete, cycle, path
@@ -64,6 +66,38 @@ class TestConstructions:
     def test_table_validation(self):
         with pytest.raises(ValueError):
             FiniteGroup.from_table("bad", [[0, 1], [0, 1]], (1,))
+
+    def test_non_associative_loop_rejected(self):
+        # a loop of order 5 (Latin square with identity 0, every element its
+        # own inverse): not Z5, so not associative
+        loop = [
+            [0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0],
+        ]
+        for gens in ((1, 2), (1,), ()):
+            with pytest.raises(ValueError, match="associative"):
+                FiniteGroup.from_table("loop5", loop, gens)
+        # Z2 x loop5: (1, e) passes Light's test and generates only Z2 x {e},
+        # so the elements its closure misses must be checked too
+        prod_table = [
+            [(a1 ^ a2) * 5 + loop[b1][b2] for a2 in (0, 1) for b2 in range(5)]
+            for a1 in (0, 1)
+            for b1 in range(5)
+        ]
+        with pytest.raises(ValueError, match="associative"):
+            FiniteGroup.from_table("z2xloop5", prod_table, (5,))
+        with pytest.raises(ValueError, match="generator"):
+            FiniteGroup.from_table("C2", [[0, 1], [1, 0]], (2,))
+
+    def test_table_check_is_subcubic(self):
+        t0 = time.perf_counter()
+        h7 = heisenberg(7)
+        assert time.perf_counter() - t0 < 1.0
+        assert h7.order == 343
+        assert len(commutator_subgroup(h7)) == 7
 
     def test_subgroup_reindexing(self):
         d8 = dihedral(8)

@@ -93,6 +93,39 @@ class TestSmithForm:
                 == smith_normal_form(IntMatrix(pm)).divisors
             )
 
+    def test_prime_power_entries_diagonal_and_triangular_randomized(self):
+        # Entries are products of small prime powers, so the diagonal left by
+        # the column rounds needs the gcd/lcm pass; zero pivots make some
+        # matrices rank-deficient, and exponents up to 70 pass 2**63.
+        sf = smith_normal_form(IntMatrix([[12, 0, 0], [0, 18, 0], [0, 0, 8]]))
+        assert sf.divisors == (2, 12, 72)
+        rng = random.Random(0x5EED)
+
+        def entry():
+            if rng.random() < 0.15:
+                return 0
+            x = prod(p ** rng.randint(0, 3) for p in (2, 3, 5, 7))
+            if rng.random() < 0.15:
+                x *= 2 ** rng.randint(40, 70)
+            return rng.choice((-1, 1)) * x
+
+        big = rank_deficient = 0
+        for trial in range(300):
+            rows = rng.randint(1, 6)
+            cols = rng.randint(1, 6)
+            upper = trial % 2 == 1
+            m = [
+                [entry() if i == j or (upper and j > i) else 0 for j in range(cols)]
+                for i in range(rows)
+            ]
+            got = list(smith_normal_form(IntMatrix(m)).divisors)
+            assert got == ref_smith_divisors(m)
+            if rows <= 4 and cols <= 4:
+                assert got == determinantal_divisors(m)
+            big += any(abs(x) >= 2**63 for x in got)
+            rank_deficient += 0 in got
+        assert big > 10 and rank_deficient > 10
+
     def test_planted_kernel_forces_divisor(self):
         # plant nonzero x with m*x = 0 mod q; some divisor must then be
         # divisible by q (zero divisors count: every q divides 0)

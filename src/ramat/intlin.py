@@ -248,7 +248,7 @@ def hermite_normal_form(m: IntMatrix) -> HermiteForm:
     )
 
 
-def _snf_divisors(rows: list) -> list:
+def _snf_divisors(rows) -> list:
     """Nonzero elementary divisors of the matrix with these rows.
 
     Alternates Hermite reductions of rows and columns (Kannan and Bachem,

@@ -410,11 +410,11 @@ def _parse_group(text: str, cap: int):
     multiplication table (order**2 entries) would exceed ``cap``."""
     from .group_oracle import BudgetExceededError, dihedral, heisenberg
 
-    builders = {"heisenberg": heisenberg, "dihedral": dihedral}
+    makers = {"heisenberg": heisenberg, "dihedral": dihedral}
     name, _, param = text.partition(":")
     if not param:
         raise ValueError("group spec looks like heisenberg:2 or dihedral:8")
-    if name not in builders:
+    if name not in makers:
         raise ValueError(f"unknown group {name!r}")
     param = int(param)
     order = param ** 3 if name == "heisenberg" else param
@@ -422,7 +422,7 @@ def _parse_group(text: str, cap: int):
         raise BudgetExceededError(
             f"{text} has a table of {order}**2 entries, over the cap {cap}"
         )
-    return builders[name](param)
+    return makers[name](param)
 
 
 def cmd_oracle(ns) -> int:

@@ -9,6 +9,7 @@ partial enumerations are never returned.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter, deque
 from dataclasses import dataclass
 from math import lcm
@@ -50,11 +51,11 @@ class FiniteGroup:
 
     @classmethod
     def from_table(cls, name, table, generators, labels=None) -> "FiniteGroup":
-        table = tuple(tuple(int(x) for x in row) for row in table)
+        table = tuple(tuple(map(operator.index, row)) for row in table)
         order = len(table)
         if any(len(row) != order for row in table):
             raise ValueError("multiplication table must be square")
-        if any(not 0 <= x < order for row in table for x in row):
+        if not set().union(*table) <= set(range(order)):
             raise ValueError("table entry out of range")
         identity = None
         for e in range(order):
@@ -63,14 +64,13 @@ class FiniteGroup:
                 break
         if identity is None:
             raise ValueError("no identity element")
-        inverse = [None] * order
-        for a in range(order):
-            for b in range(order):
-                if table[a][b] == identity and table[b][a] == identity:
-                    inverse[a] = b
-                    break
-            if inverse[a] is None:
+        # in a group the right inverse is unique and is also the left one
+        inverse = []
+        for a, row in enumerate(table):
+            b = row.index(identity) if identity in row else None
+            if b is None or table[b][a] != identity:
                 raise ValueError(f"element {a} has no inverse")
+            inverse.append(b)
         generators = tuple(generators)
         if any(not 0 <= s < order for s in generators):
             raise ValueError("generator out of range")
@@ -88,11 +88,13 @@ class FiniteGroup:
         # Light's test: the elements a with (x a) y = x (a y) for all x, y
         # are closed under multiplication, so checking a generating set is
         # exact: the given generators plus whatever their closure misses.
+        # times_a maps the row of x to the row x (a y); a one-element table
+        # is the trivial group, where itemgetter would not give a row.
         missed = set(range(order)) - group.closure(generators)
-        for a in set(generators) | missed:
-            ta = table[a]
+        for a in set(generators) | missed if order > 1 else ():
+            times_a = operator.itemgetter(*table[a])
             for tx in table:
-                if table[tx[a]] != tuple(map(tx.__getitem__, ta)):
+                if table[tx[a]] != times_a(tx):
                     raise ValueError("multiplication is not associative")
         return group
 
@@ -132,11 +134,18 @@ class FiniteGroup:
         elems = sorted(elements)
         index = {e: i for i, e in enumerate(elems)}
         table = [[index[self.table[a][b]] for b in elems] for a in elems]
-        gens = tuple(i for i in range(len(elems)) if elems[i] != self.identity)
+        # greedy generating set: each added element at least doubles the
+        # span, so there are at most log2(order) generators to check
+        gens = []
+        span = {self.identity}
+        for e in elems:
+            if e not in span:
+                gens.append(e)
+                span = self.closure(gens)
         return FiniteGroup.from_table(
             name or f"{self.name}-subgroup",
             table,
-            gens or (0,),
+            tuple(index[e] for e in gens) or (0,),
             labels=tuple(self.labels[e] for e in elems),
         )
 
@@ -149,31 +158,19 @@ def heisenberg(p: int) -> FiniteGroup:
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
 
-    def idx(a, b, c):
-        return (a * p + b) * p + c
-
-    order = p ** 3
-    table = [[0] * order for _ in range(order)]
-    for a1 in range(p):
-        for b1 in range(p):
-            for c1 in range(p):
-                i = idx(a1, b1, c1)
-                for a2 in range(p):
-                    for b2 in range(p):
-                        for c2 in range(p):
-                            j = idx(a2, b2, c2)
-                            table[i][j] = idx(
-                                (a1 + a2) % p,
-                                (b1 + b2) % p,
-                                (c1 + c2 + a1 * b2) % p,
-                            )
-    labels = tuple(
-        f"({a},{b},{c})" for a in range(p) for b in range(p) for c in range(p)
-    )
+    # (a1, b1, c1) (a2, b2, c2) = (a1 + a2, b1 + b2, c1 + c2 + a1 b2) mod p,
+    # with (a, b, c) at index (a p + b) p + c
+    r = range(p)
+    table = [
+        [((a1 + a2) % p * p + (b1 + b2) % p) * p + (c1 + c2 + a1 * b2) % p
+         for a2 in r for b2 in r for c2 in r]
+        for a1 in r for b1 in r for c1 in r
+    ]
+    labels = tuple(f"({a},{b},{c})" for a in r for b in r for c in r)
     return FiniteGroup.from_table(
         f"heisenberg({p})",
         table,
-        generators=(idx(1, 0, 0), idx(0, 1, 0)),
+        generators=(p * p, p),
         labels=labels,
     )
 
@@ -185,24 +182,21 @@ def dihedral(order: int) -> FiniteGroup:
         raise ValueError("dihedral order must be even and >= 4")
     n = order // 2
 
-    def idx(i, j):
-        return i + n * j
-
-    table = [[0] * order for _ in range(order)]
-    for i1 in range(n):
-        for j1 in range(2):
-            a = idx(i1, j1)
-            for i2 in range(n):
-                for j2 in range(2):
-                    i = (i1 - i2) % n if j1 else (i1 + i2) % n
-                    table[a][idx(i2, j2)] = idx(i, j1 ^ j2)
+    # r^i s^j is at index i + n j.  Row r^i: r^i r^k s^j = r^(i+k) s^j, so
+    # each half is the index range turned left by i.  Row r^i s:
+    # r^i s r^k s^j = r^(i-k) s^(1-j), the reversed ranges turned, swapped.
+    rot, ref = list(range(n)), list(range(n, order))
+    table = [rot[i:] + rot[:i] + ref[i:] + ref[:i] for i in range(n)]
+    rot.reverse()
+    ref.reverse()
+    table += [ref[~i:] + ref[:~i] + rot[~i:] + rot[:~i] for i in range(n)]
     labels = tuple(
         ("e" if (i, j) == (0, 0) else f"r{i}" + ("s" if j else ""))
         for j in range(2)
         for i in range(n)
     )
     return FiniteGroup.from_table(
-        f"dihedral({order})", table, generators=(idx(1, 0), idx(0, 1)),
+        f"dihedral({order})", table, generators=(1, n),
         labels=labels,
     )
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
-
-import numpy as np
+from operator import mul
 
 __all__ = [
     "IntMatrix",
@@ -375,50 +374,52 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-# products of two residues mod p are formed in int64
-_MAX_INT64_MODULUS = isqrt(2**63 - 1)
+# Input budget of kernel_basis_mod_p: trial division up to isqrt(p) then
+# takes at most about 27 600 steps.  The bound is the square root of the
+# int64 maximum.
+_MAX_MODULUS = isqrt(2**63 - 1)
 
 
 def kernel_basis_mod_p(m: IntMatrix, p: int) -> list:
     """Basis of the right kernel of ``m`` over Z/pZ.
 
-    Returns ``cols - rank_mod_p`` vectors with entries in 0..p-1.  Entries of
-    ``m`` are reduced mod p exactly before any fixed-width arithmetic, so
-    arbitrary-size inputs are safe; a p whose square overflows int64 is
-    rejected before the primality test.
+    Returns ``cols - rank_mod_p`` vectors with entries in 0..p-1, one per
+    free column of the reduced row echelon form of ``m`` mod p, which is
+    unique.  A p past the input budget is rejected before the primality
+    test.
     """
-    if p > _MAX_INT64_MODULUS:
-        raise ValueError(f"modulus {p} is too large: p*p must fit in int64")
+    if p > _MAX_MODULUS:
+        raise ValueError(
+            f"modulus {p} is past {_MAX_MODULUS}, the int64 square-root bound"
+        )
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    a = np.array([[x % p for x in row] for row in m.data], dtype=np.int64)
-    nrows, ncols = a.shape
-    pivot_of_col = {}
-    r = 0
-    for j in range(ncols):
-        if r >= nrows:
-            break
-        nz = np.nonzero(a[r:, j])[0]
-        if nz.size == 0:
+    n = m.cols
+    # Echelon rows are 1 at their pivot and 0 at the other pivots, so only
+    # their free entries are kept: free column f -> entry of each pivot row.
+    pivots = []
+    free = {f: [] for f in range(n)}
+    for row in m.data:
+        coef = [row[j] for j in pivots]
+        # the row reduced by the echelon rows, in the free columns
+        rest = {f: (row[f] - sum(map(mul, coef, col))) % p
+                for f, col in free.items()}
+        k = next((f for f in free if rest[f]), None)
+        if k is None:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * pow(int(a[r, j]), -1, p)) % p
-        col = a[:, j].copy()
-        col[r] = 0
-        rows_hit = np.nonzero(col)[0]
-        if rows_hit.size:
-            a[rows_hit] = (a[rows_hit] - np.outer(col[rows_hit], a[r])) % p
-        pivot_of_col[j] = r
-        r += 1
-    free_cols = [j for j in range(ncols) if j not in pivot_of_col]
+        inv = pow(rest[k], -1, p)
+        col_k = free.pop(k)
+        for f, col in free.items():
+            c = rest[f] * inv % p
+            col[:] = [(x - y * c) % p for x, y in zip(col, col_k)]
+            col.append(c)
+        pivots.append(k)
     out = []
-    for f in free_cols:
-        v = [0] * ncols
+    for f, col in free.items():
+        v = [0] * n
         v[f] = 1
-        for j, r_ in pivot_of_col.items():
-            v[j] = int((-a[r_, f]) % p)
+        for j, x in zip(pivots, col):
+            v[j] = -x % p
         out.append(tuple(v))
     return out
 

@@ -4,7 +4,11 @@ mirrors library serialization byte for byte."""
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,9 @@ from ramat.graphs import graph6_decode, graph6_encode, crown, kneser
 from ramat.graphs import connected_components
 from ramat.products import disjoint_union
 from ramat.ra_core import classification_record, classify, ra_matrix
+
+
+KNESER_6_2 = "N@Q@YiWw@Ziuesww^_?"  # graph6 of Kn(6,2)
 
 
 def run_cli(capsys, *argv):
@@ -326,6 +333,23 @@ class TestPredictKernelOracle:
         assert "int64" in err
         assert time.perf_counter() - t0 < 1.0
 
+    def test_kernel_output_is_pinned(self, capsys):
+        # one vector per free column of the reduced row echelon form mod p,
+        # which is unique: these lines are the certificates as published
+        rc, out, _ = run_cli(capsys, "kernel", "--mod", "2", KNESER_6_2)
+        assert rc == 0
+        assert out.splitlines() == [
+            "0 1 1 1 1 0 1 1 0 0 1 1 0 0 0",
+            "1 0 1 1 0 1 1 0 1 0 1 0 1 0 0",
+            "1 1 0 0 1 1 1 0 0 1 1 0 0 1 0",
+            "1 1 0 1 0 0 0 1 1 1 1 0 0 0 1",
+        ]
+        rc, out, _ = run_cli(capsys, "kernel", "--mod", "1000003", "ICQrThix_")
+        assert rc == 0
+        assert out.splitlines() == [
+            "1000002 1 0 1 1000002 1 1000002 1000002 1 0",
+        ]
+
     def test_oracle_graph_record(self, capsys):
         rc, g6, _ = run_cli(capsys, "gen", "path", "3")
         rc, out, _ = run_cli(capsys, "oracle", "--group", "heisenberg:2",
@@ -372,3 +396,24 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit):
             run_cli(capsys, "verify", "--suite", "bogus")
+
+
+class TestStdlibOnly:
+    def test_runs_without_numpy(self):
+        # a None entry in sys.modules makes every import of numpy fail
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import ramat\n"
+            "from ramat import cli, graphs, group_oracle, intlin, products\n"
+            "from ramat import ra_core, theorems, verify\n"
+            f"sys.exit(cli.main(['kernel', '--mod', '2', {KNESER_6_2!r}]))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 4

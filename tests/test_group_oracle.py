@@ -106,6 +106,30 @@ class TestConstructions:
         assert sub.order == 4
         assert commutator_subgroup(sub) == {sub.identity}
 
+    def test_subgroup_generators_are_greedy(self):
+        d600 = dihedral(600)
+        rot = d600.closure([1])
+        t0 = time.perf_counter()
+        sub = d600.subgroup(rot)
+        assert time.perf_counter() - t0 < 0.5
+        assert sub.order == 300
+        assert sub.generators == (1,)  # r1 alone spans the rotations
+
+    def test_large_dihedral_table_is_fast(self):
+        t0 = time.perf_counter()
+        d = dihedral(2000)
+        assert time.perf_counter() - t0 < 1.0
+        assert d.order == 2000
+        assert d.power(1, 1000) == d.identity
+        assert all(d.mult(a, d.inverse[a]) == d.identity for a in range(2000))
+
+    def test_missing_inverse_rejected(self):
+        # [[0, 1], [1, 1]]: no element times 1 gives the identity 0;
+        # in the 3-element table 1 * 2 = 0 but 2 * 1 = 2
+        for table in ([[0, 1], [1, 1]], [[0, 1, 2], [1, 2, 0], [2, 2, 1]]):
+            with pytest.raises(ValueError, match="no inverse"):
+                FiniteGroup.from_table("bad", table, (1,))
+
 
 class TestGraphPower:
     def test_complete_graph_is_diagonal(self):

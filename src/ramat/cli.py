@@ -13,6 +13,8 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from functools import reduce
+from math import comb, prod
 
 from . import theorems, verify
 from .graphs import (
@@ -28,6 +30,7 @@ from .graphs import (
     girth,
     graph6_decode,
     graph6_encode,
+    is_bipartite,
     is_neighborhood_distinguishable,
     kneser,
     path,
@@ -35,17 +38,46 @@ from .graphs import (
     subgraph,
 )
 from .graphs import connected_components
+from .group_oracle import (
+    BudgetExceededError,
+    dihedral,
+    heisenberg,
+    matrix_power,
+    oracle_record,
+)
 from .intlin import IntMatrix, kernel_basis_mod_p
-from .products import cartesian, disjoint_union, join, prism, pyramid, strong, tensor
+from .products import (
+    cartesian,
+    disjoint_union,
+    join,
+    prism,
+    pyramid,
+    strong,
+    tensor,
+    tensor_all,
+)
 from .ra_core import classification_record, classify, elementary_divisors, ra_matrix
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 
+# Input budgets, checked before any work starts.  Every graph built from
+# parameters (gen, construct, the multiplying products, the predict --check
+# graph) has at most MAX_VERTICES vertices; the largest the tests, demos and
+# verify suites build is Kn(15,3), with 455.  predict kneser-prism tests
+# k + 1 binomials mod 3, so k is held to KNESER_PRISM_MAX_K (about 0.3 s).
+MAX_VERTICES = 1024
+KNESER_PRISM_MAX_K = 10 ** 5
+
 
 def _err(msg: str) -> None:
     print(f"ramat: {msg}", file=sys.stderr)
+
+
+def _check_vertices(what: str, count) -> None:
+    if count > MAX_VERTICES:
+        raise ValueError(f"{what} is past the budget of {MAX_VERTICES} vertices")
 
 
 def _read_graph6_file(path):
@@ -53,6 +85,14 @@ def _read_graph6_file(path):
     its line is reported as a parse error like any other bad line."""
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         yield from read_graph6_lines(fh)
+
+
+def _read_stdin():
+    """``read_graph6_lines`` over stdin, its bytes decoded like
+    ``_read_graph6_file``; a text-only stream (``io.StringIO``) is read as is."""
+    raw = getattr(sys.stdin, "buffer", None)
+    lines = sys.stdin if raw is None else (b.decode("ascii", "replace") for b in raw)
+    yield from read_graph6_lines(lines)
 
 
 def _iter_graph6_inputs(args):
@@ -64,7 +104,7 @@ def _iter_graph6_inputs(args):
         args = ["-"]
     for arg in args:
         if arg == "-":
-            source, lines = "stdin", read_graph6_lines(sys.stdin)
+            source, lines = "stdin", _read_stdin()
         elif os.path.exists(arg):
             source, lines = arg, _read_graph6_file(arg)
         else:
@@ -122,16 +162,28 @@ def cmd_analyze(ns) -> int:
     return EXIT_INPUT if had_error else EXIT_OK
 
 
+def _kneser_size(n: int, k: int):
+    """C(n, k), the vertex count of Kn(n, k), or n once n alone is past the
+    budget (C(n, k) >= n for 1 <= k < n, and the builder walks all of
+    1..n); 0 for parameters ``kneser`` itself rejects."""
+    if not 1 <= k <= n:
+        return 0
+    return n if n > MAX_VERTICES else comb(n, k)
+
+
+# family -> (builder, parameter count, vertex count from the parameters); a
+# count is cheap for any integers and stays within the budget for the small
+# or negative parameters a builder rejects, so its own message stands
 _FAMILIES = {
-    "path": (path, 1),
-    "cycle": (cycle, 1),
-    "complete": (complete, 1),
-    "complete-bipartite": (complete_bipartite, 2),
-    "cube": (cube, 1),
-    "folded-cube": (folded_cube, 1),
-    "crown": (crown, 1),
-    "kneser": (kneser, 2),
-    "binary": (binary_graph, 1),
+    "path": (path, 1, lambda n: n),
+    "cycle": (cycle, 1, lambda n: n),
+    "complete": (complete, 1, lambda n: n),
+    "complete-bipartite": (complete_bipartite, 2, lambda m, n: m + n),
+    "cube": (cube, 1, lambda d: 2 ** min(max(d, 0), 64)),
+    "folded-cube": (folded_cube, 1, lambda d: 2 ** min(max(d - 1, 0), 64)),
+    "crown": (crown, 1, lambda n: n),
+    "kneser": (kneser, 2, _kneser_size),
+    "binary": (binary_graph, 1, lambda n: n + (n - 1).bit_length()),
 }
 
 
@@ -139,28 +191,19 @@ def cmd_gen(ns) -> int:
     fam = ns.family.replace("_", "-")
     if fam == "complement":
         if len(ns.params) != 1:
-            _err("complement takes one graph6 argument")
-            return EXIT_INPUT
-        try:
-            g = complement(graph6_decode(ns.params[0]))
-        except ValueError as exc:
-            _err(str(exc))
-            return EXIT_INPUT
-        print(graph6_encode(g))
+            raise ValueError("complement takes one graph6 argument")
+        print(graph6_encode(complement(graph6_decode(ns.params[0]))))
         return EXIT_OK
     if fam not in _FAMILIES:
-        _err(f"unknown family {ns.family!r} (families: {', '.join(_FAMILIES)}, complement)")
-        return EXIT_INPUT
-    func, arity = _FAMILIES[fam]
+        raise ValueError(
+            f"unknown family {ns.family!r} (families: {', '.join(_FAMILIES)}, complement)"
+        )
+    func, arity, size = _FAMILIES[fam]
     if len(ns.params) != arity:
-        _err(f"{fam} takes {arity} integer parameter(s)")
-        return EXIT_INPUT
-    try:
-        g = func(*(int(p) for p in ns.params))
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_INPUT
-    print(graph6_encode(g))
+        raise ValueError(f"{fam} takes {arity} integer parameter(s)")
+    params = [int(p) for p in ns.params]
+    _check_vertices(" ".join([fam, *ns.params]), size(*params))
+    print(graph6_encode(func(*params)))
     return EXIT_OK
 
 
@@ -168,43 +211,31 @@ def cmd_product(ns) -> int:
     binary_ops = {"cartesian": cartesian, "tensor": tensor, "strong": strong,
                   "join": join}
     unary_ops = {"prism": prism, "pyramid": pyramid}
-    try:
-        graphs = [graph6_decode(s) for s in ns.graphs]
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_INPUT
+    graphs = [graph6_decode(s) for s in ns.graphs]
     op = ns.op
     if op in unary_ops:
         if len(graphs) != 1:
-            _err(f"{op} takes exactly one graph")
-            return EXIT_INPUT
+            raise ValueError(f"{op} takes exactly one graph")
         result = unary_ops[op](graphs[0])
     elif op in binary_ops:
         if len(graphs) < 2:
-            _err(f"{op} takes at least two graphs")
-            return EXIT_INPUT
-        result = graphs[0]
-        for g in graphs[1:]:
-            result = binary_ops[op](result, g)
-    elif op == "union":
-        if not graphs:
-            _err("union takes at least one graph")
-            return EXIT_INPUT
-        result = disjoint_union(graphs)
+            raise ValueError(f"{op} takes at least two graphs")
+        if op != "join":  # the other three multiply the vertex counts
+            _check_vertices(f"{op} product", prod(g.n for g in graphs))
+        result = reduce(binary_ops[op], graphs)
     else:
-        _err(f"unknown product {op!r}")
-        return EXIT_INPUT
+        result = disjoint_union(graphs)
     print(graph6_encode(result))
     return EXIT_OK
 
 
 def cmd_construct(ns) -> int:
-    try:
-        divisors = [int(d) for d in ns.divisors.split(",")] if ns.divisors else []
-        g = theorems.construct_prescribed(divisors, ns.nullity)
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_INPUT
+    divisors = [int(d) for d in ns.divisors.split(",")] if ns.divisors else []
+    # a lower bound: a crown of 2d + 4 vertices per divisor, a binary graph of
+    # more than `nullity` vertices, and the apex; construct_prescribed
+    # rejects a negative term before it builds anything
+    _check_vertices("construct", sum(2 * d + 4 for d in divisors) + ns.nullity + 1)
+    g = theorems.construct_prescribed(divisors, ns.nullity)
     c = classify(g)
     got = sorted(d for d in c.divisors if d > 1)
     verified = got == sorted(divisors) and c.nullity == ns.nullity
@@ -251,11 +282,6 @@ def _count_categories(graphs) -> Counter:
     return Counter(batch_category(g) for g in graphs)
 
 
-def _batch_chunk(lines) -> Counter:
-    """Category counts of a list of graph6 strings."""
-    return _count_categories(graph6_decode(s) for s in lines)
-
-
 def cmd_batch(ns) -> int:
     graphs = []
     had_error = False
@@ -269,7 +295,8 @@ def cmd_batch(ns) -> int:
     except OSError as exc:
         _err(str(exc))
         return EXIT_INPUT
-    workers = ns.workers
+    # a fork pool starts all its workers at the first submit
+    workers = min(ns.workers, os.cpu_count() or 1)
     counts: Counter = Counter()
     if workers > 1 and len(graphs) > 100:
         chunk = (len(graphs) + workers - 1) // workers
@@ -288,15 +315,7 @@ def cmd_batch(ns) -> int:
 
 
 def cmd_predict(ns) -> int:
-    tid = ns.theorem.replace("_", "-")
-    try:
-        result = _run_predictor(tid, ns)
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_INPUT
-    if result is None:
-        return EXIT_INPUT
-    preds, graph_for_check = result
+    preds, check = _run_predictor(ns.theorem.replace("_", "-"), ns)
     out = []
     for p in preds:
         rec = {
@@ -309,8 +328,10 @@ def cmd_predict(ns) -> int:
             rec["reason"] = p.reason
         out.append(rec)
     exit_code = EXIT_OK
-    if ns.check and graph_for_check is not None:
-        cls = classify(graph_for_check)
+    if ns.check and check is not None:
+        size, build = check
+        _check_vertices("the --check graph", size)
+        cls = classify(build())
         cls_list = cls if isinstance(cls, list) else [cls]
         computed = [c.mu for c in cls_list]
         predicted = [p.mu for p in preds]
@@ -332,16 +353,18 @@ def _decode_args(args, count):
 
 
 def _run_predictor(tid: str, ns):
+    """The predictions, and the --check graph as (vertex count, builder), or
+    None; the builder runs only under --check, after its count is checked."""
     args = ns.inputs
     if tid == "girth4":
         (g,) = _decode_args(args, 1)
-        return [theorems.mu_girth4(g)], g
+        return [theorems.mu_girth4(g)], (g.n, lambda: g)
     if tid == "prism":
         (g,) = _decode_args(args, 1)
-        return [theorems.mu_prism(g)], prism(g)
+        return [theorems.mu_prism(g)], (2 * g.n, lambda: prism(g))
     if tid == "negatively-neighborly":
         (g,) = _decode_args(args, 1)
-        return [theorems.mu_negatively_neighborly(g)], g
+        return [theorems.mu_negatively_neighborly(g)], (g.n, lambda: g)
     if tid == "neighborly":
         (g,) = _decode_args(args, 1)
         if ns.parts:
@@ -352,39 +375,44 @@ def _run_predictor(tid: str, ns):
                 tuple(int(v) for v in side.split(",") if v) for side in sides
             )
         else:
-            from .graphs import is_bipartite
-
             parts = is_bipartite(g)
             if parts is None:
                 parts = (tuple(g.vertices()), ())
-        return [theorems.mu_neighborly(g, parts)], g
+        return [theorems.mu_neighborly(g, parts)], (g.n, lambda: g)
     if tid == "cartesian":
         a, b = _decode_args(args, 2)
-        return [theorems.mu_cartesian(a, b)], cartesian(a, b)
+        return [theorems.mu_cartesian(a, b)], (a.n * b.n, lambda: cartesian(a, b))
     if tid == "tensor":
         a, b = _decode_args(args, 2)
         p = theorems.mu_tensor(a, b)
         preds = list(p) if isinstance(p, tuple) else [p]
-        return preds, tensor(a, b)
+        return preds, (a.n * b.n, lambda: tensor(a, b))
     if tid == "tensor-completes":
         if len(args) != 1:
             raise ValueError("tensor-completes wants one comma list, e.g. 2,5")
         sizes = [int(x) for x in args[0].split(",")]
-        from .products import tensor_all
-
-        return [theorems.mu_tensor_completes(sizes)], tensor_all(
-            [complete(m) for m in sizes]
+        # complete(m) rejects m < 1 before building, so only sizes >= 1 count
+        return [theorems.mu_tensor_completes(sizes)], (
+            prod(max(m, 1) for m in sizes),
+            lambda: tensor_all([complete(m) for m in sizes]),
         )
     if tid == "tensor-scaled":
         if len(args) != 2:
             raise ValueError("tensor-scaled wants a graph6 and nu")
         lam = graph6_decode(args[0])
         nu = int(args[1])
-        return [theorems.mu_tensor_scaled(lam, nu)], tensor(lam, complete(nu + 2))
+        return [theorems.mu_tensor_scaled(lam, nu)], (
+            lam.n * (nu + 2),
+            lambda: tensor(lam, complete(nu + 2)),
+        )
     if tid == "kneser-prism":
         if len(args) != 2:
             raise ValueError("kneser-prism wants a and b")
-        n, k = theorems.kneser_prism_params(int(args[0]), int(args[1]))
+        a, b = int(args[0]), int(args[1])
+        # k = 3**a + 1 + 2b, with a bounded before the power is taken
+        if 3 ** min(max(a, 0), 64) + 1 + 2 * b > KNESER_PRISM_MAX_K:
+            raise ValueError(f"kneser-prism k is past the budget of {KNESER_PRISM_MAX_K}")
+        n, k = theorems.kneser_prism_params(a, b)
         print(json.dumps({
             "n": n, "k": k,
             "conditions_hold": theorems.kneser_prism_conditions(n, k),
@@ -394,12 +422,8 @@ def _run_predictor(tid: str, ns):
 
 
 def cmd_kernel(ns) -> int:
-    try:
-        g = graph6_decode(ns.graph)
-        basis = kernel_basis_mod_p(ra_matrix(g).matrix, ns.mod)
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_INPUT
+    g = graph6_decode(ns.graph)
+    basis = kernel_basis_mod_p(ra_matrix(g).matrix, ns.mod)
     for vec in basis:
         print(" ".join(str(x) for x in vec))
     return EXIT_OK
@@ -408,8 +432,6 @@ def cmd_kernel(ns) -> int:
 def _parse_group(text: str, cap: int):
     """Build the group named by ``text``, refusing up front a group whose
     multiplication table (order**2 entries) would exceed ``cap``."""
-    from .group_oracle import BudgetExceededError, dihedral, heisenberg
-
     makers = {"heisenberg": heisenberg, "dihedral": dihedral}
     name, _, param = text.partition(":")
     if not param:
@@ -426,46 +448,32 @@ def _parse_group(text: str, cap: int):
 
 
 def cmd_oracle(ns) -> int:
-    from .group_oracle import BudgetExceededError, matrix_power, oracle_record
-
-    try:
-        group = _parse_group(ns.group, ns.cap)
-        if ns.matrix:
-            m = IntMatrix.from_text(ns.matrix.replace(";", "\n"))
-            sub = matrix_power(group, m, ns.cap)
-            print(json.dumps({
-                "group": group.name,
-                "matrix": m.to_text().replace("\n", ";"),
-                "order": len(sub),
-            }))
-            return EXIT_OK
-        if not ns.graph:
-            _err("oracle wants a graph6 argument or --matrix")
-            return EXIT_INPUT
-        g = graph6_decode(ns.graph)
-        rec = oracle_record(group, g, ns.cap, descriptor=graph6_encode(g))
-        print(json.dumps(rec))
+    group = _parse_group(ns.group, ns.cap)
+    if ns.matrix:
+        m = IntMatrix.from_text(ns.matrix.replace(";", "\n"))
+        sub = matrix_power(group, m, ns.cap)
+        print(json.dumps({
+            "group": group.name,
+            "matrix": m.to_text().replace("\n", ";"),
+            "order": len(sub),
+        }))
         return EXIT_OK
-    except BudgetExceededError as exc:
-        _err(str(exc))
-        return EXIT_INPUT
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_INPUT
+    if not ns.graph:
+        raise ValueError("oracle wants a graph6 argument or --matrix")
+    g = graph6_decode(ns.graph)
+    rec = oracle_record(group, g, ns.cap, descriptor=graph6_encode(g))
+    print(json.dumps(rec))
+    return EXIT_OK
 
 
 def cmd_verify(ns) -> int:
     failures = 0
     rows = 0
-    try:
-        for row in verify.run_suite(ns.suite, slow=ns.slow):
-            rows += 1
-            print("\t".join(str(x) for x in row))
-            if row[-1] != "pass":
-                failures += 1
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_INPUT
+    for row in verify.run_suite(ns.suite, slow=ns.slow):
+        rows += 1
+        print("\t".join(str(x) for x in row))
+        if row[-1] != "pass":
+            failures += 1
     print(f"# {rows} checks, {failures} failures")
     return EXIT_VERIFY if failures else EXIT_OK
 
@@ -544,8 +552,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  This is the one place an input error (a
+    ``ValueError`` or an over-budget request) becomes ``ramat: <message>``
+    on stderr and exit code 2."""
     ns = build_parser().parse_args(argv)
-    return ns.func(ns)
+    try:
+        return ns.func(ns)
+    except (ValueError, BudgetExceededError) as exc:
+        _err(str(exc))
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ from .graphs import (
     binary_graph,
     crown,
     degree,
-    distance,
     girth,
     is_bipartite,
     is_connected,
@@ -174,16 +173,22 @@ def mu_girth4(g: Graph) -> MuPrediction:
             ingredients={"bipartite": False},
         )
     delta = gcd_all(degree(g, v) - 1 for v in g.vertices())
-    kappa = gcd_all(
-        _closed_common(g, u, v)
-        for u, v in combinations(g.vertices(), 2)
-        if distance(g, u, v) == 2
-    )
+    kappa = _bipartite_kappa(g)
     return MuPrediction(
         applicable=True,
         mu=gcd(delta, kappa),
         theorem_id=tid,
         ingredients={"delta": delta, "kappa": kappa, "bipartite": True},
+    )
+
+
+def _bipartite_kappa(g: Graph) -> int:
+    """gcd of the closed common neighbourhoods of the distance-2 pairs of a
+    bipartite graph, as the gcd of the open ones over all pairs: adjacent
+    pairs share no neighbour, non-adjacent pairs have equal closed and open
+    intersections, and pairs farther apart add a 0."""
+    return gcd_all(
+        _open_common(g, u, v) for u, v in combinations(g.vertices(), 2)
     )
 
 
@@ -215,11 +220,7 @@ def mu_cartesian(a: Graph, b: Graph) -> MuPrediction:
     kappa1 = gcd_all(
         _closed_common(a, u, v) for u, v in combinations(a.vertices(), 2)
     )
-    kappa2 = gcd_all(
-        _closed_common(b, i, j)
-        for i, j in combinations(b.vertices(), 2)
-        if distance(b, i, j) == 2
-    )
+    kappa2 = _bipartite_kappa(b)
     return MuPrediction(
         applicable=True,
         mu=gcd_all((delta, kappa1, kappa2)),
@@ -413,12 +414,27 @@ def kneser_prism_params(a: int, b: int):
     return n, k
 
 
+def _comb_mod3(m: int, k: int) -> int:
+    """C(m, k) mod 3 for m >= 0 by Lucas' theorem: the product of C(m_i, k_i)
+    over the base-3 digits, 0 as soon as some k_i > m_i."""
+    if not 0 <= k <= m:
+        return 0
+    r = 1
+    while k:
+        m, mi = divmod(m, 3)
+        k, ki = divmod(k, 3)
+        if ki > mi:
+            return 0
+        r = r * comb(mi, ki) % 3
+    return r
+
+
 def kneser_prism_conditions(n: int, k: int) -> bool:
     """Binomial tests mod 3: C(n-2k+j, k) = 0 for j = 1..k and
     C(n-2k, k) = 1."""
-    if any(comb(n - 2 * k + j, k) % 3 for j in range(1, k + 1)):
+    if any(_comb_mod3(n - 2 * k + j, k) for j in range(1, k + 1)):
         return False
-    return comb(n - 2 * k, k) % 3 == 1
+    return _comb_mod3(n - 2 * k, k) == 1
 
 
 def strong_product_divisors(a: Graph, b: Graph):

@@ -103,7 +103,7 @@ def suite_cubes():
 
 def suite_crowns():
     for half in range(4, 11):
-        want = "RA" if half == 3 else f"1/{half - 2}"
+        want = f"1/{half - 2}"
         got = _status_mu(classify(crown(2 * half)))
         yield _row("crown-family", f"crown({2 * half})", want, got)
 
@@ -135,18 +135,18 @@ def suite_girth3_minimal():
         yield _row("girth3-minimal", name, str(("1/2", 3)), str(got))
 
 
-def suite_z(nullity_max: int = 40):
+def suite_z():
     bad = [
         n for n in range(2, 513)
         if theorems._z_recurrence(n) != theorems._z_closed(n)
     ]
     yield _row("z-forms", "recurrence vs closed form, n=2..512", "[]", str(bad))
     mism = []
-    for n in range(2, nullity_max + 1):
+    for n in range(2, 41):
         c = classify(binary_graph(n))
         if c.nullity != theorems.z(n):
             mism.append(n)
-    yield _row("z-nullity", f"nullity(Bg(n)) = z(n), n=2..{nullity_max}", "[]", str(mism))
+    yield _row("z-nullity", "nullity(Bg(n)) = z(n), n=2..40", "[]", str(mism))
     first = next(n for n in range(2, 64) if theorems.z(n) > 0)
     yield _row("z-first", "first n with z(n) > 0", "8", str(first))
 
@@ -202,11 +202,11 @@ def _random_graph(rng: random.Random, n: int) -> Graph:
     return Graph(n, adj)
 
 
-def suite_strong_product(pairs: int = 20, seed: int = 20250809):
+def suite_strong_product():
     from .products import strong
 
-    rng = random.Random(seed)
-    for t in range(pairs):
+    rng = random.Random(20250809)
+    for t in range(20):
         na = rng.randrange(2, 7)
         nb = rng.randrange(2, 7)
         a = _random_graph(rng, na)
@@ -243,13 +243,17 @@ class CorpusEntry:
     params: dict = field(default_factory=dict)
 
 
-def standard_corpus(max_vertices: int = 40) -> list:
+# vertex cap of the predictor corpus's families and cartesian products
+CORPUS_MAX_VERTICES = 40
+
+
+def standard_corpus() -> list:
     """Deterministic corpus of families and products used for predictor
-    cross-validation; >= 200 entries at the default size cap."""
+    cross-validation; >= 200 entries."""
     entries: list[CorpusEntry] = []
 
     def add(name, graph, kind="family", factors=(), **params):
-        if graph.n <= max_vertices:
+        if graph.n <= CORPUS_MAX_VERTICES:
             entries.append(CorpusEntry(name, graph, kind, factors, params))
 
     for n in range(2, 11):
@@ -286,7 +290,7 @@ def standard_corpus(max_vertices: int = 40) -> list:
     pairs = sorted(named.items())
     for i, (na, a) in enumerate(pairs):
         for nb, b in pairs[i:]:
-            if a.n * b.n <= max_vertices:
+            if a.n * b.n <= CORPUS_MAX_VERTICES:
                 add(
                     f"{na}x{nb}", cartesian(a, b), kind="cartesian",
                     factors=(a, b),
@@ -294,7 +298,7 @@ def standard_corpus(max_vertices: int = 40) -> list:
 
     # named product cases from the constructive results run a little past
     # the family cap (the largest is the 48-vertex triple tensor)
-    product_cap = max_vertices + 24
+    product_cap = CORPUS_MAX_VERTICES + 24
 
     for base_name, base in (
         [(f"K{n}", complete(n)) for n in (3, 4, 5, 6)]
@@ -351,7 +355,7 @@ def standard_corpus(max_vertices: int = 40) -> list:
         ("crown(10)", crown(10), 3),
     ):
         g = tensor(lam, complete(nu + 2))
-        if g.n <= max_vertices:
+        if g.n <= CORPUS_MAX_VERTICES:
             entries.append(
                 CorpusEntry(
                     f"{lam_name}*K{nu + 2}", g, "tensor-scaled",
@@ -390,8 +394,8 @@ def _predictions_for(entry: CorpusEntry):
     return preds
 
 
-def suite_predictors(max_vertices: int = 40):
-    corpus = standard_corpus(max_vertices)
+def suite_predictors():
+    corpus = standard_corpus()
     total = 0
     for entry in corpus:
         cls = classify(entry.graph)

@@ -40,6 +40,7 @@ from ramat.ra_core import (
     ra_matrix,
 )
 from ramat import theorems, verify
+from ramat.cli import main
 
 from support import (
     connected_8_vertex_file,
@@ -239,23 +240,27 @@ def test_criterion_12_group_oracle():
     _report(12, f"10 graphs exhaustively + D8 matrix orders in {elapsed:.1f} s")
 
 
-def test_criterion_13_eight_vertex_table():
-    from ramat.cli import _batch_chunk
+def _batch_counts(capsys, path) -> Counter:
+    """Category counts from ``ramat batch PATH --workers 2``'s TSV table."""
+    assert main(["batch", str(path), "--workers", "2"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "girth\tcategory\tcount"
+    counts = Counter()
+    for row in rows[1:-1]:
+        band, category, count = row.split("\t")
+        counts[(band, category)] = int(count)
+    assert sum(counts.values()) == int(rows[-1].split("\t")[2])
+    return counts
 
+
+def test_criterion_13_eight_vertex_table(capsys):
     corpus = connected_8_vertex_file()
     t0 = time.perf_counter()
     lines = [
         s.strip() for s in corpus.read_text().splitlines() if s.strip()
     ]
     assert len(lines) == 11117
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = (len(lines) + 7) // 8
-    chunks = [lines[i:i + chunk] for i in range(0, len(lines), chunk)]
-    counts = Counter()
-    with ProcessPoolExecutor(max_workers=8) as pool:
-        for part in pool.map(_batch_chunk, chunks):
-            counts.update(part)
+    counts = _batch_counts(capsys, corpus)
     elapsed = time.perf_counter() - t0
     want = {
         ("3", "nbhd-indistinguishable"): 3675,
@@ -344,24 +349,16 @@ def test_criterion_14e_cartesian_products_neighborly():
 
 
 @pytest.mark.slow
-def test_nine_vertex_table_column():
+def test_nine_vertex_table_column(capsys, tmp_path):
     """Full 9-vertex column of the category table (slow: generates 261080
     graphs up to isomorphism and classifies them all)."""
-    from ramat.cli import _batch_chunk
-    from ramat.graphs import graph6_encode as enc
     from support import connected_graphs_up_to_iso
 
     graphs = connected_graphs_up_to_iso(9)
     assert len(graphs) == 261080
-    lines = [enc(g) for g in graphs]
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = (len(lines) + 7) // 8
-    chunks = [lines[i:i + chunk] for i in range(0, len(lines), chunk)]
-    counts = Counter()
-    with ProcessPoolExecutor(max_workers=8) as pool:
-        for part in pool.map(_batch_chunk, chunks):
-            counts.update(part)
+    path = tmp_path / "connected9.g6"
+    path.write_text("".join(graph6_encode(g) + "\n" for g in graphs), encoding="ascii")
+    counts = _batch_counts(capsys, path)
     assert counts[("3", "nbhd-indistinguishable")] == 63308
     assert counts[("3", "nbhd-distinguishable-ra")] == 196389
     assert counts[("3", "nbhd-distinguishable-not-ra")] == 3

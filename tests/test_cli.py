@@ -9,21 +9,23 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramat import cli, graphs
+from ramat import cli, graphs, verify
 
 from ramat.cli import main
-from ramat.graphs import graph6_decode, graph6_encode, crown, kneser
+from ramat.graphs import graph6_decode, graph6_encode, complete, crown, cycle, kneser, path
 from ramat.graphs import connected_components
 from ramat.products import disjoint_union
 from ramat.ra_core import classification_record, classify, ra_matrix
 
 
 KNESER_6_2 = "N@Q@YiWw@Ziuesww^_?"  # graph6 of Kn(6,2)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +121,20 @@ class TestInputRobustness:
         assert rc == 2
         assert "line 2" in err
         assert out.splitlines()[-1] == "total\t\t2"
+
+    def test_analyze_stdin_non_ascii_line_is_input_error(self):
+        # a strict UTF-8 stdin would raise on the byte 0xff before any line
+        # reached the graph6 parser
+        proc = subprocess.run(
+            [sys.executable, "-m", "ramat.cli", "analyze", "-"],
+            input=b"C~\n\xff\nA_\n",
+            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": "utf-8"},
+            capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert b"stdin line 2" in proc.stderr
+        assert b"Traceback" not in proc.stderr
+        assert [json.loads(s)["graph6"] for s in proc.stdout.splitlines()] == ["C~", "A_"]
 
     @settings(max_examples=60, deadline=None)
     @given(st.binary(max_size=64), st.sampled_from(["analyze", "batch"]))
@@ -271,6 +287,35 @@ class TestBatch:
         assert "line 2" in err
         assert out.splitlines()[-1] == "total\t\t1"
 
+    def test_workers_capped_at_cpu_count(self, capsys, tmp_path, monkeypatch):
+        # a fork pool starts max_workers processes at its first submit; this
+        # fake records the count and runs the chunks in this process
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        lines = [graph6_encode(crown(8)), "C~", graph6_encode(kneser(5, 2))] * 40
+        f = tmp_path / "many.g6"
+        f.write_text("\n".join(lines) + "\n", encoding="ascii")
+        rc, out, _ = run_cli(capsys, "batch", str(f), "--workers", "100000")
+        assert rc == 0
+        assert pools == [3]
+        rc, serial, _ = run_cli(capsys, "batch", str(f), "--workers", "1")
+        assert out == serial
+
 
 class TestPredictKernelOracle:
     def test_predict_tensor_completes(self, capsys):
@@ -381,6 +426,148 @@ class TestPredictKernelOracle:
         assert "cap 10000000" in err
 
 
+class TestBudgets:
+    @pytest.mark.parametrize("argv", [
+        ["gen", "crown", "100000000000"],
+        ["gen", "cube", "1000000000000"],
+        ["construct", "--divisors", "100000000"],
+        ["product", "cartesian"] + ["C~"] * 6,  # K4 six times: 4096 vertices
+        ["predict", "tensor-completes", "2,100000000", "--check"],
+        ["predict", "kneser-prism", "1000000000000", "0"],
+    ])
+    def test_refused_before_any_work(self, capsys, argv):
+        t0 = time.perf_counter()
+        rc, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("ramat: ") and "budget" in err
+
+    def test_largest_named_graph_fits(self, capsys):
+        rc, out, _ = run_cli(capsys, "gen", "kneser", "15", "3")
+        assert rc == 0
+        assert graph6_decode(out.strip()).n == 455
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "cube", "-3"], "cube needs d >= 0"),
+        (["gen", "kneser", "5", "0"], "kneser needs n >= k >= 1"),
+        (["gen", "complete-bipartite", "100000000000", "-99999999990"],
+         "complete bipartite needs m, n >= 1"),
+        (["predict", "kneser-prism", "-1", "5"], "a and b must be nonnegative"),
+    ])
+    def test_invalid_parameters_keep_their_own_message(self, capsys, argv, message):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2
+        assert err == f"ramat: {message}\n"
+
+    def test_closed_form_prediction_builds_no_graph(self, capsys):
+        t0 = time.perf_counter()
+        rc, out, _ = run_cli(capsys, "predict", "tensor-completes", "2,1500")
+        assert time.perf_counter() - t0 < 0.5
+        assert rc == 0
+        assert json.loads(out)["mu"] == 1498
+
+    def test_kneser_prism_binomials_by_lucas(self, capsys):
+        t0 = time.perf_counter()
+        rc, out, _ = run_cli(capsys, "predict", "kneser-prism", "8", "0")
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 0
+        assert json.loads(out) == {"n": 32806, "k": 6562, "conditions_hold": True}
+
+
+# graph6-like text: the graph6 byte range plus a few characters outside it,
+# or a valid graph6 string of a small graph
+G6ISH = st.text(
+    st.sampled_from([chr(c) for c in range(63, 127)] + [" ", ",", ":", ";", "\xe9"]),
+    max_size=8,
+)
+G6 = st.sampled_from(
+    [graph6_encode(g) for g in (complete(2), path(3), cycle(5), complete(4),
+                                crown(8), kneser(5, 2))]
+) | G6ISH
+# integers up to 10**12 in size, either small or past every budget: a
+# mid-sized value can pass the vertex budget with a graph of a few hundred
+# vertices, and classifying that takes minutes (classify has no budget yet)
+INTS = st.one_of(
+    st.integers(-4, 9),
+    st.integers(10 ** 5, 10 ** 12),
+    st.integers(-10 ** 12, -10 ** 5),
+).map(str)
+INT_LISTS = st.lists(INTS, min_size=1, max_size=3).map(",".join)
+TOKENS = st.lists(st.one_of(G6, INTS, INT_LISTS), max_size=3)
+COMMANDS = {
+    # subcommand -> (strategy of its leading positionals, its other positionals)
+    "analyze": (st.just([]), TOKENS),
+    "gen": (st.sampled_from([*cli._FAMILIES, "complement", "bogus"]).map(lambda f: [f]),
+            st.lists(INTS, max_size=3) | TOKENS),
+    "product": (st.sampled_from(["cartesian", "tensor", "strong", "join", "prism",
+                                 "pyramid", "union"]).map(lambda op: [op]), TOKENS),
+    "construct": (st.just([]), st.just([])),
+    "batch": (G6ISH.map(lambda path: [path]), st.just([])),
+    "predict": (st.sampled_from(["girth4", "prism", "negatively-neighborly", "neighborly",
+                                 "cartesian", "tensor", "tensor-completes", "tensor-scaled",
+                                 "kneser-prism", "bogus"]).map(lambda t: [t]),
+                st.lists(G6, max_size=2) | TOKENS),
+    "kernel": (st.just([]), st.lists(G6, min_size=1, max_size=1) | TOKENS),
+    "oracle": (st.just([]), st.lists(G6, max_size=1)),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for one subcommand: its positionals and a random subset of its
+    own flags.  verify gets only unknown suite names (never a real, slow
+    suite) and oracle a small --cap."""
+    def flag(name, values):
+        return draw(st.one_of(st.just([]), values.map(lambda v: [name, v])))
+
+    def switch(name):
+        return draw(st.sampled_from([[], [name]]))
+
+    command = draw(st.sampled_from([*COMMANDS, "verify"]))
+    if command == "verify":
+        suite = draw(G6ISH.filter(lambda s: s not in (*verify.SUITES, "all")))
+        return ["verify", "--suite", suite]
+    head, rest = COMMANDS[command]
+    argv = [command, *draw(head), *draw(rest)]
+    if command == "analyze":
+        argv += switch("--json") + switch("--tsv") + switch("--axis")
+    elif command == "construct":
+        argv += flag("--divisors", INT_LISTS) + flag("--nullity", INTS)
+    elif command == "batch":
+        argv += flag("--workers", INTS) + switch("--summary=girth-category")
+    elif command == "predict":
+        argv += flag("--parts", st.tuples(INT_LISTS, INT_LISTS).map("/".join) | G6ISH)
+        argv += switch("--check")
+    elif command == "kernel":
+        argv += ["--mod", draw(INTS)]
+    elif command == "oracle":
+        group = st.tuples(st.sampled_from(["heisenberg", "dihedral", "bogus"]),
+                          INTS | G6ISH).map(":".join)
+        matrix = st.lists(st.lists(INTS, min_size=1, max_size=2).map(" ".join),
+                          min_size=1, max_size=2).map(";".join)
+        argv += ["--group", draw(group), "--cap", str(draw(st.integers(0, 10 ** 4)))]
+        argv += flag("--matrix", matrix)
+    return argv
+
+
+class TestArgumentFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(cli_argv())
+    def test_every_subcommand_exits_0_1_or_2(self, argv):
+        sink = io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink), \
+                mock.patch.object(sys, "stdin", io.StringIO("")):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse refused the arguments
+                assert exc.code == 2, argv
+                return
+        assert rc in (0, 1, 2), argv
+        assert time.perf_counter() - t0 < 5.0, argv
+
+
 class TestVerify:
     def test_single_suite_passes(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--suite", "hermite")
@@ -409,10 +596,9 @@ class TestStdlibOnly:
             "from ramat import ra_core, theorems, verify\n"
             f"sys.exit(cli.main(['kernel', '--mod', '2', {KNESER_6_2!r}]))\n"
         )
-        src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(
             [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env={**os.environ, "PYTHONPATH": str(SRC)},
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr

@@ -23,6 +23,7 @@ from ramat.intlin import IntMatrix, kernel_basis_mod_p, lattice_contains
 from ramat.products import cartesian, prism, pyramid, tensor, tensor_all
 from ramat.ra_core import classify, elementary_divisors, ra_lattice, ra_matrix
 from ramat.theorems import (
+    _comb_mod3,
     construct_prescribed,
     divisor_prime_profile,
     kneser_kernel_span_dim,
@@ -187,6 +188,11 @@ class TestPrism:
         assert comb(2, 2) % 3 == 1
         assert kneser_prism_conditions(6, 2)
         assert not kneser_prism_conditions(7, 2)
+
+    def test_lucas_binomials_mod_3(self):
+        for m in range(151):
+            for k in range(m + 1):
+                assert _comb_mod3(m, k) == comb(m, k) % 3, (m, k)
 
 
 class TestTensor:

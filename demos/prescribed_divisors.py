@@ -3,7 +3,8 @@
 The recipe: one crown graph per divisor (crown(2d+4) carries divisor d),
 a binary graph for the nullity (Bg(n) has kernel dimension z(n), and z is
 surjective), and a single apex joined to everything.  The apex glues the
-blocks while adding only trivial divisors.
+blocks while adding only trivial divisors.  With no divisor, one isolated
+vertex joins the binary graph, so that the apex alone is an RA row.
 """
 
 from ramat.graphs import graph6_encode

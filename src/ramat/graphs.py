@@ -23,8 +23,6 @@ __all__ = [
     "kneser",
     "complement",
     "binary_graph",
-    "closed_neighborhood",
-    "common_closed",
     "degree",
     "girth",
     "is_bipartite",
@@ -253,14 +251,6 @@ def binary_graph(n: int) -> Graph:
 
 # ---------------------------------------------------------------------------
 # structural queries
-
-
-def closed_neighborhood(g: Graph, v: int) -> frozenset:
-    return _mask_to_set(g.closed_mask(v))
-
-
-def common_closed(g: Graph, u: int, v: int) -> frozenset:
-    return _mask_to_set(g.closed_mask(u) & g.closed_mask(v))
 
 
 def degree(g: Graph, v: int) -> int:

@@ -21,7 +21,6 @@ __all__ = [
     "pyramid",
     "prism",
     "disjoint_union",
-    "cartesian_all",
     "tensor_all",
 ]
 
@@ -96,11 +95,6 @@ def disjoint_union(parts) -> Graph:
         edges += [(offset + u, offset + v) for u, v in g.edges()]
         offset += g.n
     return Graph.from_edges(offset, edges)
-
-
-def cartesian_all(factors) -> Graph:
-    """Left fold of the cartesian product over two or more factors."""
-    return reduce(cartesian, factors)
 
 
 def tensor_all(factors) -> Graph:

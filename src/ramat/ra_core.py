@@ -1,16 +1,20 @@
-"""Activation and RA matrices, elementary divisors, and RA classification.
+"""RA matrices, elementary divisors, and RA classification.
 
-For a graph on vertices 1..n, the activation matrix is adjacency plus
-identity (row v is the bit vector of the closed neighborhood N[v]).  The RA
-matrix stacks every N[v] row with every pairwise intersection
-N[u] & N[v]; its integer row lattice decides how freely single-vertex
-commutator placements can be achieved, so the classification below is all
-about the elementary divisors of that lattice.
+For a graph on vertices 1..n, the RA matrix stacks the bit vector of every
+closed neighborhood N[v] with every pairwise intersection N[u] & N[v]; its
+integer row lattice decides how freely single-vertex commutator placements
+can be achieved, so the classification below is all about the elementary
+divisors of that lattice.
+
+``ra_lattice`` keeps the latest graph's lattice, so consecutive calls on one
+graph (``classify``, a neighborly predictor, ``pair_sign``) share one
+echelon build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphs import (
     Graph,
@@ -31,10 +35,8 @@ from .intlin import (
 )
 
 __all__ = [
-    "ActivationMatrix",
     "RAMatrix",
     "RAClassification",
-    "activation_matrix",
     "ra_matrix",
     "ra_lattice",
     "elementary_divisors",
@@ -45,12 +47,6 @@ __all__ = [
     "is_positively_neighborly",
     "is_negatively_neighborly",
 ]
-
-
-@dataclass(frozen=True)
-class ActivationMatrix:
-    matrix: IntMatrix
-    graph: Graph
 
 
 @dataclass(frozen=True)
@@ -98,14 +94,6 @@ class RAClassification:
     nonuniform_axis: bool = False
 
 
-def activation_matrix(g: Graph) -> ActivationMatrix:
-    rows = []
-    for v in g.vertices():
-        mask = g.closed_mask(v)
-        rows.append([mask >> j & 1 for j in range(g.n)])
-    return ActivationMatrix(matrix=IntMatrix(rows), graph=g)
-
-
 def ra_matrix(g: Graph) -> RAMatrix:
     n = g.n
     masks = [g.closed_mask(v) for v in g.vertices()]
@@ -134,8 +122,15 @@ def ra_lattice(g: Graph) -> RowLattice:
     """Integer row lattice of the RA matrix, held as its Hermite basis.
 
     This is the one echelon build per graph: divisors, nullity, axis
-    multiples and pair signs are all read off it.
+    multiples and pair signs are all read off it.  The latest graph's
+    lattice is kept, so consecutive calls on one graph share one build.
     """
+    return _latest_lattice(g)
+
+
+@lru_cache(maxsize=1)
+def _latest_lattice(g: Graph) -> RowLattice:
+    # exact: Graph compares by (n, adj), and the lattice is immutable
     return row_lattice(ra_matrix(g).matrix)
 
 
@@ -220,19 +215,14 @@ def pair_sign(g: Graph, u: int, v: int) -> str:
     return pair_sign_from_lattice(ra_lattice(g), u, v)
 
 
-def _edge_signs(g: Graph):
-    lat = ra_lattice(g)
-    return [(u, v, pair_sign_from_lattice(lat, u, v)) for u, v in g.edges()]
-
-
 def is_neighborly(g: Graph) -> bool:
     """Every edge is signed (positive or negative)."""
-    return all(s != "none" for _, _, s in _edge_signs(g))
+    return all(pair_sign(g, u, v) != "none" for u, v in g.edges())
 
 
 def is_positively_neighborly(g: Graph) -> bool:
-    return all(s in ("positive", "both") for _, _, s in _edge_signs(g))
+    return all(pair_sign(g, u, v) in ("positive", "both") for u, v in g.edges())
 
 
 def is_negatively_neighborly(g: Graph) -> bool:
-    return all(s in ("negative", "both") for _, _, s in _edge_signs(g))
+    return all(pair_sign(g, u, v) in ("negative", "both") for u, v in g.edges())

@@ -22,6 +22,7 @@ from math import comb, gcd, lcm
 from .graphs import (
     Graph,
     binary_graph,
+    complete,
     crown,
     degree,
     girth,
@@ -316,7 +317,10 @@ def mu_tensor(a: Graph, b: Graph):
     One bipartite factor gives a single prediction; two give a pair (one per
     component of the disconnected product).  For two non-bipartite factors a
     complete factor or a triangle-free edge in each factor pins the result
-    to RA-or-1/2, with the parity test run on the product itself.
+    to RA-or-1/2.  The product's parity test is read off the factors: degrees
+    and open common-neighbor counts (with c(u, u) = deg u) multiply, so every
+    product vertex has odd degree and every product pair an even count
+    exactly when both factors pass the test.
     """
     if not (is_connected(a) and is_connected(b)):
         return _inapplicable("tensor", "factors must be connected")
@@ -335,10 +339,7 @@ def mu_tensor(a: Graph, b: Graph):
         gam, m = b, a.n
     else:
         if _has_triangle_free_edge(a) and _has_triangle_free_edge(b):
-            from .products import tensor as tensor_product
-
-            prod = tensor_product(a, b)
-            mu = 2 if _parity_half_ra(prod) else 1
+            mu = 2 if _parity_half_ra(a) and _parity_half_ra(b) else 1
             return MuPrediction(
                 applicable=True, mu=mu, theorem_id="tensor-nonbipartite",
             )
@@ -542,7 +543,13 @@ def construct_prescribed(divisors, nullity: int = 0) -> Graph:
     """Graph whose RA matrix has exactly the given nontrivial divisors and
     nullity: the pyramid over a disjoint union of crown graphs (one per
     divisor) and, for positive nullity, the smallest binary graph with that
-    kernel dimension."""
+    kernel dimension.
+
+    With no divisors a single vertex joins the union: a vertex pair from two
+    components shares only the apex, so e_apex is a row of the RA matrix.
+    Over the binary graph alone it need not be in the row lattice, and the
+    nullity then comes out one too high (r = 1, 3, 4, 5, 10, 11, 12).
+    """
     ds = [int(d) for d in divisors]
     if nullity < 0:
         raise ValueError("nullity must be nonnegative")
@@ -556,4 +563,6 @@ def construct_prescribed(divisors, nullity: int = 0) -> Graph:
     parts = [crown(2 * d + 4) for d in ds]
     if nullity > 0:
         parts.append(binary_graph(z_minimal_n(nullity)))
+    if not ds:
+        parts.append(complete(1))
     return pyramid(disjoint_union(parts))

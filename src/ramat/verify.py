@@ -211,15 +211,16 @@ def suite_strong_product():
         nb = rng.randrange(2, 7)
         a = _random_graph(rng, na)
         b = _random_graph(rng, nb)
+        g = strong(a, b)
         ca = ra_matrix(a).matrix
         cb = ra_matrix(b).matrix
-        cs = ra_matrix(strong(a, b)).matrix
+        cs = ra_matrix(g).matrix
         kron = kronecker_product(ca, cb)
         rows_match = Counter(cs.data) == Counter(
             r for r in kron.data if any(r)
         )
         pred = theorems.strong_product_divisors(a, b)
-        direct = elementary_divisors(strong(a, b)).divisors
+        direct = elementary_divisors(g).divisors
         prof_match = (
             theorems.divisor_prime_profile(pred)
             == theorems.divisor_prime_profile(direct)

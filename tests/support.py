@@ -148,6 +148,11 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return Graph(n, adj)
 
 
+def activation_rows(g: Graph) -> list:
+    """Adjacency plus identity: row v is the bit vector of N[v]."""
+    return [[g.closed_mask(v) >> j & 1 for j in range(g.n)] for v in g.vertices()]
+
+
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     """Backtracking isomorphism test with degree pruning (fine to ~10
     vertices)."""

@@ -233,6 +233,12 @@ class TestConstruct:
         rc, _, err = run_cli(capsys, "construct", "--divisors", "2,3")
         assert rc == 2
 
+    def test_nullity_only_verifies(self, capsys):
+        for r in range(1, 13):
+            rc, out, _ = run_cli(capsys, "construct", "--nullity", str(r))
+            rec = json.loads(out.splitlines()[1])
+            assert (rc, rec["verified"], rec["nullity"]) == (0, True, r)
+
 
 class TestBatch:
     def test_small_file_counts(self, capsys, tmp_path):
@@ -331,6 +337,17 @@ class TestPredictKernelOracle:
         rc, out, _ = run_cli(capsys, "predict", "girth4", g6.strip(), "--check")
         assert rc == 0
         assert json.loads(out)["mu"] == 4
+
+    def test_predict_tensor_of_large_odd_cycles(self, capsys):
+        c101 = graph6_encode(cycle(101))
+        t0 = time.perf_counter()
+        rc, out, _ = run_cli(capsys, "predict", "tensor", c101, c101)
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 0
+        assert json.loads(out) == {
+            "theorem_id": "tensor-nonbipartite", "applicable": True,
+            "mu": 1, "ingredients": {},
+        }
 
     def test_predict_inapplicable_names_hypothesis(self, capsys):
         rc, k3, _ = run_cli(capsys, "gen", "complete", "3")
@@ -583,6 +600,17 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit):
             run_cli(capsys, "verify", "--suite", "bogus")
+
+    def test_all_suites_match_the_benchmark_reference(self, capsys):
+        # the benchmark checks every verify-all line against this file
+        ref = SRC.parent / "perfbench" / "ref" / "verify_all.tsv"
+        rc, out, _ = run_cli(capsys, "verify", "--suite", "all")
+        assert rc == 0
+        got = out.splitlines()
+        want = ref.read_text(encoding="ascii").splitlines()
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert g == w, f"line {i + 1}"
+        assert len(got) == len(want)
 
 
 class TestStdlibOnly:

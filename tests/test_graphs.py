@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 from ramat.graphs import (
     Graph,
     binary_graph,
-    closed_neighborhood,
-    common_closed,
     complement,
     complete,
     complete_bipartite,
@@ -70,10 +68,10 @@ class TestFamilies:
         g = crown(10)
         # adjacent vertices share no neighbors; distance-2 pairs share n-2
         for u, v in g.edges():
-            assert common_closed(g, u, v) == frozenset({u, v})
+            assert g.closed_mask(u) & g.closed_mask(v) == 1 << u - 1 | 1 << v - 1
         for u, v in combinations(g.vertices(), 2):
             if distance(g, u, v) == 2:
-                assert len(common_closed(g, u, v)) == 5 - 2
+                assert (g.closed_mask(u) & g.closed_mask(v)).bit_count() == 5 - 2
 
     def test_kneser_petersen(self):
         g = kneser(5, 2)
@@ -138,8 +136,8 @@ class TestFamilies:
 
 class TestQueries:
     def test_closed_neighborhood(self):
-        assert closed_neighborhood(complete(3), 1) == {1, 2, 3}
-        assert common_closed(path(3), 1, 3) == {2}
+        assert complete(3).closed_mask(1) == 0b111
+        assert path(3).closed_mask(1) & path(3).closed_mask(3) == 0b010
 
     def test_girth(self):
         assert girth(path(5)) is None

@@ -2,6 +2,7 @@
 and the Kronecker relationship with activation matrices."""
 
 import random
+from functools import reduce
 
 import pytest
 
@@ -15,10 +16,9 @@ from ramat.graphs import (
     connected_components,
     path,
 )
-from ramat.intlin import kronecker_product
+from ramat.intlin import IntMatrix, kronecker_product
 from ramat.products import (
     cartesian,
-    cartesian_all,
     disjoint_union,
     join,
     prism,
@@ -26,9 +26,8 @@ from ramat.products import (
     strong,
     tensor,
 )
-from ramat.ra_core import activation_matrix
 
-from support import are_isomorphic, random_graph
+from support import activation_rows, are_isomorphic, random_graph
 
 
 class TestCartesian:
@@ -37,7 +36,7 @@ class TestCartesian:
 
     def test_cube_recursion(self):
         assert are_isomorphic(cartesian(cube(2), complete(2)), cube(3))
-        assert are_isomorphic(cartesian_all([complete(2)] * 4), cube(4))
+        assert are_isomorphic(reduce(cartesian, [complete(2)] * 4), cube(4))
 
     def test_degrees_add(self):
         a, b = cycle(5), path(4)
@@ -130,9 +129,9 @@ class TestStrong:
         for _ in range(30):
             a = random_graph(rng, rng.randint(1, 5), 0.5)
             b = random_graph(rng, rng.randint(1, 5), 0.5)
-            am = activation_matrix(strong(a, b)).matrix
+            am = IntMatrix(activation_rows(strong(a, b)))
             k = kronecker_product(
-                activation_matrix(a).matrix, activation_matrix(b).matrix
+                IntMatrix(activation_rows(a)), IntMatrix(activation_rows(b))
             )
             assert am == k
 

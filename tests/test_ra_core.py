@@ -15,15 +15,16 @@ from ramat.graphs import (
     folded_cube,
     girth,
     graph6_decode,
+    graph6_encode,
+    is_bipartite,
     is_connected,
     kneser,
     path,
 )
-from ramat import intlin
-from ramat.intlin import lattice_contains
+from ramat import intlin, ra_core
+from ramat.intlin import IntMatrix, lattice_contains, row_lattice
 from ramat.products import cartesian, disjoint_union
 from ramat.ra_core import (
-    activation_matrix,
     classification_record,
     classify,
     elementary_divisors,
@@ -34,16 +35,17 @@ from ramat.ra_core import (
     ra_lattice,
     ra_matrix,
 )
+from ramat.theorems import mu_negatively_neighborly, mu_neighborly
 
-from support import random_graph
+from support import activation_rows, random_graph
 
 
 class TestActivationMatrix:
     def test_k3_all_ones(self):
-        assert activation_matrix(complete(3)).matrix.data == ((1, 1, 1),) * 3
+        assert IntMatrix(activation_rows(complete(3))).data == ((1, 1, 1),) * 3
 
     def test_p3(self):
-        assert activation_matrix(path(3)).matrix.data == (
+        assert IntMatrix(activation_rows(path(3))).data == (
             (1, 1, 0), (1, 1, 1), (0, 1, 1),
         )
 
@@ -51,7 +53,7 @@ class TestActivationMatrix:
         rng = random.Random(1)
         for _ in range(40):
             g = random_graph(rng, rng.randint(1, 8), 0.5)
-            m = activation_matrix(g).matrix
+            m = IntMatrix(activation_rows(g))
             assert all(m.data[i][i] == 1 for i in range(g.n))
             assert m == m.transpose()
 
@@ -214,21 +216,60 @@ class TestClassify:
             classification_record(g)
 
 
+def _count_builds(monkeypatch) -> list:
+    """Record the dimension of every echelon build from now on, starting
+    from an empty lattice memo."""
+    builds = []
+    real = intlin._echelon_basis
+
+    def counted(rows, n):
+        builds.append(n)
+        return real(rows, n)
+
+    monkeypatch.setattr(intlin, "_echelon_basis", counted)
+    ra_core._latest_lattice.cache_clear()
+    return builds
+
+
 class TestOneLatticePerGraph:
     def test_one_echelon_build_per_connected_graph(self, monkeypatch):
-        builds = []
-        real = intlin._echelon_basis
-
-        def counted(rows, n):
-            builds.append(n)
-            return real(rows, n)
-
-        monkeypatch.setattr(intlin, "_echelon_basis", counted)
+        builds = _count_builds(monkeypatch)
         for g in (path(4), cube(3), crown(10), kneser(6, 2), complete(5)):
             for fn in (classify, elementary_divisors):
+                ra_core._latest_lattice.cache_clear()
                 builds.clear()
                 fn(g)
                 assert builds == [g.n], (fn.__name__, g)
+
+    def test_consumers_of_one_graph_share_one_build(self, monkeypatch):
+        builds = _count_builds(monkeypatch)
+        g = crown(10)
+        classify(g)
+        elementary_divisors(g)
+        assert is_neighborly(g)
+        assert mu_neighborly(g, is_bipartite(g)).mu == 3
+        mu_negatively_neighborly(g)
+        assert pair_sign(g, *g.edges()[0]) == "positive"
+        assert builds == [g.n]
+
+    def test_equal_graph_hits_and_another_graph_rebuilds(self, monkeypatch):
+        builds = _count_builds(monkeypatch)
+        g = crown(10)
+        classify(g)
+        same = graph6_decode(graph6_encode(g))
+        assert same is not g
+        classify(same)
+        assert builds == [10]
+        classify(cube(3))
+        classify(same)
+        assert builds == [10, 8, 10]
+
+    def test_hit_equals_a_fresh_build(self):
+        ra_core._latest_lattice.cache_clear()
+        for g in (path(4), kneser(6, 2), disjoint_union([complete(3), path(3)])):
+            lat = ra_lattice(g)
+            assert ra_lattice(g) is lat
+            assert lat == row_lattice(ra_matrix(g).matrix)
 
 
 class TestArrangementQuantifier:

@@ -23,6 +23,7 @@ from ramat.intlin import IntMatrix, kernel_basis_mod_p, lattice_contains
 from ramat.products import cartesian, prism, pyramid, tensor, tensor_all
 from ramat.ra_core import classify, elementary_divisors, ra_lattice, ra_matrix
 from ramat.theorems import (
+    MuPrediction,
     _comb_mod3,
     construct_prescribed,
     divisor_prime_profile,
@@ -44,7 +45,7 @@ from ramat.theorems import (
     z_minimal_n,
 )
 
-from support import random_graph
+from support import connected_graphs_up_to_iso, random_graph
 
 
 def _mu_of(g):
@@ -231,6 +232,39 @@ class TestTensor:
         assert p.applicable and p.theorem_id == "tensor-nonbipartite"
         assert p.mu == _mu_of(tensor(cycle(5), cycle(7)))
 
+    def test_nonbipartite_parity_read_off_the_factors(self):
+        # reference: the parity test run on the whole tensor product
+        def product_parity(g):
+            odd_degrees = all(a.bit_count() % 2 for a in g.adj)
+            even_common = all(
+                (g.adj[u] & g.adj[v]).bit_count() % 2 == 0
+                for u in range(g.n) for v in range(u + 1, g.n)
+            )
+            return odd_degrees and even_common
+
+        def qualifies(g):  # non-bipartite, not complete, an edge in no triangle
+            return (
+                is_bipartite(g) is None
+                and g.edge_count() < g.n * (g.n - 1) // 2
+                and any(not g.adj[u - 1] & g.adj[v - 1] for u, v in g.edges())
+            )
+
+        # the Clebsch graph FQ5 is the one factor here that passes the test
+        factors = [g for n in range(1, 6) for g in connected_graphs_up_to_iso(n)]
+        factors += [cycle(5), cycle(7), cycle(9), folded_cube(5)]
+        factors = [g for g in factors if qualifies(g)]
+        mus = []
+        for a in factors:
+            for b in factors:
+                want = MuPrediction(
+                    applicable=True,
+                    mu=2 if product_parity(tensor(a, b)) else 1,
+                    theorem_id="tensor-nonbipartite",
+                )
+                assert mu_tensor(a, b) == want
+                mus.append(want.mu)
+        assert len(mus) == 14 * 14 and mus.count(2) == 1
+
     def test_every_edge_in_triangle_rejected(self):
         # K4 minus nothing: every edge lies in a triangle, both non-bipartite
         p = mu_tensor(complete(4), complete(4))
@@ -408,6 +442,20 @@ class TestConstructPrescribed:
             c = classify(construct_prescribed(chain, r))
             assert sorted(d for d in c.divisors if d > 1) == sorted(chain)
             assert c.nullity == r
+
+    def test_every_short_chain_and_nullity(self):
+        # every divisibility chain over {2, 3, 4, 6} of length <= 2, r = 0..12
+        ds = (2, 3, 4, 6)
+        chains = [[]] + [[d] for d in ds]
+        chains += [[x, y] for x in ds for y in ds if y % x == 0]
+        for chain in chains:
+            for r in range(13):
+                if not chain and not r:
+                    continue
+                g = construct_prescribed(chain, r)
+                c = classify(g)
+                got = (sorted(d for d in c.divisors if d > 1), c.nullity, girth(g))
+                assert got == (chain, r, 3), (chain, r)
 
 
 class TestLemmaEdgeWithoutTriangle:

@@ -62,11 +62,12 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 
-# Input budgets, checked before any work starts.  Every graph built from
-# parameters (gen, construct, the multiplying products, the predict --check
-# graph) has at most MAX_VERTICES vertices; the largest the tests, demos and
-# verify suites build is Kn(15,3), with 455.  predict kneser-prism tests
-# k + 1 binomials mod 3, so k is held to KNESER_PRISM_MAX_K (about 0.3 s).
+# Input budgets, checked before any work starts.  Every graph read from
+# graph6 input and every graph built from parameters (gen, construct, every
+# product, the predict --check graph) has at most MAX_VERTICES vertices; the
+# largest the tests, demos and verify suites build is Kn(15,3), with 455.
+# predict kneser-prism tests k + 1 binomials mod 3, so k is held to
+# KNESER_PRISM_MAX_K (about 0.3 s).
 MAX_VERTICES = 1024
 KNESER_PRISM_MAX_K = 10 ** 5
 
@@ -80,19 +81,41 @@ def _check_vertices(what: str, count) -> None:
         raise ValueError(f"{what} is past the budget of {MAX_VERTICES} vertices")
 
 
+def _check_input(g: Graph) -> Graph:
+    """Hold one decoded graph6 input to the vertex budget."""
+    _check_vertices(f"a graph6 input of {g.n} vertices", g.n)
+    return g
+
+
+def _decode(text: str) -> Graph:
+    return _check_input(graph6_decode(text))
+
+
+def _read_lines(lines):
+    """``read_graph6_lines`` with each graph held to the vertex budget; a graph
+    past it is yielded as the ValueError of its line."""
+    for lineno, g in read_graph6_lines(lines):
+        if isinstance(g, Graph):
+            try:
+                _check_input(g)
+            except ValueError as exc:
+                g = exc
+        yield lineno, g
+
+
 def _read_graph6_file(path):
-    """``read_graph6_lines`` over a file; a non-ASCII byte becomes U+FFFD, so
-    its line is reported as a parse error like any other bad line."""
+    """``_read_lines`` over a file; a non-ASCII byte becomes U+FFFD, so its
+    line is reported as a parse error like any other bad line."""
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        yield from read_graph6_lines(fh)
+        yield from _read_lines(fh)
 
 
 def _read_stdin():
-    """``read_graph6_lines`` over stdin, its bytes decoded like
+    """``_read_lines`` over stdin, its bytes decoded like
     ``_read_graph6_file``; a text-only stream (``io.StringIO``) is read as is."""
     raw = getattr(sys.stdin, "buffer", None)
     lines = sys.stdin if raw is None else (b.decode("ascii", "replace") for b in raw)
-    yield from read_graph6_lines(lines)
+    yield from _read_lines(lines)
 
 
 def _iter_graph6_inputs(args):
@@ -108,7 +131,7 @@ def _iter_graph6_inputs(args):
         elif os.path.exists(arg):
             source, lines = arg, _read_graph6_file(arg)
         else:
-            source, lines = "arg", read_graph6_lines([arg])
+            source, lines = "arg", _read_lines([arg])
         try:
             for lineno, g in lines:
                 yield source, lineno, g
@@ -192,7 +215,7 @@ def cmd_gen(ns) -> int:
     if fam == "complement":
         if len(ns.params) != 1:
             raise ValueError("complement takes one graph6 argument")
-        print(graph6_encode(complement(graph6_decode(ns.params[0]))))
+        print(graph6_encode(complement(_decode(ns.params[0]))))
         return EXIT_OK
     if fam not in _FAMILIES:
         raise ValueError(
@@ -211,19 +234,21 @@ def cmd_product(ns) -> int:
     binary_ops = {"cartesian": cartesian, "tensor": tensor, "strong": strong,
                   "join": join}
     unary_ops = {"prism": prism, "pyramid": pyramid}
-    graphs = [graph6_decode(s) for s in ns.graphs]
+    graphs = [_decode(s) for s in ns.graphs]
+    sizes = [g.n for g in graphs]
     op = ns.op
     if op in unary_ops:
         if len(graphs) != 1:
             raise ValueError(f"{op} takes exactly one graph")
+        _check_vertices(f"{op} product", 2 * sizes[0] if op == "prism" else sizes[0] + 1)
         result = unary_ops[op](graphs[0])
     elif op in binary_ops:
         if len(graphs) < 2:
             raise ValueError(f"{op} takes at least two graphs")
-        if op != "join":  # the other three multiply the vertex counts
-            _check_vertices(f"{op} product", prod(g.n for g in graphs))
+        _check_vertices(f"{op} product", sum(sizes) if op == "join" else prod(sizes))
         result = reduce(binary_ops[op], graphs)
     else:
+        _check_vertices("union product", sum(sizes))
         result = disjoint_union(graphs)
     print(graph6_encode(result))
     return EXIT_OK
@@ -349,7 +374,7 @@ def cmd_predict(ns) -> int:
 def _decode_args(args, count):
     if len(args) != count:
         raise ValueError(f"expected {count} graph6 argument(s)")
-    return [graph6_decode(s) for s in args]
+    return [_decode(s) for s in args]
 
 
 def _run_predictor(tid: str, ns):
@@ -399,7 +424,7 @@ def _run_predictor(tid: str, ns):
     if tid == "tensor-scaled":
         if len(args) != 2:
             raise ValueError("tensor-scaled wants a graph6 and nu")
-        lam = graph6_decode(args[0])
+        lam = _decode(args[0])
         nu = int(args[1])
         return [theorems.mu_tensor_scaled(lam, nu)], (
             lam.n * (nu + 2),
@@ -422,7 +447,7 @@ def _run_predictor(tid: str, ns):
 
 
 def cmd_kernel(ns) -> int:
-    g = graph6_decode(ns.graph)
+    g = _decode(ns.graph)
     basis = kernel_basis_mod_p(ra_matrix(g).matrix, ns.mod)
     for vec in basis:
         print(" ".join(str(x) for x in vec))
@@ -460,7 +485,7 @@ def cmd_oracle(ns) -> int:
         return EXIT_OK
     if not ns.graph:
         raise ValueError("oracle wants a graph6 argument or --matrix")
-    g = graph6_decode(ns.graph)
+    g = _decode(ns.graph)
     rec = oracle_record(group, g, ns.cap, descriptor=graph6_encode(g))
     print(json.dumps(rec))
     return EXIT_OK

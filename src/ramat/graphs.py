@@ -2,13 +2,16 @@
 
 Vertices are numbered 1..n in every public API.  Adjacency is held as one
 bitmask per vertex (bit ``j`` set means adjacent to vertex ``j+1``), which
-makes closed-neighborhood intersections single AND operations.  Vertex sets
-returned to callers are frozensets of 1-based indices.
+makes closed-neighborhood intersections single AND operations.  The
+structural queries run on masks too: one breadth-first search yields each
+distance layer as a vertex bitmask, and girth, bipartiteness, components
+and distances are read off those layers.  Vertex sets returned to callers
+are frozensets or sorted tuples of 1-based indices.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import operator
 from itertools import combinations
 
 __all__ = [
@@ -44,7 +47,7 @@ class Graph:
     def __init__(self, n: int, adj):
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        adj = tuple(int(a) for a in adj)
+        adj = tuple(map(operator.index, adj))
         if len(adj) != n:
             raise ValueError("adjacency length must equal n")
         full = (1 << n) - 1
@@ -53,9 +56,8 @@ class Graph:
                 raise ValueError("adjacency bit out of range")
             if a >> i & 1:
                 raise ValueError("self-loop")
-            for j in range(n):
-                if a >> j & 1 and not adj[j] >> i & 1:
-                    raise ValueError("adjacency not symmetric")
+            if any(not adj[j] >> i & 1 for j in _bits(a)):
+                raise ValueError("adjacency not symmetric")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
 
@@ -91,16 +93,8 @@ class Graph:
         return range(1, self.n + 1)
 
     def edges(self) -> list:
-        out = []
-        for u in range(self.n):
-            a = self.adj[u] >> (u + 1)
-            v = u + 1
-            while a:
-                if a & 1:
-                    out.append((u + 1, v + 1))
-                a >>= 1
-                v += 1
-        return out
+        return [(u + 1, v + 1) for u, a in enumerate(self.adj)
+                for v in _bits(a) if v > u]
 
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
@@ -109,21 +103,31 @@ class Graph:
         return bool(self.adj[u - 1] >> (v - 1) & 1)
 
     def neighbors(self, v: int):
-        return _mask_to_set(self.adj[v - 1])
+        return frozenset(w + 1 for w in _bits(self.adj[v - 1]))
 
     def closed_mask(self, v: int) -> int:
         return self.adj[v - 1] | (1 << (v - 1))
 
 
-def _mask_to_set(mask: int) -> frozenset:
-    out = set()
-    v = 1
+def _bits(mask: int):
+    """The 0-based positions of the set bits of ``mask``, lowest first."""
     while mask:
-        if mask & 1:
-            out.add(v)
-        mask >>= 1
-        v += 1
-    return frozenset(out)
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _layers(g: Graph, root: int):
+    """Breadth-first search from the 0-based vertex ``root``: yield each
+    distance layer as a vertex bitmask, the root's own layer first."""
+    seen = layer = 1 << root
+    while layer:
+        yield layer
+        reach = 0
+        for v in _bits(layer):
+            reach |= g.adj[v]
+        layer = reach & ~seen
+        seen |= layer
 
 
 # ---------------------------------------------------------------------------
@@ -258,31 +262,26 @@ def degree(g: Graph, v: int) -> int:
 
 
 def girth(g: Graph):
-    """Length of a shortest cycle, or None for forests (BFS from each root)."""
+    """Length of a shortest cycle, or None for forests.
+
+    From each root, layer d closes a cycle of length at most 2d when one of
+    its vertices has two neighbours in layer d - 1, and of length at most
+    2d + 1 when it holds an edge; the root on a shortest cycle finds its
+    length exactly.
+    """
     best = None
     for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[root] = 0
-        q = deque([root])
-        while q:
-            u = q.popleft()
-            if best is not None and dist[u] * 2 >= best:
+        prev = 0
+        for d, layer in enumerate(_layers(g, root)):
+            if best is not None and 2 * d >= best:
                 break
-            a = g.adj[u]
-            w = 0
-            while a:
-                if a & 1:
-                    if dist[w] < 0:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
-                        q.append(w)
-                    elif w != parent[u]:
-                        cand = dist[u] + dist[w] + 1
-                        if best is None or cand < best:
-                            best = cand
-                a >>= 1
-                w += 1
+            if any((g.adj[v] & prev).bit_count() > 1 for v in _bits(layer)):
+                best = 2 * d
+                break
+            if any(g.adj[v] & layer for v in _bits(layer)):
+                best = 2 * d + 1
+                break
+            prev = layer
         if best == 3:
             break
     return best
@@ -290,53 +289,30 @@ def girth(g: Graph):
 
 def is_bipartite(g: Graph):
     """2-coloring as (part0, part1) vertex tuples, or None if an odd cycle
-    exists.  The component root (smallest vertex) always lands in part0.
+    exists.  Part0 holds the even layers of each component, counted from its
+    smallest vertex, so that vertex always lands in part0.
     """
-    color = [-1] * g.n
-    for root in range(g.n):
-        if color[root] >= 0:
-            continue
-        color[root] = 0
-        q = deque([root])
-        while q:
-            u = q.popleft()
-            a = g.adj[u]
-            w = 0
-            while a:
-                if a & 1:
-                    if color[w] < 0:
-                        color[w] = color[u] ^ 1
-                        q.append(w)
-                    elif color[w] == color[u]:
-                        return None
-                a >>= 1
-                w += 1
-    part0 = tuple(v + 1 for v in range(g.n) if color[v] == 0)
-    part1 = tuple(v + 1 for v in range(g.n) if color[v] == 1)
-    return part0, part1
+    parts = [0, 0]
+    rest = (1 << g.n) - 1
+    while rest:
+        for d, layer in enumerate(_layers(g, (rest & -rest).bit_length() - 1)):
+            parts[d & 1] |= layer
+        rest &= ~(parts[0] | parts[1])
+    if any(g.adj[v] & part for part in parts for v in _bits(part)):
+        return None
+    return tuple(tuple(v + 1 for v in _bits(part)) for part in parts)
 
 
 def connected_components(g: Graph) -> list:
-    seen = [False] * g.n
+    """Vertex tuples, each sorted, in the order of their smallest vertex."""
     comps = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp = [root]
-        q = deque([root])
-        while q:
-            u = q.popleft()
-            a = g.adj[u]
-            w = 0
-            while a:
-                if a & 1 and not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    q.append(w)
-                a >>= 1
-                w += 1
-        comps.append(tuple(sorted(v + 1 for v in comp)))
+    rest = (1 << g.n) - 1
+    while rest:
+        comp = 0
+        for layer in _layers(g, (rest & -rest).bit_length() - 1):
+            comp |= layer
+        rest &= ~comp
+        comps.append(tuple(v + 1 for v in _bits(comp)))
     return comps
 
 
@@ -346,23 +322,10 @@ def is_connected(g: Graph) -> bool:
 
 def distance(g: Graph, u: int, v: int):
     """BFS distance, or None when u and v are in different components."""
-    if u == v:
-        return 0
-    dist = [-1] * g.n
-    dist[u - 1] = 0
-    q = deque([u - 1])
-    while q:
-        x = q.popleft()
-        a = g.adj[x]
-        w = 0
-        while a:
-            if a & 1 and dist[w] < 0:
-                dist[w] = dist[x] + 1
-                if w == v - 1:
-                    return dist[w]
-                q.append(w)
-            a >>= 1
-            w += 1
+    target = 1 << (v - 1)
+    for d, layer in enumerate(_layers(g, u - 1)):
+        if layer & target:
+            return d
     return None
 
 
@@ -470,10 +433,8 @@ def read_graph6_lines(lines):
 def subgraph(g: Graph, vertices) -> Graph:
     """Induced subgraph; vertex order follows the given 1-based sequence."""
     verts = list(vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    edges = []
-    for a, u in enumerate(verts):
-        for v in verts[a + 1:]:
-            if g.has_edge(u, v):
-                edges.append((index[u] + 1, index[v] + 1))
-    return Graph.from_edges(len(verts), edges)
+    index = {v - 1: i for i, v in enumerate(verts)}
+    if len(index) < len(verts) or not all(0 <= v < g.n for v in index):
+        raise ValueError("subgraph vertices must be distinct and within 1..n")
+    adj = [sum(1 << index[w] for w in _bits(g.adj[v]) if w in index) for v in index]
+    return Graph(len(index), adj)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .graphs import Graph
-from .intlin import IntMatrix
+from .intlin import IntMatrix, _is_prime
 
 __all__ = [
     "FiniteGroup",
@@ -153,8 +153,6 @@ class FiniteGroup:
 def heisenberg(p: int) -> FiniteGroup:
     """Upper unitriangular 3x3 matrices over Z/pZ; order p^3, with a central
     commutator subgroup of order p."""
-    from .intlin import _is_prime
-
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
-from operator import mul
+from operator import index, mul
 
 __all__ = [
     "IntMatrix",
@@ -44,7 +44,9 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, entries):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        """Entries must be integers (bools pass); a float or other non-integer
+        raises TypeError instead of being truncated."""
+        rows = tuple(tuple(map(index, row)) for row in entries)
         if not rows or not rows[0]:
             raise ValueError("matrix must have at least one row and one column")
         cols = len(rows[0])
@@ -311,7 +313,7 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
 def lattice_contains(lattice: RowLattice, v) -> bool:
     """Exact membership of an integer vector in the row lattice."""
     n = lattice.ambient_dim
-    v = [int(x) for x in v]
+    v = list(map(index, v))
     if len(v) != n:
         raise ValueError("dimension mismatch")
     rows = lattice.basis.matrix.data

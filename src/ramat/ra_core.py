@@ -61,7 +61,6 @@ class RAMatrix:
 
     matrix: IntMatrix
     provenance: tuple
-    graph: Graph
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,7 @@ def ra_matrix(g: Graph) -> RAMatrix:
                 rows.append(m)
                 provenance.append((u, v))
     data = [[m >> j & 1 for j in range(n)] for m in rows]
-    return RAMatrix(matrix=IntMatrix(data), provenance=tuple(provenance), graph=g)
+    return RAMatrix(matrix=IntMatrix(data), provenance=tuple(provenance))
 
 
 def ra_lattice(g: Graph) -> RowLattice:

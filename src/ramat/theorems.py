@@ -30,9 +30,9 @@ from .graphs import (
     is_connected,
     kneser_vertices,
 )
-from .intlin import gcd_all
+from .intlin import _is_prime, gcd_all
 from .products import disjoint_union, pyramid
-from .ra_core import pair_sign_from_lattice, ra_lattice
+from .ra_core import elementary_divisors, pair_sign_from_lattice, ra_lattice
 
 __all__ = [
     "MuPrediction",
@@ -445,8 +445,6 @@ def strong_product_divisors(a: Graph, b: Graph):
     the strong product, not divisor by divisor; compare through
     divisor_prime_profile.
     """
-    from .ra_core import elementary_divisors
-
     da = elementary_divisors(a).divisors
     db = elementary_divisors(b).divisors
     return tuple(sorted(x * y for x in da for y in db))
@@ -478,8 +476,6 @@ def divisor_prime_profile(divisors):
 
 def kneser_kernel_vector(n: int, p: int, x) -> tuple:
     """Vector over the Kneser vertex order with entry |x & v| mod p."""
-    from .intlin import _is_prime
-
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n <= p:
@@ -493,8 +489,6 @@ def kneser_kernel_vector(n: int, p: int, x) -> tuple:
 def kneser_kernel_span_dim(n: int, p: int) -> int:
     """Dimension of the span of all kernel vectors mod p: n-2 when p | n,
     n-1 otherwise."""
-    from .intlin import _is_prime
-
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n <= p:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations, permutations
 
 from . import theorems
 from .graphs import (
@@ -28,10 +29,19 @@ from .graphs import (
     is_bipartite,
     is_connected,
     kneser,
+    kneser_vertices,
     path,
 )
+from .group_oracle import (
+    commutator_subgroup,
+    dihedral,
+    graph_power,
+    heisenberg,
+    is_G_RA,
+    matrix_power,
+)
 from .intlin import IntMatrix, hermite_normal_form, kernel_basis_mod_p, kronecker_product
-from .products import cartesian, prism, pyramid, tensor, tensor_all
+from .products import cartesian, prism, pyramid, strong, tensor, tensor_all
 from .ra_core import classify, elementary_divisors, ra_matrix
 
 # suite name -> its rows; each lambda looks its ``suite_*`` function up at
@@ -164,8 +174,6 @@ def suite_prescribed():
 
 
 def suite_kneser_kernel():
-    from .graphs import kneser_vertices
-
     for (n, p) in ((6, 2), (9, 3)):
         g = kneser(n, p)
         cm = ra_matrix(g).matrix
@@ -203,8 +211,6 @@ def _random_graph(rng: random.Random, n: int) -> Graph:
 
 
 def suite_strong_product():
-    from .products import strong
-
     rng = random.Random(20250809)
     for t in range(20):
         na = rng.randrange(2, 7)
@@ -430,14 +436,6 @@ def suite_predictors():
 
 
 def suite_group_oracle():
-    from .group_oracle import (
-        commutator_subgroup,
-        dihedral,
-        graph_power,
-        heisenberg,
-        is_G_RA,
-        matrix_power,
-    )
     h2 = heisenberg(2)
     comm = commutator_subgroup(h2)
     for n, g in _connected_small_graphs(4):
@@ -462,8 +460,6 @@ def suite_group_oracle():
 def _connected_small_graphs(max_n: int):
     """All connected graphs on 1..max_n vertices up to isomorphism (brute
     force over labeled graphs, deduplicated by permutation)."""
-    from itertools import combinations, permutations
-
     for n in range(1, max_n + 1):
         pairs = list(combinations(range(n), 2))
         seen = set()

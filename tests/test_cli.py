@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from ramat import cli, graphs, verify
 
 from ramat.cli import main
-from ramat.graphs import graph6_decode, graph6_encode, complete, crown, cycle, kneser, path
+from ramat.graphs import Graph, graph6_decode, graph6_encode, complete, crown, cycle, kneser, path
 from ramat.graphs import connected_components
 from ramat.products import disjoint_union
 from ramat.ra_core import classification_record, classify, ra_matrix
@@ -459,6 +459,43 @@ class TestBudgets:
         assert rc == 2
         assert out == ""
         assert err.startswith("ramat: ") and "budget" in err
+
+    def test_graph6_input_past_budget_is_a_line_error(self, capsys, tmp_path):
+        big = graph6_encode(Graph(1100, [0] * 1100))
+        f = tmp_path / "mixed.g6"
+        f.write_text(f"C~\n{big}\nBw\n")
+        t0 = time.perf_counter()
+        rc, out, err = run_cli(capsys, "analyze", str(f))
+        assert rc == 2
+        assert [json.loads(line)["n"] for line in out.splitlines()] == [4, 3]
+        assert f"{f} line 2: " in err and "1100 vertices" in err and "budget" in err
+        rc, out, err = run_cli(capsys, "batch", str(f))
+        assert rc == 2
+        assert out.splitlines()[-1] == "total\t\t2"
+        assert f"{f} line 2: " in err and "budget" in err
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--mod", "2", "BIG"],
+        ["analyze", "BIG"],
+        ["gen", "complement", "BIG"],
+        ["predict", "girth4", "BIG"],
+        ["oracle", "--group", "dihedral:8", "BIG"],
+        ["product", "prism", "HALF"],
+        ["product", "join", "HALF", "HALF"],
+        ["product", "union", "HALF", "HALF"],
+        ["product", "pyramid", "FULL"],
+    ])
+    def test_graph6_inputs_and_products_past_budget(self, capsys, argv):
+        g6 = {n: graph6_encode(Graph(n, [0] * n))
+              for n in (600, 1024, 1100)}
+        sub = {"BIG": g6[1100], "HALF": g6[600], "FULL": g6[1024]}
+        t0 = time.perf_counter()
+        rc, out, err = run_cli(capsys, *(sub.get(a, a) for a in argv))
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("ramat: ") and "budget of 1024 vertices" in err
 
     def test_largest_named_graph_fits(self, capsys):
         rc, out, _ = run_cli(capsys, "gen", "kneser", "15", "3")

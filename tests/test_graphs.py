@@ -196,6 +196,12 @@ class TestQueries:
     def test_subgraph(self):
         g = subgraph(cycle(5), (1, 2, 3))
         assert g.edges() == [(1, 2), (2, 3)]
+        assert subgraph(cycle(5), iter((3, 1, 2))).edges() == [(1, 3), (2, 3)]
+
+    def test_subgraph_refuses_repeated_or_out_of_range_vertices(self):
+        for verts in ((1, 2, 1), (0, 2), (1, 6)):
+            with pytest.raises(ValueError):
+                subgraph(cycle(5), verts)
 
 
 class TestGraph6:
@@ -280,6 +286,13 @@ class TestGraphBasics:
             Graph(2, (2, 0))
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(1, 1)])
+
+    def test_float_masks_are_refused(self):
+        with pytest.raises(TypeError):
+            Graph(2, [2.0, 1.0])
+        with pytest.raises(TypeError):
+            Graph(2, [2.5, 1])
+        assert Graph(2, [2, True]) == complete(2)
 
     def test_immutability_and_equality(self):
         g = complete(3)

@@ -236,6 +236,14 @@ class TestRowLattice:
         assert lattice_contains(lat, (5, 5, 5))
         assert not lattice_contains(lat, (1, 1, 2))
 
+    def test_contains_refuses_floats(self):
+        lat = row_lattice(IntMatrix([[2, 0], [0, 2]]))
+        with pytest.raises(TypeError):
+            lattice_contains(lat, [0.5, 0])
+        with pytest.raises(TypeError):
+            lattice_contains(lat, [2.0, 0])
+        assert lattice_contains(lat, [True * 2, False])
+
     def test_contains_dimension_mismatch(self):
         lat = row_lattice(IntMatrix.identity(3))
         with pytest.raises(ValueError):
@@ -407,6 +415,15 @@ class TestMatrixBasics:
     def test_text_round_trip(self):
         m = IntMatrix([[1, -2, 3], [0, 500, -6]])
         assert IntMatrix.from_text(m.to_text()) == m
+
+    def test_floats_are_refused_not_truncated(self):
+        with pytest.raises(TypeError):
+            IntMatrix([[0.5, 2.9]])
+        with pytest.raises(TypeError):
+            IntMatrix([[1, 2.0]])
+        assert IntMatrix([[True, False, 3]]).data == ((1, 0, 3),)
+        with pytest.raises(ValueError):
+            IntMatrix.from_text("1.5")
 
     def test_pickle_round_trip(self):
         m = IntMatrix([[1, -2, 3], [0, 10 ** 30, -6]])

@@ -18,6 +18,7 @@ from math import comb, prod
 
 from . import theorems, verify
 from .graphs import (
+    MAX_VERTICES,
     Graph,
     binary_graph,
     complement,
@@ -63,12 +64,11 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 
 # Input budgets, checked before any work starts.  Every graph read from
-# graph6 input and every graph built from parameters (gen, construct, every
-# product, the predict --check graph) has at most MAX_VERTICES vertices; the
-# largest the tests, demos and verify suites build is Kn(15,3), with 455.
-# predict kneser-prism tests k + 1 binomials mod 3, so k is held to
-# KNESER_PRISM_MAX_K (about 0.3 s).
-MAX_VERTICES = 1024
+# graph6 input (``graph6_decode`` checks its size header) and every graph
+# built from parameters (gen, construct, every product, the predict --check
+# graph) has at most MAX_VERTICES vertices; the largest the tests, demos and
+# verify suites build is Kn(15,3), with 455.  predict kneser-prism tests
+# k + 1 binomials mod 3, so k is held to KNESER_PRISM_MAX_K (about 0.3 s).
 KNESER_PRISM_MAX_K = 10 ** 5
 
 
@@ -81,41 +81,19 @@ def _check_vertices(what: str, count) -> None:
         raise ValueError(f"{what} is past the budget of {MAX_VERTICES} vertices")
 
 
-def _check_input(g: Graph) -> Graph:
-    """Hold one decoded graph6 input to the vertex budget."""
-    _check_vertices(f"a graph6 input of {g.n} vertices", g.n)
-    return g
-
-
-def _decode(text: str) -> Graph:
-    return _check_input(graph6_decode(text))
-
-
-def _read_lines(lines):
-    """``read_graph6_lines`` with each graph held to the vertex budget; a graph
-    past it is yielded as the ValueError of its line."""
-    for lineno, g in read_graph6_lines(lines):
-        if isinstance(g, Graph):
-            try:
-                _check_input(g)
-            except ValueError as exc:
-                g = exc
-        yield lineno, g
-
-
 def _read_graph6_file(path):
-    """``_read_lines`` over a file; a non-ASCII byte becomes U+FFFD, so its
+    """``read_graph6_lines`` over a file; a non-ASCII byte becomes U+FFFD, so its
     line is reported as a parse error like any other bad line."""
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        yield from _read_lines(fh)
+        yield from read_graph6_lines(fh)
 
 
 def _read_stdin():
-    """``_read_lines`` over stdin, its bytes decoded like
+    """``read_graph6_lines`` over stdin, its bytes decoded like
     ``_read_graph6_file``; a text-only stream (``io.StringIO``) is read as is."""
     raw = getattr(sys.stdin, "buffer", None)
     lines = sys.stdin if raw is None else (b.decode("ascii", "replace") for b in raw)
-    yield from _read_lines(lines)
+    yield from read_graph6_lines(lines)
 
 
 def _iter_graph6_inputs(args):
@@ -131,7 +109,7 @@ def _iter_graph6_inputs(args):
         elif os.path.exists(arg):
             source, lines = arg, _read_graph6_file(arg)
         else:
-            source, lines = "arg", _read_lines([arg])
+            source, lines = "arg", read_graph6_lines([arg])
         try:
             for lineno, g in lines:
                 yield source, lineno, g
@@ -215,7 +193,7 @@ def cmd_gen(ns) -> int:
     if fam == "complement":
         if len(ns.params) != 1:
             raise ValueError("complement takes one graph6 argument")
-        print(graph6_encode(complement(_decode(ns.params[0]))))
+        print(graph6_encode(complement(graph6_decode(ns.params[0]))))
         return EXIT_OK
     if fam not in _FAMILIES:
         raise ValueError(
@@ -234,7 +212,7 @@ def cmd_product(ns) -> int:
     binary_ops = {"cartesian": cartesian, "tensor": tensor, "strong": strong,
                   "join": join}
     unary_ops = {"prism": prism, "pyramid": pyramid}
-    graphs = [_decode(s) for s in ns.graphs]
+    graphs = [graph6_decode(s) for s in ns.graphs]
     sizes = [g.n for g in graphs]
     op = ns.op
     if op in unary_ops:
@@ -374,7 +352,7 @@ def cmd_predict(ns) -> int:
 def _decode_args(args, count):
     if len(args) != count:
         raise ValueError(f"expected {count} graph6 argument(s)")
-    return [_decode(s) for s in args]
+    return [graph6_decode(s) for s in args]
 
 
 def _run_predictor(tid: str, ns):
@@ -424,7 +402,7 @@ def _run_predictor(tid: str, ns):
     if tid == "tensor-scaled":
         if len(args) != 2:
             raise ValueError("tensor-scaled wants a graph6 and nu")
-        lam = _decode(args[0])
+        lam = graph6_decode(args[0])
         nu = int(args[1])
         return [theorems.mu_tensor_scaled(lam, nu)], (
             lam.n * (nu + 2),
@@ -447,7 +425,7 @@ def _run_predictor(tid: str, ns):
 
 
 def cmd_kernel(ns) -> int:
-    g = _decode(ns.graph)
+    g = graph6_decode(ns.graph)
     basis = kernel_basis_mod_p(ra_matrix(g).matrix, ns.mod)
     for vec in basis:
         print(" ".join(str(x) for x in vec))
@@ -485,7 +463,7 @@ def cmd_oracle(ns) -> int:
         return EXIT_OK
     if not ns.graph:
         raise ValueError("oracle wants a graph6 argument or --matrix")
-    g = _decode(ns.graph)
+    g = graph6_decode(ns.graph)
     rec = oracle_record(group, g, ns.cap, descriptor=graph6_encode(g))
     print(json.dumps(rec))
     return EXIT_OK

@@ -341,18 +341,29 @@ def is_neighborhood_distinguishable(g: Graph) -> bool:
 _G6_HEADER = ">>graph6<<"
 _G6_MAX_N = 1 << 18
 
+# Input budget: a graph read from graph6 has at most MAX_VERTICES vertices,
+# checked from its size header before the body is read.
+MAX_VERTICES = 1024
+
+
+def _check_printable(data: bytes) -> None:
+    for b in data:
+        if not 63 <= b <= 126:
+            raise ValueError(f"graph6 byte {b} outside printable range 63..126")
+
 
 def graph6_decode(text: str) -> Graph:
-    """Decode one graph6 string (optionally prefixed with '>>graph6<<')."""
+    """Decode one graph6 string (optionally prefixed with '>>graph6<<').
+
+    A vertex count past MAX_VERTICES is refused from the size header, before
+    any pass over the body."""
     s = text.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):].strip()
     if not s:
         raise ValueError("empty graph6 string")
     data = s.encode("ascii", errors="strict")
-    for b in data:
-        if not 63 <= b <= 126:
-            raise ValueError(f"graph6 byte {b} outside printable range 63..126")
+    _check_printable(data[:4 if data[0] == 126 else 1])
     if data[0] != 126:
         n = data[0] - 63
         body = data[1:]
@@ -363,8 +374,14 @@ def graph6_decode(text: str) -> Graph:
             raise ValueError("graph6 sizes beyond 2^18 vertices not supported")
         n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
         body = data[4:]
-    if n < 1 or n > _G6_MAX_N:
+    if n < 1:
         raise ValueError(f"graph6 vertex count {n} out of supported range")
+    if n > MAX_VERTICES:
+        raise ValueError(
+            f"a graph6 input of {n} vertices is past the budget of "
+            f"{MAX_VERTICES} vertices"
+        )
+    _check_printable(body)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(body) != nbytes:

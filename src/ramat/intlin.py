@@ -1,5 +1,10 @@
 """Exact integer linear algebra: Smith/Hermite normal forms and row lattices.
 
+A row lattice is held as its Hermite basis, a ``HermiteForm``: the lattice
+lives in Z^n with n = ``matrix.cols`` and has rank ``len(pivot_columns)``.
+Membership and axis multiples are both answered by folding one vector into
+that basis with the echelon routine that built it.
+
 Everything here works over plain Python integers, which are arbitrary
 precision; intermediate entries in normal-form reductions can grow far past
 any fixed word size, so no floating point and no fixed-width arithmetic is
@@ -14,17 +19,15 @@ column order, so outputs are bit-exact and comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import index, mul
 
 __all__ = [
     "IntMatrix",
     "SmithForm",
     "HermiteForm",
-    "RowLattice",
     "smith_normal_form",
     "hermite_normal_form",
-    "row_lattice",
     "lattice_smith_form",
     "lattice_contains",
     "minimal_axis_multiple",
@@ -108,16 +111,12 @@ class SmithForm:
 
 @dataclass(frozen=True)
 class HermiteForm:
+    """Canonical Hermite basis of a row lattice in Z^matrix.cols, one row per
+    pivot; a lattice of rank 0 is held as one zero row with no pivots."""
+
     matrix: IntMatrix
     pivot_columns: tuple  # 1-based
     diagonal: tuple  # length cols; zero where no pivot meets the diagonal
-
-
-@dataclass(frozen=True)
-class RowLattice:
-    basis: HermiteForm
-    ambient_dim: int
-    rank: int
 
 
 def _xgcd(a: int, b: int):
@@ -190,18 +189,13 @@ def _insert_row(basis: dict, row: list, n: int) -> bool:
 def _echelon_basis(rows, n: int) -> dict:
     """Echelon basis of the lattice spanned by ``rows``.
 
-    Duplicate rows are skipped, and insertion stops early once the basis is
-    the full standard lattice (all n pivots equal to 1): no further integer
-    row can change it.
+    A repeated row reduces to zero, and insertion stops early once the basis
+    is the full standard lattice (all n pivots equal to 1): no further
+    integer row can change it.
     """
     basis: dict = {}
-    seen = set()
     for row in rows:
-        t = tuple(row)
-        if t in seen:
-            continue
-        seen.add(t)
-        if _insert_row(basis, list(t), n):
+        if _insert_row(basis, list(row), n):
             _reduce_above(basis, n)
             if len(basis) == n and all(basis[j][j] == 1 for j in basis):
                 break
@@ -233,19 +227,10 @@ def hermite_normal_form(m: IntMatrix) -> HermiteForm:
     n = m.cols
     basis = _echelon_basis(m.data, n)
     rows = _reduce_above(basis, n)
-    pivots = sorted(basis)
-    if not rows:
-        matrix = IntMatrix.zeros(1, n)
-        diag = tuple([0] * n)
-        return HermiteForm(matrix=matrix, pivot_columns=(), diagonal=diag)
-    matrix = IntMatrix(rows)
-    diag = []
-    for i in range(n):
-        diag.append(rows[i][i] if i < len(rows) else 0)
     return HermiteForm(
-        matrix=matrix,
-        pivot_columns=tuple(j + 1 for j in pivots),
-        diagonal=tuple(diag),
+        matrix=IntMatrix(rows) if rows else IntMatrix.zeros(1, n),
+        pivot_columns=tuple(j + 1 for j in sorted(basis)),
+        diagonal=tuple(rows[i][i] if i < len(rows) else 0 for i in range(n)),
     )
 
 
@@ -277,25 +262,19 @@ def _snf_divisors(rows) -> list:
     return d
 
 
-def row_lattice(m: IntMatrix) -> RowLattice:
-    """Integer span of the rows of ``m``, held as its Hermite basis."""
-    h = hermite_normal_form(m)
-    return RowLattice(basis=h, ambient_dim=m.cols, rank=len(h.pivot_columns))
-
-
-def lattice_smith_form(lattice: RowLattice, length: int) -> SmithForm:
-    """Smith form of any matrix whose row lattice is ``lattice``.
+def lattice_smith_form(h: HermiteForm, length: int) -> SmithForm:
+    """Smith form of any matrix whose row lattice has the Hermite basis ``h``.
 
     The divisors are invariants of the lattice, so the column Hermite rounds
     of ``_snf_divisors`` start from the ``rank x cols`` Hermite basis; the
     nonzero divisors are padded with zeros to ``length``.
     """
-    nonzero = _snf_divisors(lattice.basis.matrix.data)
+    nonzero = _snf_divisors(h.matrix.data)
     rank = len(nonzero)
     return SmithForm(
         divisors=tuple(nonzero) + (0,) * (length - rank),
         rank=rank,
-        nullity=lattice.ambient_dim - rank,
+        nullity=h.matrix.cols - rank,
     )
 
 
@@ -304,63 +283,50 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     with zeros to ``min(rows, cols)``.
 
     It is read off the Hermite basis of the row lattice of ``m``
-    (``lattice_smith_form`` of ``row_lattice(m)``), so duplicate, zero and
-    dependent rows never reach the Smith step.
+    (``lattice_smith_form`` of ``hermite_normal_form(m)``), so duplicate,
+    zero and dependent rows never reach the Smith step.
     """
-    return lattice_smith_form(row_lattice(m), min(m.rows, m.cols))
+    return lattice_smith_form(hermite_normal_form(m), min(m.rows, m.cols))
 
 
-def lattice_contains(lattice: RowLattice, v) -> bool:
-    """Exact membership of an integer vector in the row lattice."""
-    n = lattice.ambient_dim
+def _pivot_rows(h: HermiteForm) -> dict:
+    """The basis of ``h`` keyed by 0-based pivot column, as ``_insert_row``
+    takes it.  The row tuples are shared: ``_insert_row`` replaces basis
+    rows but never writes into one."""
+    return dict(zip([j - 1 for j in h.pivot_columns], h.matrix.data))
+
+
+def lattice_contains(h: HermiteForm, v) -> bool:
+    """Exact membership of an integer vector in the row lattice of ``h``.
+
+    v lies in the lattice exactly when it reduces to zero against the
+    Hermite basis, that is when inserting it changes no pivot.
+    """
+    n = h.matrix.cols
     v = list(map(index, v))
     if len(v) != n:
         raise ValueError("dimension mismatch")
-    rows = lattice.basis.matrix.data
-    pivots = [j - 1 for j in lattice.basis.pivot_columns]
-    by_col = dict(zip(pivots, range(len(pivots))))
-    for j in range(n):
-        x = v[j]
-        if not x:
-            continue
-        k = by_col.get(j)
-        if k is None:
-            return False
-        p = rows[k][j]
-        q, rem = divmod(x, p)
-        if rem:
-            return False
-        row = rows[k]
-        v[j:] = [a - q * c for a, c in zip(v[j:], row[j:])]
-    return True
+    return not _insert_row(_pivot_rows(h), v, n)
 
 
-def minimal_axis_multiple(lattice: RowLattice, i: int) -> int:
+def minimal_axis_multiple(h: HermiteForm, i: int) -> int:
     """Smallest a > 0 with a*e_i in the lattice, or 0 if none exists.
 
     The set {a : a*e_i in L} is an ideal of Z; its nonnegative generator is
     the index [L + Z*e_i : L], computed as the ratio of pivot products of the
     two Hermite bases.  A rank increase means the line only meets L in 0.
     """
-    n = lattice.ambient_dim
+    n = h.matrix.cols
     if not 1 <= i <= n:
         raise IndexError(f"column index {i} out of range 1..{n}")
-    basis = {}
-    for j, row in zip(lattice.basis.pivot_columns, lattice.basis.matrix.data):
-        basis[j - 1] = list(row)
-    old_rank = len(basis)
-    old_prod = 1
-    for j in basis:
-        old_prod *= basis[j][j]
+    basis = _pivot_rows(h)
+    old_prod = prod(row[j] for j, row in basis.items())
     e = [0] * n
     e[i - 1] = 1
     _insert_row(basis, e, n)
-    if len(basis) > old_rank:
+    if len(basis) > len(h.pivot_columns):
         return 0
-    new_prod = 1
-    for j in basis:
-        new_prod *= basis[j][j]
-    return old_prod // new_prod
+    return old_prod // prod(row[j] for j, row in basis.items())
 
 
 def _is_prime(p: int) -> bool:
@@ -437,12 +403,3 @@ def kronecker_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
             out.append(row)
     return IntMatrix(out)
 
-
-def gcd_all(values) -> int:
-    """gcd of an iterable, nonnegative, with gcd of the empty set = 0."""
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-        if g == 1:
-            return 1
-    return g

@@ -6,7 +6,9 @@ integer row lattice decides how freely single-vertex commutator placements
 can be achieved, so the classification below is all about the elementary
 divisors of that lattice.
 
-``ra_lattice`` keeps the latest graph's lattice, so consecutive calls on one
+The lattice is held as its Hermite basis (``intlin.HermiteForm``), and
+divisors, nullity, axis multiples and pair signs are all read off it.
+``ra_lattice`` keeps the latest graph's basis, so consecutive calls on one
 graph (``classify``, a neighborly predictor, ``pair_sign``) share one
 echelon build.
 """
@@ -25,13 +27,13 @@ from .graphs import (
     subgraph,
 )
 from .intlin import (
+    HermiteForm,
     IntMatrix,
-    RowLattice,
     SmithForm,
+    hermite_normal_form,
     lattice_contains,
     lattice_smith_form,
     minimal_axis_multiple,
-    row_lattice,
 )
 
 __all__ = [
@@ -117,8 +119,8 @@ def ra_matrix(g: Graph) -> RAMatrix:
     return RAMatrix(matrix=IntMatrix(data), provenance=tuple(provenance))
 
 
-def ra_lattice(g: Graph) -> RowLattice:
-    """Integer row lattice of the RA matrix, held as its Hermite basis.
+def ra_lattice(g: Graph) -> HermiteForm:
+    """Hermite basis of the integer row lattice of the RA matrix.
 
     This is the one echelon build per graph: divisors, nullity, axis
     multiples and pair signs are all read off it.  The latest graph's
@@ -128,9 +130,9 @@ def ra_lattice(g: Graph) -> RowLattice:
 
 
 @lru_cache(maxsize=1)
-def _latest_lattice(g: Graph) -> RowLattice:
-    # exact: Graph compares by (n, adj), and the lattice is immutable
-    return row_lattice(ra_matrix(g).matrix)
+def _latest_lattice(g: Graph) -> HermiteForm:
+    # exact: Graph compares by (n, adj), and the Hermite basis is immutable
+    return hermite_normal_form(ra_matrix(g).matrix)
 
 
 def elementary_divisors(g: Graph) -> SmithForm:
@@ -187,8 +189,8 @@ def classification_record(g: Graph, c: RAClassification | None = None) -> dict:
     }
 
 
-def pair_sign_from_lattice(lat: RowLattice, u: int, v: int) -> str:
-    n = lat.ambient_dim
+def pair_sign_from_lattice(lat: HermiteForm, u: int, v: int) -> str:
+    n = lat.matrix.cols
     plus = [0] * n
     plus[u - 1] += 1
     plus[v - 1] += 1

@@ -30,7 +30,7 @@ from .graphs import (
     is_connected,
     kneser_vertices,
 )
-from .intlin import _is_prime, gcd_all
+from .intlin import _is_prime
 from .products import disjoint_union, pyramid
 from .ra_core import elementary_divisors, pair_sign_from_lattice, ra_lattice
 
@@ -119,13 +119,13 @@ def mu_neighborly(g: Graph, parts) -> MuPrediction:
     u_mask = sum(1 << (v - 1) for v in u_set)
     v_mask = sum(1 << (v - 1) for v in v_set)
     masks = _closed_masks(g)
-    delta = gcd_all(
-        (m & u_mask).bit_count() - (m & v_mask).bit_count() for m in masks
+    delta = gcd(
+        *((m & u_mask).bit_count() - (m & v_mask).bit_count() for m in masks)
     )
-    kappa = gcd_all(
+    kappa = gcd(*(
         ((mu_ & mv) & u_mask).bit_count() - ((mu_ & mv) & v_mask).bit_count()
         for mu_, mv in combinations(masks, 2)
-    )
+    ))
     if delta == 0 and kappa == 0:
         return _inapplicable(tid, "delta and kappa are both zero")
     return MuPrediction(
@@ -146,9 +146,9 @@ def mu_negatively_neighborly(g: Graph) -> MuPrediction:
     for a, b in g.edges():
         if pair_sign_from_lattice(lat, a, b) not in ("negative", "both"):
             return _inapplicable(tid, f"edge ({a},{b}) is not negative")
-    delta = gcd_all(degree(g, v) + 1 for v in g.vertices())
-    kappa = gcd_all(
-        _closed_common(g, u, v) for u, v in combinations(g.vertices(), 2)
+    delta = gcd(*(degree(g, v) + 1 for v in g.vertices()))
+    kappa = gcd(
+        *(_closed_common(g, u, v) for u, v in combinations(g.vertices(), 2))
     )
     return MuPrediction(
         applicable=True,
@@ -173,7 +173,7 @@ def mu_girth4(g: Graph) -> MuPrediction:
             applicable=True, mu=mu, theorem_id=tid,
             ingredients={"bipartite": False},
         )
-    delta = gcd_all(degree(g, v) - 1 for v in g.vertices())
+    delta = gcd(*(degree(g, v) - 1 for v in g.vertices()))
     kappa = _bipartite_kappa(g)
     return MuPrediction(
         applicable=True,
@@ -188,8 +188,8 @@ def _bipartite_kappa(g: Graph) -> int:
     bipartite graph, as the gcd of the open ones over all pairs: adjacent
     pairs share no neighbour, non-adjacent pairs have equal closed and open
     intersections, and pairs farther apart add a 0."""
-    return gcd_all(
-        _open_common(g, u, v) for u, v in combinations(g.vertices(), 2)
+    return gcd(
+        *(_open_common(g, u, v) for u, v in combinations(g.vertices(), 2))
     )
 
 
@@ -213,18 +213,18 @@ def mu_cartesian(a: Graph, b: Graph) -> MuPrediction:
         )
     if bip_a:
         a, b = b, a  # a non-bipartite, b bipartite from here on
-    delta = gcd_all(
+    delta = gcd(*(
         1 + degree(a, u) - degree(b, i)
         for u in a.vertices()
         for i in b.vertices()
-    )
-    kappa1 = gcd_all(
-        _closed_common(a, u, v) for u, v in combinations(a.vertices(), 2)
+    ))
+    kappa1 = gcd(
+        *(_closed_common(a, u, v) for u, v in combinations(a.vertices(), 2))
     )
     kappa2 = _bipartite_kappa(b)
     return MuPrediction(
         applicable=True,
-        mu=gcd_all((delta, kappa1, kappa2)),
+        mu=gcd(delta, kappa1, kappa2),
         theorem_id=tid,
         ingredients={"delta": delta, "kappa1": kappa1, "kappa2": kappa2},
     )
@@ -238,9 +238,9 @@ def mu_prism(g: Graph) -> MuPrediction:
         return _inapplicable(tid, "graph is not connected")
     if is_bipartite(g) is not None:
         return _inapplicable(tid, "base graph is bipartite")
-    delta = gcd_all(degree(g, v) for v in g.vertices())
-    kappa = gcd_all(
-        _closed_common(g, u, v) for u, v in combinations(g.vertices(), 2)
+    delta = gcd(*(degree(g, v) for v in g.vertices()))
+    kappa = gcd(
+        *(_closed_common(g, u, v) for u, v in combinations(g.vertices(), 2))
     )
     return MuPrediction(
         applicable=True,
@@ -274,7 +274,7 @@ def _tensor_delta_kappa(a: Graph, b: Graph, blocks):
                             _open_common(b, l1, l2) if l1 != l2 else degree(b, l1)
                         )
                         kappas.append(g_common * lam_common)
-    return gcd_all(deltas), gcd_all(kappas)
+    return gcd(*deltas), gcd(*kappas)
 
 
 def _tensor_one_bipartite(nonbip: Graph, bip: Graph, parts) -> MuPrediction:
@@ -347,15 +347,13 @@ def mu_tensor(a: Graph, b: Graph):
             "tensor",
             "both factors non-bipartite and some factor has every edge in a triangle",
         )
-    tid = "tensor-complete"
-    odd_degrees = all(degree(gam, v) % 2 == 1 for v in gam.vertices())
-    even_closed = all(
-        _closed_common(gam, u, v) % 2 == 0
-        for u, v in combinations(gam.vertices(), 2)
-    )
-    mu = 2 if (m % 2 == 0 and odd_degrees and even_closed) else 1
+    # The closed common count of a pair is its open count plus 2 on an edge
+    # and equal to it off one, so "every pair has an even closed count" is
+    # the open-count parity test of _parity_half_ra.
+    mu = 2 if m % 2 == 0 and _parity_half_ra(gam) else 1
     return MuPrediction(
-        applicable=True, mu=mu, theorem_id=tid, ingredients={"m": m},
+        applicable=True, mu=mu, theorem_id="tensor-complete",
+        ingredients={"m": m},
     )
 
 
@@ -368,7 +366,7 @@ def mu_tensor_completes(sizes) -> MuPrediction:
             tid, "needs at least two factors, all >= 2, second smallest >= 3"
         )
     if ms[0] == 2:
-        mu = gcd_all(m - 2 for m in ms[1:])
+        mu = gcd(*(m - 2 for m in ms[1:]))
         return MuPrediction(
             applicable=True, mu=mu, theorem_id=tid, ingredients={"case": "a"},
         )

@@ -3,6 +3,7 @@ networkx's independent implementation of the format)."""
 
 import pickle
 import random
+import time
 from itertools import combinations
 from math import comb
 
@@ -263,6 +264,17 @@ class TestGraph6:
         # nonzero trailing bits: n=2 needs 1 bit; 6-bit group 000001 is bad
         with pytest.raises(ValueError):
             graph6_decode("A@")
+
+    def test_over_budget_refused_from_size_header(self):
+        # a 3000-vertex line is 750 KB; its size header alone refuses it
+        n = 3000
+        header = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+        line = header + "?" * ((n * (n - 1) // 2 + 5) // 6)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="a graph6 input of 3000 vertices "
+                           "is past the budget of 1024 vertices"):
+            graph6_decode(line)
+        assert time.perf_counter() - t0 < 0.1
 
     def test_trailing_bits_strictness(self):
         # 'A_' encodes K2: size byte 'A' (n=2), body '_' = 63+32 -> bit 1

@@ -16,7 +16,6 @@ from ramat.intlin import (
     kronecker_product,
     lattice_contains,
     minimal_axis_multiple,
-    row_lattice,
     smith_normal_form,
 )
 
@@ -217,19 +216,22 @@ class TestHermiteForm:
 
 
 class TestRowLattice:
+    """The row lattice is held as its Hermite basis: ambient dimension
+    ``matrix.cols``, rank ``len(pivot_columns)``."""
+
     def test_identity_rows(self):
-        lat = row_lattice(IntMatrix.identity(3))
-        assert lat.rank == 3
-        assert lat.ambient_dim == 3
+        lat = hermite_normal_form(IntMatrix.identity(3))
+        assert len(lat.pivot_columns) == 3
+        assert lat.matrix.cols == 3
 
     def test_rank_two(self):
-        lat = row_lattice(IntMatrix([[1, 1, 0], [0, 1, 1]]))
-        assert lat.rank == 2
+        lat = hermite_normal_form(IntMatrix([[1, 1, 0], [0, 1, 1]]))
+        assert len(lat.pivot_columns) == 2
 
     def test_all_ones_lattice(self):
-        lat = row_lattice(IntMatrix([[1, 1, 1]] * 3))
-        assert lat.rank == 1
-        assert lat.basis.matrix.data == ((1, 1, 1),)
+        lat = hermite_normal_form(IntMatrix([[1, 1, 1]] * 3))
+        assert len(lat.pivot_columns) == 1
+        assert lat.matrix.data == ((1, 1, 1),)
         assert lattice_contains(lat, (1, 1, 1))
         assert not lattice_contains(lat, (1, 0, 0))
         assert lattice_contains(lat, (0, 0, 0))
@@ -237,7 +239,7 @@ class TestRowLattice:
         assert not lattice_contains(lat, (1, 1, 2))
 
     def test_contains_refuses_floats(self):
-        lat = row_lattice(IntMatrix([[2, 0], [0, 2]]))
+        lat = hermite_normal_form(IntMatrix([[2, 0], [0, 2]]))
         with pytest.raises(TypeError):
             lattice_contains(lat, [0.5, 0])
         with pytest.raises(TypeError):
@@ -245,43 +247,57 @@ class TestRowLattice:
         assert lattice_contains(lat, [True * 2, False])
 
     def test_contains_dimension_mismatch(self):
-        lat = row_lattice(IntMatrix.identity(3))
+        lat = hermite_normal_form(IntMatrix.identity(3))
         with pytest.raises(ValueError):
             lattice_contains(lat, (1, 0))
 
     def test_contains_matches_definition_randomized(self):
+        # a combination of the rows lies in L; a random vector, most often
+        # outside, lies in L exactly when adding it as a row changes neither
+        # the count nor the product of the nonzero divisors of the Smith
+        # oracle (a step of index [L + Zw : L] > 1 shrinks the product)
+        def invariants(rows):
+            d = [x for x in ref_smith_divisors(rows) if x]
+            return len(d), prod(d)
+
         rng = random.Random(9)
-        for _ in range(200):
+        found = []
+        for _ in range(400):
             n = rng.randint(2, 5)
             rows = [
                 [rng.randint(-4, 4) for _ in range(n)]
                 for _ in range(rng.randint(1, 4))
             ]
-            lat = row_lattice(IntMatrix(rows))
+            lat = hermite_normal_form(IntMatrix(rows))
             coeffs = [rng.randint(-3, 3) for _ in rows]
             v = [
                 sum(c * row[j] for c, row in zip(coeffs, rows))
                 for j in range(n)
             ]
             assert lattice_contains(lat, v)
+            w = [rng.randint(-6, 6) for _ in range(n)]
+            want = invariants(rows + [w]) == invariants(rows)
+            assert lattice_contains(lat, w) == want, (rows, w)
+            found.append(want)
+        assert 0 < found.count(True) < found.count(False)
 
 
 class TestMinimalAxisMultiple:
     def test_pivots_under_both_orders(self):
-        lat = row_lattice(IntMatrix([[2, 1], [0, 2]]))
+        lat = hermite_normal_form(IntMatrix([[2, 1], [0, 2]]))
         assert minimal_axis_multiple(lat, 2) == 2
         assert minimal_axis_multiple(lat, 1) == 4
 
     def test_full_lattice(self):
-        lat = row_lattice(IntMatrix.identity(4))
+        lat = hermite_normal_form(IntMatrix.identity(4))
         assert all(minimal_axis_multiple(lat, i) == 1 for i in range(1, 5))
 
     def test_no_multiple_on_deficient_lattice(self):
-        lat = row_lattice(IntMatrix([[1, 1, 1]] * 3))
+        lat = hermite_normal_form(IntMatrix([[1, 1, 1]] * 3))
         assert minimal_axis_multiple(lat, 1) == 0
 
     def test_index_out_of_range(self):
-        lat = row_lattice(IntMatrix.identity(2))
+        lat = hermite_normal_form(IntMatrix.identity(2))
         with pytest.raises(IndexError):
             minimal_axis_multiple(lat, 3)
         with pytest.raises(IndexError):
@@ -295,7 +311,7 @@ class TestMinimalAxisMultiple:
                 [rng.randint(-5, 5) for _ in range(n)]
                 for _ in range(rng.randint(1, 5))
             ]
-            lat = row_lattice(IntMatrix(rows))
+            lat = hermite_normal_form(IntMatrix(rows))
             for i in range(1, n + 1):
                 a = minimal_axis_multiple(lat, i)
                 e = [0] * n
@@ -320,8 +336,8 @@ class TestMinimalAxisMultiple:
         while tried < 60:
             n = rng.randint(2, 6)
             m = random_int_matrix(rng, n + 1, n, -4, 4)
-            lat = row_lattice(IntMatrix(m))
-            if lat.rank < n:
+            lat = hermite_normal_form(IntMatrix(m))
+            if len(lat.pivot_columns) < n:
                 continue
             tried += 1
             for i in range(1, n + 1):

@@ -22,7 +22,7 @@ from ramat.graphs import (
     path,
 )
 from ramat import intlin, ra_core
-from ramat.intlin import IntMatrix, lattice_contains, row_lattice
+from ramat.intlin import IntMatrix, hermite_normal_form, lattice_contains
 from ramat.products import cartesian, disjoint_union
 from ramat.ra_core import (
     classification_record,
@@ -269,7 +269,7 @@ class TestOneLatticePerGraph:
         for g in (path(4), kneser(6, 2), disjoint_union([complete(3), path(3)])):
             lat = ra_lattice(g)
             assert ra_lattice(g) is lat
-            assert lat == row_lattice(ra_matrix(g).matrix)
+            assert lat == hermite_normal_form(ra_matrix(g).matrix)
 
 
 class TestArrangementQuantifier:

@@ -2,9 +2,12 @@
 direct classification."""
 
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramat.graphs import (
     complement,
@@ -226,6 +229,32 @@ class TestTensor:
         p = mu_tensor(kneser(5, 2), complete(4))
         assert p.applicable
         assert p.mu == _mu_of(tensor(kneser(5, 2), complete(4)))
+
+    def test_complete_factor_parity_matches_closed_count_formula(self):
+        # reference: the parity test on degrees and closed common counts
+        def reference(gam, m):
+            odd_degrees = all(a.bit_count() % 2 for a in gam.adj)
+            even_closed = all(
+                (gam.closed_mask(u) & gam.closed_mask(v)).bit_count() % 2 == 0
+                for u, v in combinations(gam.vertices(), 2)
+            )
+            return 2 if m % 2 == 0 and odd_degrees and even_closed else 1
+
+        factors = [g for n in range(1, 6) for g in connected_graphs_up_to_iso(n)]
+        factors += [cycle(5), cycle(7), folded_cube(5)]
+        mus = []
+        for gam in factors:
+            if is_bipartite(gam) is not None:
+                continue
+            for m in (3, 4, 6):
+                assert mu_tensor(gam, complete(m)) == MuPrediction(
+                    applicable=True,
+                    mu=reference(gam, m),
+                    theorem_id="tensor-complete",
+                    ingredients={"m": m},
+                ), (gam.adj, m)
+                mus.append(reference(gam, m))
+        assert 2 in mus and 1 in mus
 
     def test_nonbipartite_triangle_free_edges(self):
         p = mu_tensor(cycle(5), cycle(7))
@@ -456,6 +485,25 @@ class TestConstructPrescribed:
                 c = classify(g)
                 got = (sorted(d for d in c.divisors if d > 1), c.nullity, girth(g))
                 assert got == (chain, r, 3), (chain, r)
+
+
+@st.composite
+def _divisor_chains(draw):
+    """A divisibility chain d1 | d2 | ... of length 1-3 over 2..12."""
+    chain = [draw(st.integers(2, 12))]
+    for _ in range(draw(st.integers(0, 2))):
+        chain.append(draw(st.sampled_from(range(chain[-1], 13, chain[-1]))))
+    return chain
+
+
+class TestConstructPrescribedProperty:
+    @given(_divisor_chains(), st.integers(0, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_construction_realizes_chain_and_nullity(self, chain, r):
+        g = construct_prescribed(chain, r)
+        c = classify(g)
+        got = (sorted(d for d in c.divisors if d > 1), c.nullity, girth(g))
+        assert got == (chain, r, 3)
 
 
 class TestLemmaEdgeWithoutTriangle:

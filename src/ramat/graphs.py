@@ -7,12 +7,17 @@ structural queries run on masks too: one breadth-first search yields each
 distance layer as a vertex bitmask, and girth, bipartiteness, components
 and distances are read off those layers.  Vertex sets returned to callers
 are frozensets or sorted tuples of 1-based indices.
+
+Every graph built from parameters or graph6 has at most ``MAX_VERTICES``
+vertices: its builder checks the count after its own parameter checks and
+raises ``ValueError`` past that budget before it builds anything.
 """
 
 from __future__ import annotations
 
 import operator
 from itertools import combinations
+from math import comb
 
 __all__ = [
     "Graph",
@@ -37,6 +42,14 @@ __all__ = [
     "graph6_encode",
     "read_graph6_lines",
 ]
+
+
+MAX_VERTICES = 1024  # the largest named graph in use, Kn(15,3), has 455
+
+
+def _check_vertices(what: str, n: int) -> None:
+    if n > MAX_VERTICES:
+        raise ValueError(f"{what} is past the budget of {MAX_VERTICES} vertices")
 
 
 class Graph:
@@ -137,12 +150,14 @@ def _layers(g: Graph, root: int):
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs n >= 1")
+    _check_vertices(f"path({n})", n)
     return Graph.from_edges(n, [(i, i + 1) for i in range(1, n)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
+    _check_vertices(f"cycle({n})", n)
     edges = [(i, i + 1) for i in range(1, n)] + [(n, 1)]
     return Graph.from_edges(n, edges)
 
@@ -150,12 +165,14 @@ def cycle(n: int) -> Graph:
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
+    _check_vertices(f"complete({n})", n)
     return Graph.from_edges(n, combinations(range(1, n + 1), 2))
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
     if m < 1 or n < 1:
         raise ValueError("complete bipartite needs m, n >= 1")
+    _check_vertices(f"complete_bipartite({m}, {n})", m + n)
     edges = [(i, m + j) for i in range(1, m + 1) for j in range(1, n + 1)]
     return Graph.from_edges(m + n, edges)
 
@@ -164,6 +181,7 @@ def cube(d: int) -> Graph:
     """Hypercube on 2**d vertices; vertex k+1 carries the bit label k."""
     if d < 0:
         raise ValueError("cube needs d >= 0")
+    _check_vertices(f"cube({d})", 1 << min(d, 64))
     n = 1 << d
     edges = []
     for x in range(n):
@@ -197,6 +215,7 @@ def crown(num_vertices: int) -> Graph:
     """
     if num_vertices % 2 or num_vertices < 4:
         raise ValueError("crown needs an even vertex count >= 4")
+    _check_vertices(f"crown({num_vertices})", num_vertices)
     half = num_vertices // 2
     edges = [
         (i, half + j)
@@ -216,6 +235,8 @@ def kneser(n: int, k: int) -> Graph:
     """Kneser graph: k-subsets of {1..n}, adjacent when disjoint."""
     if not (n >= k >= 1):
         raise ValueError("kneser needs n >= k >= 1")
+    # C(n, k) >= n for k < n: a past-budget n is refused with no binomial
+    _check_vertices(f"kneser({n}, {k})", n if n > MAX_VERTICES else comb(n, k))
     verts = kneser_vertices(n, k)
     sets = [frozenset(v) for v in verts]
     m = len(verts)
@@ -243,6 +264,7 @@ def binary_graph(n: int) -> Graph:
         raise ValueError("binary graph needs n >= 2")
     r = (n - 1).bit_length()
     total = n + r
+    _check_vertices(f"binary_graph({n})", total)
     edges = list(combinations(range(1, n + 1), 2))
     edges += list(combinations(range(n + 1, total + 1), 2))
     for k in range(1, n + 1):
@@ -341,10 +363,6 @@ def is_neighborhood_distinguishable(g: Graph) -> bool:
 _G6_HEADER = ">>graph6<<"
 _G6_MAX_N = 1 << 18
 
-# Input budget: a graph read from graph6 has at most MAX_VERTICES vertices,
-# checked from its size header before the body is read.
-MAX_VERTICES = 1024
-
 
 def _check_printable(data: bytes) -> None:
     for b in data:
@@ -376,11 +394,7 @@ def graph6_decode(text: str) -> Graph:
         body = data[4:]
     if n < 1:
         raise ValueError(f"graph6 vertex count {n} out of supported range")
-    if n > MAX_VERTICES:
-        raise ValueError(
-            f"a graph6 input of {n} vertices is past the budget of "
-            f"{MAX_VERTICES} vertices"
-        )
+    _check_vertices(f"a graph6 input of {n} vertices", n)
     _check_printable(body)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6

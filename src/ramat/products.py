@@ -6,13 +6,15 @@ factor major: vertex (u, i) of a product of ``a`` and ``b`` becomes index
 is a Kronecker product of its factors' masks, and the activation matrix of
 a strong product equals, index for index, the Kronecker product of the
 factors' activation matrices.  Joins and unions shift masks into place.
+Each product checks its vertex count against the budget
+``graphs.MAX_VERTICES`` and raises ``ValueError`` past it before building.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 
-from .graphs import Graph, _bits, complete
+from .graphs import Graph, _bits, _check_vertices, complete
 
 __all__ = [
     "cartesian",
@@ -39,6 +41,7 @@ def cartesian(a: Graph, b: Graph) -> Graph:
     """Edges where the endpoints agree in one coordinate and are adjacent in
     the other."""
     w = b.n
+    _check_vertices(f"a cartesian product of {a.n * w} vertices", a.n * w)
     return Graph(a.n * w, [
         _kron(1 << u, y, w) | _kron(x, 1 << i, w)
         for u, x in enumerate(a.adj) for i, y in enumerate(b.adj)
@@ -48,6 +51,7 @@ def cartesian(a: Graph, b: Graph) -> Graph:
 def tensor(a: Graph, b: Graph) -> Graph:
     """Edges where the endpoints are adjacent in both coordinates."""
     w = b.n
+    _check_vertices(f"a tensor product of {a.n * w} vertices", a.n * w)
     return Graph(a.n * w, [_kron(x, y, w) for x in a.adj for y in b.adj])
 
 
@@ -55,6 +59,7 @@ def strong(a: Graph, b: Graph) -> Graph:
     """Union of the cartesian and tensor edge sets: the closed
     neighbourhoods multiply, less the vertex itself."""
     w = b.n
+    _check_vertices(f"a strong product of {a.n * w} vertices", a.n * w)
     return Graph(a.n * w, [
         _kron(x | 1 << u, y | 1 << i, w) ^ 1 << (u * w + i)
         for u, x in enumerate(a.adj) for i, y in enumerate(b.adj)
@@ -63,12 +68,14 @@ def strong(a: Graph, b: Graph) -> Graph:
 
 def join(a: Graph, b: Graph) -> Graph:
     """Disjoint union plus every edge between the two sides."""
+    _check_vertices(f"a join of {a.n + b.n} vertices", a.n + b.n)
     left, right = (1 << a.n) - 1, ((1 << b.n) - 1) << a.n
     return Graph(a.n + b.n, [x | right for x in a.adj] + [y << a.n | left for y in b.adj])
 
 
 def pyramid(a: Graph) -> Graph:
     """Join with a single apex vertex; the apex is vertex 1 of the result."""
+    _check_vertices(f"a pyramid of {a.n + 1} vertices", a.n + 1)
     return Graph(a.n + 1, [(1 << a.n + 1) - 2] + [x << 1 | 1 for x in a.adj])
 
 
@@ -78,13 +85,16 @@ def prism(a: Graph) -> Graph:
 
 
 def disjoint_union(parts) -> Graph:
+    parts = list(parts)
+    n = sum(g.n for g in parts)
+    if not n:
+        raise ValueError("disjoint union of nothing")
+    _check_vertices(f"a disjoint union of {n} vertices", n)
     adj = []
     for g in parts:
         offset = len(adj)
         adj += [x << offset for x in g.adj]
-    if not adj:
-        raise ValueError("disjoint union of nothing")
-    return Graph(len(adj), adj)
+    return Graph(n, adj)
 
 
 def tensor_all(factors) -> Graph:

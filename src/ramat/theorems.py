@@ -21,6 +21,7 @@ from math import comb, gcd, lcm
 
 from .graphs import (
     Graph,
+    _check_vertices,
     binary_graph,
     complete,
     crown,
@@ -404,11 +405,16 @@ def mu_kneser_tensor_k2(n: int, k: int) -> int:
     return np_ // gcd(lcm(*range(1, k + 1)), np_)
 
 
+KNESER_PRISM_MAX_K = 10 ** 5  # k + 1 binomials mod 3 take about 0.3 s
+
+
 def kneser_prism_params(a: int, b: int):
     """Parameter family (n, k) whose Kneser prisms have divisor 3."""
     if a < 0 or b < 0:
         raise ValueError("a and b must be nonnegative")
-    k = 3 ** a + 1 + 2 * b
+    k = 3 ** min(a, 64) + 1 + 2 * b
+    if k > KNESER_PRISM_MAX_K:
+        raise ValueError(f"kneser-prism k is past the budget of {KNESER_PRISM_MAX_K}")
     n = 3 ** (a + 1) + 2 * k - 1
     return n, k
 
@@ -552,6 +558,9 @@ def construct_prescribed(divisors, nullity: int = 0) -> Graph:
     for x, y in zip(ds, ds[1:]):
         if y % x:
             raise ValueError(f"broken divisibility chain: {x} does not divide {y}")
+    # a crown per divisor, a binary graph of more than `nullity` vertices, an apex
+    least = sum(2 * d + 4 for d in ds) + nullity + 1
+    _check_vertices(f"a prescribed-divisor graph of at least {least} vertices", least)
     parts = [crown(2 * d + 4) for d in ds]
     if nullity > 0:
         parts.append(binary_graph(z_minimal_n(nullity)))

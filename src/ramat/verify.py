@@ -250,7 +250,7 @@ class CorpusEntry:
     params: dict = field(default_factory=dict)
 
 
-# vertex cap of the predictor corpus's families and cartesian products
+# vertex cap of the predictor corpus's cartesian products
 CORPUS_MAX_VERTICES = 40
 
 
@@ -260,8 +260,7 @@ def standard_corpus() -> list:
     entries: list[CorpusEntry] = []
 
     def add(name, graph, kind="family", factors=(), **params):
-        if graph.n <= CORPUS_MAX_VERTICES:
-            entries.append(CorpusEntry(name, graph, kind, factors, params))
+        entries.append(CorpusEntry(name, graph, kind, factors, params))
 
     for n in range(2, 11):
         add(f"P{n}", path(n))
@@ -303,21 +302,13 @@ def standard_corpus() -> list:
                     factors=(a, b),
                 )
 
-    # named product cases from the constructive results run a little past
-    # the family cap (the largest is the 48-vertex triple tensor)
-    product_cap = CORPUS_MAX_VERTICES + 24
-
     for base_name, base in (
         [(f"K{n}", complete(n)) for n in (3, 4, 5, 6)]
         + [(f"C{n}", cycle(n)) for n in (3, 5, 7, 9)]
         + [(f"co-Kn({n},2)", complement(kneser(n, 2))) for n in (4, 5, 6)]
         + [("Kn(6,2)", kneser(6, 2))]
     ):
-        g = prism(base)
-        if g.n <= product_cap:
-            entries.append(
-                CorpusEntry(f"prism({base_name})", g, "prism", (base,))
-            )
+        add(f"prism({base_name})", prism(base), "prism", (base,))
 
     tensor_cases = (
         [("K2", complete(2), f"K{n}", complete(n)) for n in range(3, 9)]
@@ -338,37 +329,20 @@ def standard_corpus() -> list:
         ]
     )
     for na, a, nb, b in tensor_cases:
-        g = tensor(a, b)
-        if g.n <= product_cap:
-            entries.append(
-                CorpusEntry(f"{na}*{nb}", g, "tensor", (a, b))
-            )
+        add(f"{na}*{nb}", tensor(a, b), "tensor", (a, b))
 
     for sizes in ((2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 4), (3, 5),
                   (2, 3, 4), (2, 4, 4), (3, 3, 3), (2, 4, 6)):
-        g = tensor_all([complete(m) for m in sizes])
-        if g.n <= product_cap:
-            entries.append(
-                CorpusEntry(
-                    "*".join(f"K{m}" for m in sizes), g, "tensor-completes",
-                    tuple(complete(m) for m in sizes), {"sizes": sizes},
-                )
-            )
+        add("*".join(f"K{m}" for m in sizes), tensor_all([complete(m) for m in sizes]),
+            "tensor-completes", tuple(complete(m) for m in sizes), sizes=sizes)
 
     for lam_name, lam, nu in (
         ("crown(8)", crown(8), 1),
         ("crown(8)", crown(8), 2),
         ("crown(10)", crown(10), 2),
-        ("crown(10)", crown(10), 3),
     ):
-        g = tensor(lam, complete(nu + 2))
-        if g.n <= CORPUS_MAX_VERTICES:
-            entries.append(
-                CorpusEntry(
-                    f"{lam_name}*K{nu + 2}", g, "tensor-scaled",
-                    (lam, complete(nu + 2)), {"lam": lam, "nu": nu},
-                )
-            )
+        add(f"{lam_name}*K{nu + 2}", tensor(lam, complete(nu + 2)), "tensor-scaled",
+            (lam, complete(nu + 2)), lam=lam, nu=nu)
     return entries
 
 

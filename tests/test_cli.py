@@ -136,6 +136,22 @@ class TestInputRobustness:
         assert b"Traceback" not in proc.stderr
         assert [json.loads(s)["graph6"] for s in proc.stdout.splitlines()] == ["C~", "A_"]
 
+    @pytest.mark.parametrize("argv", [["analyze", "-"], ["analyze"]])
+    def test_closed_stdin_is_input_error(self, capsys, argv):
+        # a process started with stdin closed has sys.stdin None
+        with mock.patch.object(sys, "stdin", None):
+            rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert err == "ramat: stdin is closed\n"
+
+    def test_closed_stdin_leaves_other_arguments_running(self, capsys):
+        with mock.patch.object(sys, "stdin", None):
+            rc, out, err = run_cli(capsys, "analyze", "C~", "-")
+        assert rc == 2
+        assert [json.loads(s)["graph6"] for s in out.splitlines()] == ["C~"]
+        assert "stdin" in err
+
     @settings(max_examples=60, deadline=None)
     @given(st.binary(max_size=64), st.sampled_from(["analyze", "batch"]))
     def test_arbitrary_file_bytes_exit_0_or_2(self, tmp_path_factory, data, command):

@@ -1,7 +1,9 @@
 """Every ramat module exports only names it defines."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import ramat
 
@@ -18,3 +20,21 @@ def test_all_names_exist_and_star_import_works():
         ns = {}
         exec(f"from {name} import *", ns)
         assert set(exported) <= set(ns), name
+
+
+def test_every_import_is_used_or_exported():
+    # an import that no line of its module reads and its __all__ does not
+    # re-export is dead, e.g. a helper left behind when its caller moved
+    for path in sorted(Path(ramat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        name = "ramat" if path.stem == "__init__" else f"ramat.{path.stem}"
+        exported = set(getattr(importlib.import_module(name), "__all__", ()))
+        assert sorted(imported - used - exported) == [], path.name

@@ -46,6 +46,7 @@ from .group_oracle import (
 )
 from .intlin import IntMatrix, kernel_basis_mod_p
 from .products import (
+    _complete_tensor,
     cartesian,
     disjoint_union,
     join,
@@ -53,7 +54,6 @@ from .products import (
     pyramid,
     strong,
     tensor,
-    tensor_all,
 )
 from .ra_core import classification_record, classify, elementary_divisors, ra_matrix
 
@@ -359,7 +359,7 @@ def _run_predictor(tid: str, ns):
             raise ValueError("tensor-completes wants one comma list, e.g. 2,5")
         sizes = [int(x) for x in args[0].split(",")]
         pred = theorems.mu_tensor_completes(sizes)
-        return [pred], lambda: tensor_all([complete(m) for m in sizes])
+        return [pred], lambda: _complete_tensor(sizes)
     if tid == "tensor-scaled":
         if len(args) != 2:
             raise ValueError("tensor-scaled wants a graph6 and nu")

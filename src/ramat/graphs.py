@@ -3,10 +3,13 @@
 Vertices are numbered 1..n in every public API.  Adjacency is held as one
 bitmask per vertex (bit ``j`` set means adjacent to vertex ``j+1``), which
 makes closed-neighborhood intersections single AND operations.  The
-structural queries run on masks too: one breadth-first search yields each
-distance layer as a vertex bitmask, and girth, bipartiteness, components
-and distances are read off those layers.  Vertex sets returned to callers
-are frozensets or sorted tuples of 1-based indices.
+family builders write each vertex's mask from a formula, and the graph6
+codec reads and writes each column of the upper triangle as one mask; no
+library code goes through an edge list.  The structural queries run on
+masks too: one breadth-first search yields each distance layer as a vertex
+bitmask, and girth, bipartiteness, components and distances are read off
+those layers.  Vertex sets returned to callers are frozensets or sorted
+tuples of 1-based indices.
 
 Every graph built from parameters or graph6 has at most ``MAX_VERTICES``
 vertices: its builder checks the count after its own parameter checks and
@@ -151,30 +154,31 @@ def path(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs n >= 1")
     _check_vertices(f"path({n})", n)
-    return Graph.from_edges(n, [(i, i + 1) for i in range(1, n)])
+    full = (1 << n) - 1
+    return Graph(n, [(2 << i | 1 << i >> 1) & full for i in range(n)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
     _check_vertices(f"cycle({n})", n)
-    edges = [(i, i + 1) for i in range(1, n)] + [(n, 1)]
-    return Graph.from_edges(n, edges)
+    return Graph(n, [1 << (i - 1) % n | 1 << (i + 1) % n for i in range(n)])
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
     _check_vertices(f"complete({n})", n)
-    return Graph.from_edges(n, combinations(range(1, n + 1), 2))
+    full = (1 << n) - 1
+    return Graph(n, [full ^ 1 << i for i in range(n)])
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
     if m < 1 or n < 1:
         raise ValueError("complete bipartite needs m, n >= 1")
     _check_vertices(f"complete_bipartite({m}, {n})", m + n)
-    edges = [(i, m + j) for i in range(1, m + 1) for j in range(1, n + 1)]
-    return Graph.from_edges(m + n, edges)
+    left, right = (1 << m) - 1, ((1 << n) - 1) << m
+    return Graph(m + n, [right] * m + [left] * n)
 
 
 def cube(d: int) -> Graph:
@@ -182,29 +186,16 @@ def cube(d: int) -> Graph:
     if d < 0:
         raise ValueError("cube needs d >= 0")
     _check_vertices(f"cube({d})", 1 << min(d, 64))
-    n = 1 << d
-    edges = []
-    for x in range(n):
-        for b in range(d):
-            y = x ^ (1 << b)
-            if x < y:
-                edges.append((x + 1, y + 1))
-    return Graph.from_edges(n, edges)
+    return Graph(1 << d, [sum(1 << (x ^ 1 << b) for b in range(d)) for x in range(1 << d)])
 
 
 def folded_cube(d: int) -> Graph:
     """Cube of dimension d-1 plus edges between complementary labels."""
     if d < 2:
         raise ValueError("folded cube needs d >= 2")
-    base = cube(d - 1)
-    n = base.n
-    full = n - 1
-    edges = base.edges()
-    for x in range(n):
-        y = x ^ full
-        if x < y:
-            edges.append((x + 1, y + 1))
-    return Graph.from_edges(n, edges)
+    _check_vertices(f"folded_cube({d})", 1 << min(d - 1, 64))
+    top = (1 << d - 1) - 1
+    return Graph(top + 1, [a | 1 << (x ^ top) for x, a in enumerate(cube(d - 1).adj)])
 
 
 def crown(num_vertices: int) -> Graph:
@@ -217,13 +208,8 @@ def crown(num_vertices: int) -> Graph:
         raise ValueError("crown needs an even vertex count >= 4")
     _check_vertices(f"crown({num_vertices})", num_vertices)
     half = num_vertices // 2
-    edges = [
-        (i, half + j)
-        for i in range(1, half + 1)
-        for j in range(1, half + 1)
-        if i != j
-    ]
-    return Graph.from_edges(num_vertices, edges)
+    other = [(1 << half) - 1 ^ 1 << i for i in range(half)]
+    return Graph(num_vertices, [x << half for x in other] + other)
 
 
 def kneser_vertices(n: int, k: int) -> list:
@@ -237,22 +223,15 @@ def kneser(n: int, k: int) -> Graph:
         raise ValueError("kneser needs n >= k >= 1")
     # C(n, k) >= n for k < n: a past-budget n is refused with no binomial
     _check_vertices(f"kneser({n}, {k})", n if n > MAX_VERTICES else comb(n, k))
-    verts = kneser_vertices(n, k)
-    sets = [frozenset(v) for v in verts]
-    m = len(verts)
-    edges = [
-        (i + 1, j + 1)
-        for i in range(m)
-        for j in range(i + 1, m)
-        if not sets[i] & sets[j]
-    ]
-    return Graph.from_edges(m, edges)
+    # as element bitmasks, colex order is increasing numeric order
+    sets = sorted(sum(1 << e for e in c) for c in combinations(range(n), k))
+    return Graph(len(sets), [sum(1 << j for j, t in enumerate(sets) if not s & t)
+                             for s in sets])
 
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    adj = [(full & ~a) & ~(1 << i) for i, a in enumerate(g.adj)]
-    return Graph(g.n, adj)
+    return Graph(g.n, [full ^ a ^ 1 << i for i, a in enumerate(g.adj)])
 
 
 def binary_graph(n: int) -> Graph:
@@ -263,16 +242,12 @@ def binary_graph(n: int) -> Graph:
     if n < 2:
         raise ValueError("binary graph needs n >= 2")
     r = (n - 1).bit_length()
-    total = n + r
-    _check_vertices(f"binary_graph({n})", total)
-    edges = list(combinations(range(1, n + 1), 2))
-    edges += list(combinations(range(n + 1, total + 1), 2))
-    for k in range(1, n + 1):
-        value = k - 1
-        for i in range(1, r + 1):
-            if value >> (i - 1) & 1:
-                edges.append((k, n + i))
-    return Graph.from_edges(total, edges)
+    _check_vertices(f"binary_graph({n})", n + r)
+    numbers, digits = (1 << n) - 1, ((1 << r) - 1) << n
+    adj = [numbers ^ 1 << k | k << n for k in range(n)]
+    adj += [digits ^ 1 << n + i | sum(1 << k for k in range(n) if k >> i & 1)
+            for i in range(r)]
+    return Graph(n + r, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -402,21 +377,16 @@ def graph6_decode(text: str) -> Graph:
         raise ValueError(
             f"graph6 body length {len(body)} does not match {nbytes} for n={n}"
         )
-    adj = [0] * n
-    bits = []
-    for byte in body:
-        group = byte - 63
-        bits.extend(group >> shift & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
+    # 6 bits per byte, most significant first, hold the upper triangle column
+    # by column; column j (rows 0..j-1) read in reverse is a mask
+    bits = "".join(f"{byte - 63:06b}" for byte in body)
+    if "1" in bits[nbits:]:
         raise ValueError("nonzero trailing bits in graph6 body")
-    # upper triangle column-major: (0,1), (0,2), (1,2), (0,3), ...
-    pos = 0
+    adj = [0] * n
     for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            pos += 1
+        adj[j] = col = int(bits[j * (j - 1) // 2:j * (j + 1) // 2][::-1], 2)
+        for i in _bits(col):
+            adj[i] |= 1 << j
     return Graph(n, adj)
 
 
@@ -426,23 +396,13 @@ def graph6_encode(g: Graph) -> str:
     if n > _G6_MAX_N:
         raise ValueError("graph too large for graph6 encoding here")
     if n <= 62:
-        head = [n + 63]
+        head = bytes([n + 63])
     else:
-        head = [126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)]
-    bits = []
-    for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            bits.append(col >> i & 1)
-    body = []
-    for start in range(0, len(bits), 6):
-        group = 0
-        chunk = bits[start:start + 6]
-        chunk += [0] * (6 - len(chunk))
-        for b in chunk:
-            group = group << 1 | b
-        body.append(group + 63)
-    return bytes(head + body).decode("ascii")
+        head = bytes([126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)])
+    bits = "".join(f"{g.adj[j] & (1 << j) - 1:0{j}b}"[::-1] for j in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    body = bytes(int(bits[p:p + 6], 2) + 63 for p in range(0, len(bits), 6))
+    return (head + body).decode("ascii")
 
 
 def read_graph6_lines(lines):

@@ -47,10 +47,9 @@ class FiniteGroup:
     identity: int
     inverse: tuple
     generators: tuple
-    labels: tuple
 
     @classmethod
-    def from_table(cls, name, table, generators, labels=None) -> "FiniteGroup":
+    def from_table(cls, name, table, generators) -> "FiniteGroup":
         table = tuple(tuple(map(operator.index, row)) for row in table)
         order = len(table)
         if any(len(row) != order for row in table):
@@ -74,8 +73,6 @@ class FiniteGroup:
         generators = tuple(generators)
         if any(not 0 <= s < order for s in generators):
             raise ValueError("generator out of range")
-        if labels is None:
-            labels = tuple(str(i) for i in range(order))
         group = cls(
             name=name,
             order=order,
@@ -83,7 +80,6 @@ class FiniteGroup:
             identity=identity,
             inverse=tuple(inverse),
             generators=generators,
-            labels=tuple(labels),
         )
         # Light's test: the elements a with (x a) y = x (a y) for all x, y
         # are closed under multiplication, so checking a generating set is
@@ -146,7 +142,6 @@ class FiniteGroup:
             name or f"{self.name}-subgroup",
             table,
             tuple(index[e] for e in gens) or (0,),
-            labels=tuple(self.labels[e] for e in elems),
         )
 
 
@@ -164,13 +159,7 @@ def heisenberg(p: int) -> FiniteGroup:
          for a2 in r for b2 in r for c2 in r]
         for a1 in r for b1 in r for c1 in r
     ]
-    labels = tuple(f"({a},{b},{c})" for a in r for b in r for c in r)
-    return FiniteGroup.from_table(
-        f"heisenberg({p})",
-        table,
-        generators=(p * p, p),
-        labels=labels,
-    )
+    return FiniteGroup.from_table(f"heisenberg({p})", table, generators=(p * p, p))
 
 
 def dihedral(order: int) -> FiniteGroup:
@@ -188,15 +177,7 @@ def dihedral(order: int) -> FiniteGroup:
     rot.reverse()
     ref.reverse()
     table += [ref[~i:] + ref[:~i] + rot[~i:] + rot[:~i] for i in range(n)]
-    labels = tuple(
-        ("e" if (i, j) == (0, 0) else f"r{i}" + ("s" if j else ""))
-        for j in range(2)
-        for i in range(n)
-    )
-    return FiniteGroup.from_table(
-        f"dihedral({order})", table, generators=(1, n),
-        labels=labels,
-    )
+    return FiniteGroup.from_table(f"dihedral({order})", table, generators=(1, n))
 
 
 def commutator_subgroup(g: FiniteGroup) -> frozenset:

@@ -13,6 +13,7 @@ Each product checks its vertex count against the budget
 from __future__ import annotations
 
 from functools import reduce
+from math import prod
 
 from .graphs import Graph, _bits, _check_vertices, complete
 
@@ -99,3 +100,11 @@ def disjoint_union(parts) -> Graph:
 
 def tensor_all(factors) -> Graph:
     return reduce(tensor, factors)
+
+
+def _complete_tensor(sizes) -> Graph:
+    """K_m1 x ... x K_mk, refused from the sizes before any factor is built;
+    a size below 1 gets ``complete``'s own message."""
+    if all(m >= 1 for m in sizes):
+        _check_vertices(f"a tensor product of {prod(sizes)} vertices", prod(sizes))
+    return tensor_all(map(complete, sizes))

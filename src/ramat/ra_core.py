@@ -53,16 +53,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RAMatrix:
-    """Deduplicated row stack of N[v] and N[u] & N[v] vectors.
-
-    ``provenance[k]`` is ``(v,)`` when row k first arose as a closed
-    neighborhood and ``(u, v)`` (u < v) when it first arose as a pair
-    intersection.  Zero rows and repeats are dropped; neither changes the
-    row lattice.
+    """Deduplicated row stack: the distinct closed neighborhoods N[v], then
+    the new nonzero pair intersections N[u] & N[v] (u < v), each in order of
+    first appearance.  Zero rows and repeats are dropped; neither changes
+    the row lattice.
     """
 
     matrix: IntMatrix
-    provenance: tuple
 
 
 @dataclass(frozen=True)
@@ -98,25 +95,13 @@ class RAClassification:
 def ra_matrix(g: Graph) -> RAMatrix:
     n = g.n
     masks = [g.closed_mask(v) for v in g.vertices()]
-    rows = []
-    provenance = []
-    seen = set()
-    for v in range(1, n + 1):
-        m = masks[v - 1]
-        if m not in seen:
-            seen.add(m)
-            rows.append(m)
-            provenance.append((v,))
-    for u in range(1, n + 1):
-        mu_ = masks[u - 1]
-        for v in range(u + 1, n + 1):
-            m = mu_ & masks[v - 1]
-            if m and m not in seen:
-                seen.add(m)
-                rows.append(m)
-                provenance.append((u, v))
+    rows = dict.fromkeys(masks)  # a dict keeps first-seen order
+    for u, x in enumerate(masks):
+        for y in masks[u + 1:]:
+            rows.setdefault(x & y)
+    rows.pop(0, None)
     data = [[m >> j & 1 for j in range(n)] for m in rows]
-    return RAMatrix(matrix=IntMatrix(data), provenance=tuple(provenance))
+    return RAMatrix(matrix=IntMatrix(data))
 
 
 def ra_lattice(g: Graph) -> HermiteForm:

@@ -32,16 +32,9 @@ from .graphs import (
     kneser_vertices,
     path,
 )
-from .group_oracle import (
-    commutator_subgroup,
-    dihedral,
-    graph_power,
-    heisenberg,
-    is_G_RA,
-    matrix_power,
-)
+from .group_oracle import dihedral, heisenberg, matrix_power, oracle_record
 from .intlin import IntMatrix, hermite_normal_form, kernel_basis_mod_p, kronecker_product
-from .products import cartesian, prism, pyramid, strong, tensor, tensor_all
+from .products import _complete_tensor, cartesian, prism, pyramid, strong, tensor
 from .ra_core import classify, elementary_divisors, ra_matrix
 
 # suite name -> its rows; each lambda looks its ``suite_*`` function up at
@@ -333,7 +326,7 @@ def standard_corpus() -> list:
 
     for sizes in ((2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 4), (3, 5),
                   (2, 3, 4), (2, 4, 4), (3, 3, 3), (2, 4, 6)):
-        add("*".join(f"K{m}" for m in sizes), tensor_all([complete(m) for m in sizes]),
+        add("*".join(f"K{m}" for m in sizes), _complete_tensor(sizes),
             "tensor-completes", tuple(complete(m) for m in sizes), sizes=sizes)
 
     for lam_name, lam, nu in (
@@ -411,18 +404,14 @@ def suite_predictors():
 
 def suite_group_oracle():
     h2 = heisenberg(2)
-    comm = commutator_subgroup(h2)
     for n, g in _connected_small_graphs(4):
         divisors = elementary_divisors(g).divisors
         k = sum(1 for d in divisors if d % 2 == 0)  # zeros count: 0 % 2 == 0
-        want_ra = k == 0
-        got_ra = is_G_RA(h2, g)
-        yield _row("oracle-ra", f"H(2) on {n}", str(want_ra), str(got_ra))
-        power = graph_power(h2, g)
-        inter = sum(1 for t in power if all(a in comm for a in t))
+        rec = oracle_record(h2, g)
+        yield _row("oracle-ra", f"H(2) on {n}", str(k == 0), str(rec["is_G_RA"]))
         yield _row(
             "oracle-intersection", f"H(2) on {n}",
-            str(2 ** (g.n - k)), str(inter),
+            str(2 ** (g.n - k)), str(rec["intersection_order"]),
         )
     d8 = dihedral(8)
     s1 = matrix_power(d8, IntMatrix([[1, 0], [0, 4]]))

@@ -476,6 +476,21 @@ class TestBudgets:
         assert out == ""
         assert err.startswith("ramat: ") and "budget" in err
 
+    def test_folded_cube_names_itself(self, capsys):
+        rc, out, err = run_cli(capsys, "gen", "folded-cube", "12")
+        assert rc == 2
+        assert out == ""
+        assert err == "ramat: folded_cube(12) is past the budget of 1024 vertices\n"
+
+    def test_complete_tensor_refused_before_its_factors(self, capsys):
+        t0 = time.perf_counter()
+        rc, out, err = run_cli(capsys, "predict", "tensor-completes", "1024,1024",
+                               "--check")
+        assert time.perf_counter() - t0 < 0.1
+        assert rc == 2
+        assert out == ""
+        assert "budget" in err
+
     def test_graph6_input_past_budget_is_a_line_error(self, capsys, tmp_path):
         big = graph6_encode(Graph(1100, [0] * 1100))
         f = tmp_path / "mixed.g6"

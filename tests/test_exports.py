@@ -1,4 +1,5 @@
-"""Every ramat module exports only names it defines."""
+"""Every ramat module exports only names it defines, and none builds a
+graph through an edge list."""
 
 import ast
 import importlib
@@ -38,3 +39,16 @@ def test_every_import_is_used_or_exported():
         name = "ramat" if path.stem == "__init__" else f"ramat.{path.stem}"
         exported = set(getattr(importlib.import_module(name), "__all__", ()))
         assert sorted(imported - used - exported) == [], path.name
+
+
+def test_no_module_builds_a_graph_from_an_edge_list():
+    # every builder writes adjacency masks; from_edges is for callers only
+    for path in sorted(Path(ramat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "from_edges"
+        ]
+        assert calls == [], path.name

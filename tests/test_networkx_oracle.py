@@ -1,6 +1,8 @@
-"""Structural queries and products checked against networkx, an
-independent implementation: every labeled graph on at most 5 vertices,
-random graphs on at most 12, and random product pairs."""
+"""Families, the graph6 codec, structural queries and products checked
+against networkx, an independent implementation: every family over a range
+of parameters, the codec on random graphs past the 62-vertex short header,
+every labeled graph on at most 5 vertices, random graphs on at most 12, and
+random product pairs."""
 
 import math
 import random
@@ -10,11 +12,22 @@ import networkx as nx
 
 from ramat.graphs import (
     Graph,
+    binary_graph,
+    complete,
+    complete_bipartite,
     connected_components,
+    crown,
+    cube,
+    cycle,
     distance,
+    folded_cube,
     girth,
+    graph6_decode,
+    graph6_encode,
     is_bipartite,
     is_connected,
+    kneser,
+    path,
 )
 from ramat.products import cartesian, strong, tensor
 
@@ -26,6 +39,75 @@ def to_nx(g: Graph) -> nx.Graph:
     h.add_nodes_from(g.vertices())
     h.add_edges_from(g.edges())
     return h
+
+
+def from_nx(h: nx.Graph, order) -> Graph:
+    """The graph on 1..n whose vertex i is ``order[i - 1]`` of ``h``."""
+    index = {x: i for i, x in enumerate(order, start=1)}
+    assert len(index) == h.number_of_nodes()
+    return Graph.from_edges(len(order), ((index[x], index[y]) for x, y in h.edges))
+
+
+def bit_label(x) -> int:
+    # from dimension 2 on, networkx names a hypercube vertex by its bit
+    # tuple, most significant first
+    return sum(b << i for i, b in enumerate(reversed(x)))
+
+
+def test_families_match_networkx():
+    for n in range(1, 30):
+        assert path(n) == from_nx(nx.path_graph(n), range(n))
+        assert complete(n) == from_nx(nx.complete_graph(n), range(n))
+    for n in range(3, 30):
+        assert cycle(n) == from_nx(nx.cycle_graph(n), range(n))
+    for m in range(1, 7):
+        for n in range(1, 7):
+            want = from_nx(nx.complete_bipartite_graph(m, n), range(m + n))
+            assert complete_bipartite(m, n) == want
+    for d in range(2, 8):
+        h = nx.hypercube_graph(d)
+        assert cube(d) == from_nx(h, sorted(h, key=bit_label))
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            if n < 2 * k:  # networkx wants n >= 2k; below it the graph is empty
+                assert kneser(n, k).edge_count() == 0
+                continue
+            h = nx.kneser_graph(n, k)  # nodes are k-sets of range(n)
+            colex = sorted(h, key=lambda s: sorted(s, reverse=True))
+            assert kneser(n, k) == from_nx(h, colex)
+
+
+def test_derived_families_match_networkx():
+    for half in range(2, 16):
+        # crown: K_{h,h} minus the matching i -- h + i
+        h = nx.complete_bipartite_graph(half, half)
+        h.remove_edges_from((i, half + i) for i in range(half))
+        assert crown(2 * half) == from_nx(h, range(2 * half))
+    for d in range(3, 9):
+        # folded cube: the (d-1)-cube plus each vertex's antipode
+        h = nx.hypercube_graph(d - 1)
+        h.add_edges_from((x, tuple(1 - b for b in x)) for x in list(h))
+        assert folded_cube(d) == from_nx(h, sorted(h, key=bit_label))
+    for n in range(2, 40):
+        # binary graph: a clique on the numbers 0..n-1, a clique on the bit
+        # positions, and number k joined to position i when bit i of k is set
+        r = (n - 1).bit_length()
+        h = nx.disjoint_union(nx.complete_graph(n), nx.complete_graph(r))
+        h.add_edges_from((k, n + i) for k in range(n) for i in range(r) if k >> i & 1)
+        assert binary_graph(n) == from_nx(h, range(n + r))
+
+
+def test_graph6_matches_networkx():
+    rng = random.Random(13)
+    for trial in range(150):
+        n = rng.randint(1, 40) if trial % 2 else rng.randint(60, 100)
+        g = random_graph(rng, n, rng.random())
+        h = to_nx(g)
+        theirs = nx.to_graph6_bytes(h, nodes=sorted(h), header=False).decode().strip()
+        ours = graph6_encode(g)
+        assert ours == theirs
+        assert graph6_decode(theirs) == g
+        assert from_nx(nx.from_graph6_bytes(ours.encode()), range(n)) == g
 
 
 def labeled_graphs(max_n: int):

@@ -70,7 +70,6 @@ class TestRAMatrix:
         for n in (2, 3, 5):
             rm = ra_matrix(complete(n))
             assert rm.matrix.data == ((1,) * n,)
-            assert rm.provenance == ((1,),)
 
     def test_no_zero_or_duplicate_rows(self):
         rng = random.Random(2)
@@ -81,25 +80,33 @@ class TestRAMatrix:
             assert len(set(rows)) == len(rows)
             assert all(any(r) for r in rows)
 
-    def test_provenance_rows_match_sources(self):
+    def test_rows_are_sources_in_first_seen_order(self):
         rng = random.Random(3)
         for _ in range(30):
             g = random_graph(rng, rng.randint(2, 7), 0.5)
-            rm = ra_matrix(g)
-            for row, src in zip(rm.matrix.data, rm.provenance):
-                if len(src) == 1:
-                    mask = g.closed_mask(src[0])
-                else:
-                    mask = g.closed_mask(src[0]) & g.closed_mask(src[1])
-                assert tuple(mask >> j & 1 for j in range(g.n)) == row
+            assert ra_matrix(g).matrix.data == expected_ra_rows(g)
 
     def test_crown8_row_count(self):
-        # 8 neighborhoods + nonzero, distinct pair intersections
-        rm = ra_matrix(crown(8))
-        rows = rm.matrix.data
-        assert len(rows) == len(set(rows))
-        vertex_rows = sum(1 for p in rm.provenance if len(p) == 1)
-        assert vertex_rows == 8
+        # 8 neighborhoods first, then the new nonzero pair intersections
+        g = crown(8)
+        rows = ra_matrix(g).matrix.data
+        assert rows[:8] == tuple(
+            tuple(g.closed_mask(v) >> j & 1 for j in range(8)) for v in g.vertices()
+        )
+        assert rows == expected_ra_rows(g)
+
+
+def expected_ra_rows(g):
+    """The distinct nonzero masks of N[1..n], then of N[u] & N[v] for u < v,
+    in first-seen order, as 0/1 rows."""
+    sources = [g.closed_mask(v) for v in g.vertices()]
+    sources += [g.closed_mask(u) & g.closed_mask(v)
+                for u, v in combinations(g.vertices(), 2)]
+    rows = []
+    for m in sources:
+        if m and m not in rows:
+            rows.append(m)
+    return tuple(tuple(m >> j & 1 for j in range(g.n)) for m in rows)
 
 
 class TestElementaryDivisors:

@@ -81,6 +81,16 @@ class Graph:
         raise AttributeError("Graph is immutable")
 
     @classmethod
+    def _of_masks(cls, n: int, adj) -> "Graph":
+        """The graph with these masks, unchecked: for builders whose masks
+        are in range, loop-free and symmetric by construction.  The public
+        constructor, ``from_edges`` and unpickling check every bit."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", tuple(adj))
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         """Build from 1-based endpoint pairs; duplicates collapse."""
         adj = [0] * n
@@ -155,14 +165,14 @@ def path(n: int) -> Graph:
         raise ValueError("path needs n >= 1")
     _check_vertices(f"path({n})", n)
     full = (1 << n) - 1
-    return Graph(n, [(2 << i | 1 << i >> 1) & full for i in range(n)])
+    return Graph._of_masks(n, [(2 << i | 1 << i >> 1) & full for i in range(n)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
     _check_vertices(f"cycle({n})", n)
-    return Graph(n, [1 << (i - 1) % n | 1 << (i + 1) % n for i in range(n)])
+    return Graph._of_masks(n, [1 << (i - 1) % n | 1 << (i + 1) % n for i in range(n)])
 
 
 def complete(n: int) -> Graph:
@@ -170,7 +180,7 @@ def complete(n: int) -> Graph:
         raise ValueError("complete graph needs n >= 1")
     _check_vertices(f"complete({n})", n)
     full = (1 << n) - 1
-    return Graph(n, [full ^ 1 << i for i in range(n)])
+    return Graph._of_masks(n, [full ^ 1 << i for i in range(n)])
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
@@ -178,7 +188,7 @@ def complete_bipartite(m: int, n: int) -> Graph:
         raise ValueError("complete bipartite needs m, n >= 1")
     _check_vertices(f"complete_bipartite({m}, {n})", m + n)
     left, right = (1 << m) - 1, ((1 << n) - 1) << m
-    return Graph(m + n, [right] * m + [left] * n)
+    return Graph._of_masks(m + n, [right] * m + [left] * n)
 
 
 def cube(d: int) -> Graph:
@@ -186,7 +196,8 @@ def cube(d: int) -> Graph:
     if d < 0:
         raise ValueError("cube needs d >= 0")
     _check_vertices(f"cube({d})", 1 << min(d, 64))
-    return Graph(1 << d, [sum(1 << (x ^ 1 << b) for b in range(d)) for x in range(1 << d)])
+    return Graph._of_masks(1 << d, [sum(1 << (x ^ 1 << b) for b in range(d))
+                                    for x in range(1 << d)])
 
 
 def folded_cube(d: int) -> Graph:
@@ -195,7 +206,8 @@ def folded_cube(d: int) -> Graph:
         raise ValueError("folded cube needs d >= 2")
     _check_vertices(f"folded_cube({d})", 1 << min(d - 1, 64))
     top = (1 << d - 1) - 1
-    return Graph(top + 1, [a | 1 << (x ^ top) for x, a in enumerate(cube(d - 1).adj)])
+    return Graph._of_masks(top + 1, [a | 1 << (x ^ top)
+                                     for x, a in enumerate(cube(d - 1).adj)])
 
 
 def crown(num_vertices: int) -> Graph:
@@ -209,7 +221,7 @@ def crown(num_vertices: int) -> Graph:
     _check_vertices(f"crown({num_vertices})", num_vertices)
     half = num_vertices // 2
     other = [(1 << half) - 1 ^ 1 << i for i in range(half)]
-    return Graph(num_vertices, [x << half for x in other] + other)
+    return Graph._of_masks(num_vertices, [x << half for x in other] + other)
 
 
 def kneser_vertices(n: int, k: int) -> list:
@@ -225,13 +237,13 @@ def kneser(n: int, k: int) -> Graph:
     _check_vertices(f"kneser({n}, {k})", n if n > MAX_VERTICES else comb(n, k))
     # as element bitmasks, colex order is increasing numeric order
     sets = sorted(sum(1 << e for e in c) for c in combinations(range(n), k))
-    return Graph(len(sets), [sum(1 << j for j, t in enumerate(sets) if not s & t)
-                             for s in sets])
+    return Graph._of_masks(len(sets), [
+        sum(1 << j for j, t in enumerate(sets) if not s & t) for s in sets])
 
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    return Graph(g.n, [full ^ a ^ 1 << i for i, a in enumerate(g.adj)])
+    return Graph._of_masks(g.n, [full ^ a ^ 1 << i for i, a in enumerate(g.adj)])
 
 
 def binary_graph(n: int) -> Graph:
@@ -247,7 +259,7 @@ def binary_graph(n: int) -> Graph:
     adj = [numbers ^ 1 << k | k << n for k in range(n)]
     adj += [digits ^ 1 << n + i | sum(1 << k for k in range(n) if k >> i & 1)
             for i in range(r)]
-    return Graph(n + r, adj)
+    return Graph._of_masks(n + r, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +399,7 @@ def graph6_decode(text: str) -> Graph:
         adj[j] = col = int(bits[j * (j - 1) // 2:j * (j + 1) // 2][::-1], 2)
         for i in _bits(col):
             adj[i] |= 1 << j
-    return Graph(n, adj)
+    return Graph._of_masks(n, adj)
 
 
 def graph6_encode(g: Graph) -> str:
@@ -425,7 +437,9 @@ def subgraph(g: Graph, vertices) -> Graph:
     """Induced subgraph; vertex order follows the given 1-based sequence."""
     verts = list(vertices)
     index = {v - 1: i for i, v in enumerate(verts)}
+    if not index:
+        raise ValueError("graph needs at least one vertex")
     if len(index) < len(verts) or not all(0 <= v < g.n for v in index):
         raise ValueError("subgraph vertices must be distinct and within 1..n")
     adj = [sum(1 << index[w] for w in _bits(g.adj[v]) if w in index) for v in index]
-    return Graph(len(index), adj)
+    return Graph._of_masks(len(index), adj)

@@ -217,6 +217,27 @@ def _reduce_above(basis: dict, n: int) -> list:
     return rows
 
 
+def _hermite_form(rows, n: int) -> HermiteForm:
+    """Hermite basis of the lattice spanned by ``rows``, a list or tuple of
+    integer sequences of length ``n``: the echelon build behind
+    ``hermite_normal_form`` and the core of each RA lattice."""
+    basis = _echelon_basis(rows, n)
+    _reduce_above(basis, n)
+    return _form_of(basis, n)
+
+
+def _form_of(basis: dict, n: int) -> HermiteForm:
+    """The ``HermiteForm`` of a reduced echelon basis keyed by 0-based pivot
+    column."""
+    pivots = sorted(basis)
+    rows = [basis[j] for j in pivots]
+    return HermiteForm(
+        matrix=IntMatrix(rows) if rows else IntMatrix.zeros(1, n),
+        pivot_columns=tuple(j + 1 for j in pivots),
+        diagonal=tuple(rows[i][i] if i < len(rows) else 0 for i in range(n)),
+    )
+
+
 def hermite_normal_form(m: IntMatrix) -> HermiteForm:
     """Canonical row-style Hermite form of the row lattice of ``m``.
 
@@ -224,14 +245,7 @@ def hermite_normal_form(m: IntMatrix) -> HermiteForm:
     increasing pivot columns, positive pivots, and reduced above-pivot
     entries.
     """
-    n = m.cols
-    basis = _echelon_basis(m.data, n)
-    rows = _reduce_above(basis, n)
-    return HermiteForm(
-        matrix=IntMatrix(rows) if rows else IntMatrix.zeros(1, n),
-        pivot_columns=tuple(j + 1 for j in sorted(basis)),
-        diagonal=tuple(rows[i][i] if i < len(rows) else 0 for i in range(n)),
-    )
+    return _hermite_form(m.data, m.cols)
 
 
 def _snf_divisors(rows) -> list:

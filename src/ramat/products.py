@@ -43,7 +43,7 @@ def cartesian(a: Graph, b: Graph) -> Graph:
     the other."""
     w = b.n
     _check_vertices(f"a cartesian product of {a.n * w} vertices", a.n * w)
-    return Graph(a.n * w, [
+    return Graph._of_masks(a.n * w, [
         _kron(1 << u, y, w) | _kron(x, 1 << i, w)
         for u, x in enumerate(a.adj) for i, y in enumerate(b.adj)
     ])
@@ -53,7 +53,7 @@ def tensor(a: Graph, b: Graph) -> Graph:
     """Edges where the endpoints are adjacent in both coordinates."""
     w = b.n
     _check_vertices(f"a tensor product of {a.n * w} vertices", a.n * w)
-    return Graph(a.n * w, [_kron(x, y, w) for x in a.adj for y in b.adj])
+    return Graph._of_masks(a.n * w, [_kron(x, y, w) for x in a.adj for y in b.adj])
 
 
 def strong(a: Graph, b: Graph) -> Graph:
@@ -61,7 +61,7 @@ def strong(a: Graph, b: Graph) -> Graph:
     neighbourhoods multiply, less the vertex itself."""
     w = b.n
     _check_vertices(f"a strong product of {a.n * w} vertices", a.n * w)
-    return Graph(a.n * w, [
+    return Graph._of_masks(a.n * w, [
         _kron(x | 1 << u, y | 1 << i, w) ^ 1 << (u * w + i)
         for u, x in enumerate(a.adj) for i, y in enumerate(b.adj)
     ])
@@ -71,13 +71,14 @@ def join(a: Graph, b: Graph) -> Graph:
     """Disjoint union plus every edge between the two sides."""
     _check_vertices(f"a join of {a.n + b.n} vertices", a.n + b.n)
     left, right = (1 << a.n) - 1, ((1 << b.n) - 1) << a.n
-    return Graph(a.n + b.n, [x | right for x in a.adj] + [y << a.n | left for y in b.adj])
+    return Graph._of_masks(a.n + b.n, [x | right for x in a.adj]
+                           + [y << a.n | left for y in b.adj])
 
 
 def pyramid(a: Graph) -> Graph:
     """Join with a single apex vertex; the apex is vertex 1 of the result."""
     _check_vertices(f"a pyramid of {a.n + 1} vertices", a.n + 1)
-    return Graph(a.n + 1, [(1 << a.n + 1) - 2] + [x << 1 | 1 for x in a.adj])
+    return Graph._of_masks(a.n + 1, [(1 << a.n + 1) - 2] + [x << 1 | 1 for x in a.adj])
 
 
 def prism(a: Graph) -> Graph:
@@ -95,7 +96,7 @@ def disjoint_union(parts) -> Graph:
     for g in parts:
         offset = len(adj)
         adj += [x << offset for x in g.adj]
-    return Graph(n, adj)
+    return Graph._of_masks(n, adj)
 
 
 def tensor_all(factors) -> Graph:

@@ -6,20 +6,32 @@ integer row lattice decides how freely single-vertex commutator placements
 can be achieved, so the classification below is all about the elementary
 divisors of that lattice.
 
-The lattice is held as its Hermite basis (``intlin.HermiteForm``), and
-divisors, nullity, axis multiples and pair signs are all read off it.
-``ra_lattice`` keeps the latest graph's basis, so consecutive calls on one
-graph (``classify``, a neighborly predictor, ``pair_sign``) share one
-echelon build.
+Before any integer work the lattice is peeled on the row masks: a singleton
+row {w} puts e_w in the lattice L, so L = Z*e_w + pi(L), where pi clears
+coordinate w.  Every singleton's column is peeled, its bit is cleared in
+every row, and zero rows and repeats are dropped, until no singleton is
+left; the columns that remain form the core, and only the core's rows reach
+the echelon engine.  (A tree on 3 or more vertices and a graph of girth
+>= 5 peel every column, so they are RA on bitmasks alone.)  Each peeled
+column contributes one divisor 1 and axis multiple 1; the other divisors
+and axis multiples are the core's.  ``ra_lattice`` still returns the full
+canonical Hermite basis: the core's rows with the peeled columns put back
+as zeros, plus e_w at each peeled w, in pivot order.  That is already
+reduced, because every peeled pivot is 1.  Pair signs and the theorems read
+that basis.  The latest graph's lattice is kept, so consecutive calls on one
+graph (``classify``, a neighborly predictor, ``pair_sign``) share one peel
+and at most one echelon build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graphs import (
     Graph,
+    _bits,
     connected_components,
     girth,
     is_bipartite,
@@ -30,7 +42,8 @@ from .intlin import (
     HermiteForm,
     IntMatrix,
     SmithForm,
-    hermite_normal_form,
+    _form_of,
+    _hermite_form,
     lattice_contains,
     lattice_smith_form,
     minimal_axis_multiple,
@@ -92,37 +105,98 @@ class RAClassification:
     nonuniform_axis: bool = False
 
 
-def ra_matrix(g: Graph) -> RAMatrix:
-    n = g.n
+def _ra_masks(g: Graph) -> list:
+    """The RA rows as vertex masks: the distinct nonzero masks of N[v], then
+    of N[u] & N[v] (u < v), in first-seen order."""
     masks = [g.closed_mask(v) for v in g.vertices()]
     rows = dict.fromkeys(masks)  # a dict keeps first-seen order
     for u, x in enumerate(masks):
         for y in masks[u + 1:]:
             rows.setdefault(x & y)
     rows.pop(0, None)
-    data = [[m >> j & 1 for j in range(n)] for m in rows]
+    return list(rows)
+
+
+def ra_matrix(g: Graph) -> RAMatrix:
+    n = g.n
+    data = [[m >> j & 1 for j in range(n)] for m in _ra_masks(g)]
     return RAMatrix(matrix=IntMatrix(data))
+
+
+def _peel(masks: list):
+    """(peeled, core rows): the mask of the columns peeled off through
+    singleton rows, and the distinct nonzero rows left once no row is a
+    singleton, in first-seen order."""
+    peeled = 0
+    while True:
+        units = 0
+        for m in masks:
+            if not m & (m - 1):
+                units |= m
+        if not units:
+            return peeled, masks
+        peeled |= units
+        rows = dict.fromkeys(m & ~units for m in masks)
+        rows.pop(0, None)
+        masks = list(rows)
+
+
+class _Lattice(NamedTuple):
+    """One graph's RA row lattice, split by the peel.
+
+    ``peeled`` is the mask of the peeled columns, ``core`` the Hermite basis
+    over the other columns in increasing order (None when every column is
+    peeled), and ``merged`` the full canonical basis in Z^n.
+    """
+
+    peeled: int
+    core: HermiteForm | None
+    merged: HermiteForm
 
 
 def ra_lattice(g: Graph) -> HermiteForm:
     """Hermite basis of the integer row lattice of the RA matrix.
 
-    This is the one echelon build per graph: divisors, nullity, axis
-    multiples and pair signs are all read off it.  The latest graph's
-    lattice is kept, so consecutive calls on one graph share one build.
+    It is the peeled unit columns plus the basis of the core, the one
+    echelon build per graph (none when every column is peeled).  The latest
+    graph's lattice is kept, so consecutive calls on one graph share it.
     """
-    return _latest_lattice(g)
+    return _latest_lattice(g).merged
 
 
 @lru_cache(maxsize=1)
-def _latest_lattice(g: Graph) -> HermiteForm:
-    # exact: Graph compares by (n, adj), and the Hermite basis is immutable
-    return hermite_normal_form(ra_matrix(g).matrix)
+def _latest_lattice(g: Graph) -> _Lattice:
+    # exact: Graph compares by (n, adj), and the Hermite bases are immutable
+    n = g.n
+    peeled, masks = _peel(_ra_masks(g))
+    basis = {w: [0] * w + [1] + [0] * (n - 1 - w) for w in _bits(peeled)}
+    core = None
+    if masks:
+        columns = [j for j in range(n) if not peeled >> j & 1]
+        core = _hermite_form([[m >> j & 1 for j in columns] for m in masks],
+                             len(columns))
+        for row, j in zip(core.matrix.data, core.pivot_columns):
+            full = [0] * n
+            for k, x in zip(columns, row):
+                full[k] = x
+            basis[columns[j - 1]] = full
+    return _Lattice(peeled, core, _form_of(basis, n))
+
+
+def _smith_form(lat: _Lattice, n: int) -> SmithForm:
+    """Smith form of the whole lattice: a 1 per peeled column, then the
+    core's divisors, padded with zeros to n."""
+    ones = (1,) * lat.peeled.bit_count()
+    if lat.core is None:
+        return SmithForm(divisors=ones, rank=n, nullity=0)
+    sf = lattice_smith_form(lat.core, n - len(ones))
+    return SmithForm(divisors=ones + sf.divisors, rank=len(ones) + sf.rank,
+                     nullity=sf.nullity)
 
 
 def elementary_divisors(g: Graph) -> SmithForm:
     """Smith divisors of the RA matrix, padded with zeros to length n."""
-    return lattice_smith_form(ra_lattice(g), g.n)
+    return _smith_form(_latest_lattice(g), g.n)
 
 
 def classify(g: Graph):
@@ -132,10 +206,18 @@ def classify(g: Graph):
     if len(comps) > 1:
         return [classify(subgraph(g, comp)) for comp in comps]
     n = g.n
-    lat = ra_lattice(g)
-    sf = lattice_smith_form(lat, n)
+    lat = _latest_lattice(g)
+    sf = _smith_form(lat, n)
     divisors = sf.divisors
-    axis = tuple(minimal_axis_multiple(lat, i) for i in range(1, n + 1))
+    axis = []
+    i = 0  # 1-based index of the core column
+    for v in range(n):
+        if lat.peeled >> v & 1:
+            axis.append(1)
+        else:
+            i += 1
+            axis.append(minimal_axis_multiple(lat.core, i))
+    axis = tuple(axis)
     status, mu, nonuniform = "general", None, False
     if all(d == 1 for d in divisors):
         status, mu = "RA", 1

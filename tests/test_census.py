@@ -1,6 +1,7 @@
 """Finite-search facts over the exhaustive small-graph corpus."""
 
-from ramat.graphs import cube, girth, graph6_decode
+from ramat import ra_core
+from ramat.graphs import complete, crown, cube, girth, graph6_decode, kneser
 from ramat.ra_core import classify, elementary_divisors
 
 from support import are_isomorphic, connected_8_vertex_file, connected_graphs_up_to_iso
@@ -42,6 +43,33 @@ def test_girth5_and_up_always_ra_on_corpus():
             if gi is None or gi >= 5:
                 if g.n >= 3:
                     assert classify(g).status == "RA"
+
+
+def peeled_columns(g):
+    return ra_core._peel(ra_core._ra_masks(g))[0].bit_count()
+
+
+def test_girth5_and_trees_peel_to_an_empty_core():
+    # the first paper's proof route: from 3 vertices on, a tree or a graph
+    # of girth >= 5 is RA because singleton rows peel every column.  K2 is
+    # the exception below 3 vertices: its only row is {1,2}
+    graphs = [g for n in range(3, 8) for g in connected_graphs_up_to_iso(n)]
+    graphs += [graph6_decode(line)
+               for line in connected_8_vertex_file().read_text().split()]
+    checked = 0
+    for g in graphs:
+        gi = girth(g)
+        if gi is None or gi >= 5:
+            checked += 1
+            assert peeled_columns(g) == g.n, g.adj
+    assert checked == 80  # 47 of them on 8 vertices
+    assert peeled_columns(complete(1)) == 1
+    assert peeled_columns(complete(2)) == 0
+
+
+def test_vertex_transitive_families_peel_no_column():
+    for g in (cube(3), crown(10), kneser(6, 2)):
+        assert peeled_columns(g) == 0
 
 
 def test_half_ra_parity_rule_on_all_8_vertex_neighborly_graphs():

@@ -292,12 +292,19 @@ class TestGraph6:
 
 class TestGraphBasics:
     def test_rejects_asymmetric_and_loops(self):
-        with pytest.raises(ValueError):
-            Graph(2, (1, 0))  # 1 adj to 0... asymmetric mask
-        with pytest.raises(ValueError):
-            Graph(2, (2, 0))
+        # the builders skip these checks; the public constructor keeps them
+        for adj, message in (((2, 0), "not symmetric"), ((1, 0), "self-loop"),
+                             ((2, 5), "out of range")):
+            with pytest.raises(ValueError, match=message):
+                Graph(2, adj)
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(1, 1)])
+
+    def test_unpickling_checks_the_masks(self):
+        # builders skip the check; a pickled graph goes through it again
+        bad = Graph._of_masks(2, (2, 0))
+        with pytest.raises(ValueError, match="not symmetric"):
+            pickle.loads(pickle.dumps(bad))
 
     def test_float_masks_are_refused(self):
         with pytest.raises(TypeError):

@@ -8,6 +8,7 @@ import pytest
 
 from ramat.graphs import (
     complete,
+    connected_components,
     crown,
     cube,
     cycle,
@@ -20,9 +21,16 @@ from ramat.graphs import (
     is_connected,
     kneser,
     path,
+    subgraph,
 )
 from ramat import intlin, ra_core
-from ramat.intlin import IntMatrix, hermite_normal_form, lattice_contains
+from ramat.intlin import (
+    IntMatrix,
+    hermite_normal_form,
+    lattice_contains,
+    lattice_smith_form,
+    minimal_axis_multiple,
+)
 from ramat.products import cartesian, disjoint_union
 from ramat.ra_core import (
     classification_record,
@@ -37,7 +45,7 @@ from ramat.ra_core import (
 )
 from ramat.theorems import mu_negatively_neighborly, mu_neighborly
 
-from support import activation_rows, random_graph
+from support import activation_rows, connected_8_vertex_file, random_graph
 
 
 class TestActivationMatrix:
@@ -238,15 +246,24 @@ def _count_builds(monkeypatch) -> list:
     return builds
 
 
+def core_width(g) -> int:
+    """Columns the peel leaves to the echelon engine."""
+    return g.n - ra_core._peel(ra_core._ra_masks(g))[0].bit_count()
+
+
 class TestOneLatticePerGraph:
     def test_one_echelon_build_per_connected_graph(self, monkeypatch):
+        # the one build runs over the core's columns only; a graph that
+        # peels every column (path(4)) makes none
         builds = _count_builds(monkeypatch)
+        assert core_width(path(4)) == 0
         for g in (path(4), cube(3), crown(10), kneser(6, 2), complete(5)):
+            width = core_width(g)
             for fn in (classify, elementary_divisors):
                 ra_core._latest_lattice.cache_clear()
                 builds.clear()
                 fn(g)
-                assert builds == [g.n], (fn.__name__, g)
+                assert builds == ([width] if width else []), (fn.__name__, g)
 
     def test_consumers_of_one_graph_share_one_build(self, monkeypatch):
         builds = _count_builds(monkeypatch)
@@ -277,6 +294,51 @@ class TestOneLatticePerGraph:
             lat = ra_lattice(g)
             assert ra_lattice(g) is lat
             assert lat == hermite_normal_form(ra_matrix(g).matrix)
+
+
+def assert_peel_matches_full_build(g):
+    """The peeled lattice answers exactly like one echelon build over the
+    whole RA matrix: the same Hermite basis, divisors and axis multiples."""
+    full = hermite_normal_form(ra_matrix(g).matrix)
+    assert ra_lattice(g) == full
+    assert elementary_divisors(g) == lattice_smith_form(full, g.n)
+    comps = connected_components(g)
+    parts = [g] if len(comps) == 1 else [subgraph(g, comp) for comp in comps]
+    verdicts = classify(g)
+    if len(comps) == 1:
+        verdicts = [verdicts]
+    for part, c in zip(parts, verdicts):
+        h = hermite_normal_form(ra_matrix(part).matrix)
+        assert c.axis_multiples == tuple(
+            minimal_axis_multiple(h, i) for i in range(1, part.n + 1))
+
+
+class TestPeel:
+    def test_random_graphs_up_to_30_vertices(self):
+        rng = random.Random(19)
+        for trial in range(60):
+            p = rng.choice((0.05, 0.15, 0.3, 0.6, 0.9))
+            g = random_graph(rng, rng.randint(1, 30), p)
+            if trial % 3 == 0:  # isolated vertices on either side
+                g = disjoint_union([complete(1), g, complete(1)])
+            assert_peel_matches_full_build(g)
+
+    def test_disconnected_unions(self):
+        assert_peel_matches_full_build(disjoint_union([cube(3), path(5), complete(4)]))
+        assert_peel_matches_full_build(disjoint_union([complete(1)] * 3))
+
+    def test_kneser_graphs(self):
+        for p in ((6, 2), (8, 2), (10, 2), (12, 2), (9, 3)):
+            assert_peel_matches_full_build(kneser(*p))
+
+    @pytest.mark.slow
+    def test_every_connected_8_vertex_graph(self):
+        for line in connected_8_vertex_file().read_text().split():
+            assert_peel_matches_full_build(graph6_decode(line))
+
+    @pytest.mark.slow
+    def test_kneser_12_3(self):
+        assert_peel_matches_full_build(kneser(12, 3))
 
 
 class TestArrangementQuantifier:

@@ -55,7 +55,7 @@ from .products import (
     strong,
     tensor,
 )
-from .ra_core import classification_record, classify, elementary_divisors, ra_matrix
+from .ra_core import _record, _verdict, classify, elementary_divisors, ra_matrix
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -105,12 +105,14 @@ def _iter_graph6_inputs(args):
 
 
 def _records_for(g: Graph):
-    """Classification records, one per connected component."""
+    """Classification records, one per connected component.  The components
+    are searched once here; each part is connected, so its verdict and
+    record skip the search."""
     comps = connected_components(g)
     parts = [g] if len(comps) == 1 else [subgraph(g, comp) for comp in comps]
     out = []
     for part in parts:
-        rec = classification_record(part, classify(part))
+        rec = _record(part, _verdict(part), True)
         rec["graph6"] = graph6_encode(part)
         out.append(rec)
     return out

@@ -3,22 +3,49 @@
 A row lattice is held as its Hermite basis, a ``HermiteForm``: the lattice
 lives in Z^n with n = ``matrix.cols`` and has rank ``len(pivot_columns)``.
 Membership and axis multiples are both answered by folding one vector into
-that basis with the echelon routine that built it.
+that basis with the echelon engine that built it.
 
-Everything here works over plain Python integers, which are arbitrary
-precision; intermediate entries in normal-form reductions can grow far past
-any fixed word size, so no floating point and no fixed-width arithmetic is
-used anywhere in this module.
+The one echelon engine packs each row of Z^n into a single Python int of
+signed w-bit fields, x = sum of x_j * 2^(w*j), so that a row update
+``r - q*b`` or a unimodular gcd step is one big-integer expression instead
+of a loop over entries (M4RI's packed GF(2) rows, Albrecht, Bard and Hart,
+ACM TOMS 2010, carried over to signed fields).  Python ints are arbitrary
+precision and every operation on a packed row is exact; a field width only
+decides whether the fields can be read back.  Exactness rests on one
+invariant and three rules:
+
+- Invariant: every field of every live row is below 2^(w-1) in magnitude.
+  Then the fields are the unique such digits of x, the leading column is
+  ``((x & -x).bit_length() - 1) // w``, and any field is read exactly, by
+  masking after a bias of 2^(w-1) per field.
+- A-priori bound: each row carries a bound on the magnitude of its fields,
+  and an update runs only when the bound of its result, |r| + |q|*|b| or the
+  like for the gcd step, is below 2^(w-1).
+- SWAR re-tightening: when that bound does not fit, the bounds of both rows
+  are re-tightened by range tests: x + sum of 2^(w*j + k), ANDed with the
+  bits at k + 1 and above of every field, is 0 exactly when every field lies
+  in [-2^k, 2^k).  That is two big-integer operations, not an unpack.
+- Repack at 2w: when neither bound tightens, the live basis and the row in
+  hand are unpacked and repacked in place at twice the width, and the step
+  is tried again.
+
+No floating point is used anywhere in this module.
 
 The Hermite convention is fixed project-wide: row-style upper echelon,
 strictly positive pivots, entries above each pivot reduced into ``[0, pivot)``.
 The resulting basis is canonical for the integer row lattice under the given
-column order, so outputs are bit-exact and comparable.
+column order, so outputs are bit-exact and comparable.  The engine keeps
+its basis in that form after every insert that changes it, re-reading only
+the entries the insert can have moved out of range.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from array import array
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd, isqrt, prod
 from operator import index, mul
 
@@ -117,6 +144,10 @@ class HermiteForm:
     matrix: IntMatrix
     pivot_columns: tuple  # 1-based
     diagonal: tuple  # length cols; zero where no pivot meets the diagonal
+    # the packed basis that membership and axis queries fold into, made on
+    # first use
+    _echelon: object = field(default=None, init=False, repr=False,
+                             compare=False)
 
 
 def _xgcd(a: int, b: int):
@@ -134,96 +165,302 @@ def _xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def _leading(row, start, n):
-    for k in range(start, n):
-        if row[k]:
-            return k
-    return None
+# Signed array typecodes by field width, which pack and unpack whole rows
+# in one call; other widths, or a big-endian host, go field by field.
+_TYPECODES = ({8 * array(c).itemsize: c for c in "hiq"}
+              if sys.byteorder == "little" else {})
 
 
-def _insert_row(basis: dict, row: list, n: int) -> bool:
-    """Fold one row into an echelon basis keyed by pivot column.
+class _Layout:
+    """Constants of n signed w-bit fields packed into one int, made once per
+    (n, w) and shared by every build of that shape."""
 
-    The basis stays row-equivalent to everything inserted so far; rows that
-    lie in the current lattice reduce to zero and vanish.  Returns True when
-    a pivot was added or changed (callers then re-reduce the basis, which is
-    what keeps entries from compounding across insertions).
+    __slots__ = ("w", "half", "mask", "bias", "nbytes", "code", "spread",
+                 "ladder")
+
+    def __init__(self, n: int, w: int):
+        ones = ((1 << (w * n)) - 1) // ((1 << w) - 1)  # sum of 2^(w*j)
+        self.w = w
+        self.half = 1 << (w - 1)
+        self.mask = (1 << w) - 1
+        self.bias = ones << (w - 1)  # turns field x_j into x_j + half >= 0
+        self.nbytes = n * w // 8
+        self.code = _TYPECODES.get(w)
+        # (c, spread, fields): c <= w - 1 bits b of a 0/1 mask move out to
+        # stride w as (b * spread) & fields, because bit i of b times bit k
+        # of spread lands alone at i + k*(w - 1), a multiple of w only for
+        # k = i
+        c = min(w - 1, 63)
+        self.spread = (c, sum(1 << k * (w - 1) for k in range(c)),
+                       sum(1 << i * w for i in range(c)))
+        # (2^k, bias_k, mask_k): (x + bias_k) & mask_k is 0 exactly when
+        # every field of x lies in [-2^k, 2^k), for k <= w - 3
+        self.ladder = tuple(
+            (1 << k, ones << k, ones * ((1 << w) - (2 << k)))
+            for k in (w // 4, w // 2, w - 3)
+        )
+
+    def pack(self, row) -> int:
+        """The packed int of an int read as a 0/1 row (bit j is column j),
+        or of an integer sequence of length n with entries below 2^(w-1) in
+        magnitude."""
+        if isinstance(row, int):
+            c, spread, fields = self.spread
+            chunk = (1 << c) - 1
+            x = shift = 0
+            while row:
+                x |= ((row & chunk) * spread & fields) << shift
+                row >>= c
+                shift += c * self.w
+            return x
+        # two's complement fields t_j; t_j ^ half = x_j + half, with no
+        # carry between fields
+        if self.code:
+            raw = array(self.code, row).tobytes()
+        else:
+            size = self.w // 8
+            raw = b"".join([x.to_bytes(size, "little", signed=True)
+                            for x in row])
+        return (int.from_bytes(raw, "little") ^ self.bias) - self.bias
+
+    def fields(self, x: int):
+        """The n fields of a packed row with at most n fields, as a
+        sequence."""
+        raw = ((x + self.bias) ^ self.bias).to_bytes(self.nbytes, "little")
+        if self.code:
+            return memoryview(raw).cast(self.code)
+        size = self.w // 8
+        return [int.from_bytes(raw[i:i + size], "little", signed=True)
+                for i in range(0, len(raw), size)]
+
+
+_layout = lru_cache(maxsize=64)(_Layout)
+
+
+class _Echelon:
+    """Echelon basis of packed rows in Z^n, keyed by pivot column.
+
+    ``rows[j]`` is the row whose leading field is column j, shifted down by
+    j fields so that its field 0 is the pivot; ``pivots[j]`` is that
+    (positive) field, and ``bounds[j]`` bounds the magnitude of every field
+    of the row.
     """
-    changed = False
-    stack = [row]
-    while stack:
-        r = stack.pop()
-        j = _leading(r, 0, n)
-        while j is not None:
-            b = basis.get(j)
+
+    __slots__ = ("n", "layout", "rows", "pivots", "bounds")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.layout = _layout(n, 16)
+        self.rows = {}
+        self.pivots = {}
+        self.bounds = {}
+
+    def copy(self) -> "_Echelon":
+        e = _Echelon.__new__(_Echelon)
+        e.n, e.layout = self.n, self.layout
+        e.rows, e.pivots, e.bounds = (
+            self.rows.copy(), self.pivots.copy(), self.bounds.copy())
+        return e
+
+    def add(self, row) -> list:
+        """Fold one row (an int read as a 0/1 row, or an integer sequence of
+        length n) into the basis; return the pivot columns whose row was
+        added or replaced, which is empty exactly when the row was in the
+        lattice already."""
+        if isinstance(row, int):
+            if not row:
+                return []
+            j = (row & -row).bit_length() - 1
+            return self._insert(self.layout.pack(row >> j), j, 1)
+        m = max(map(abs, row))
+        while m >= self.layout.half:
+            self._widen()
+        r = self.layout.pack(row)
+        if not r:
+            return []
+        j = ((r & -r).bit_length() - 1) // self.layout.w
+        return self._insert(r >> self.layout.w * j, j, m)
+
+    def _insert(self, r: int, j: int, m: int) -> list:
+        """``add`` for a nonzero packed row r that leads at column j and is
+        shifted down by j fields, with fields at most m in magnitude.
+
+        A row that meets pivot p with lead x loses (x // p) times the pivot
+        row when p divides x.  Otherwise the pair (pivot row b, r) becomes
+        (s*b + t*r, u*b - v*r), with s*p + t*x = g = gcd(p, x), u = x/g and
+        v = p/g: a unimodular step whose first row leads with g and whose
+        second row is zero at column j.
+        """
+        rows, pivots, bounds = self.rows, self.pivots, self.bounds
+        touched = []
+        lay = self.layout
+        w, half, mask = lay.w, lay.half, lay.mask
+        while True:
+            # the lead x is field 0 of r, read off |r| so that the AND
+            # touches only the low digits
+            if r > 0:
+                x = r & mask
+                if x >= half:
+                    x -= mask + 1
+            else:
+                x = -r & mask
+                x = mask + 1 - x if x >= half else -x
+            b = rows.get(j)
             if b is None:
-                if r[j] < 0:
-                    r = [-x for x in r]
-                basis[j] = r
-                changed = True
-                break
-            p = b[j]
-            x = r[j]
+                if x < 0:
+                    r, x = -r, -x
+                rows[j], pivots[j], bounds[j] = r, x, m
+                touched.append(j)
+                return touched
+            p = pivots[j]
+            mb = bounds[j]
             q, rem = divmod(x, p)
-            if rem == 0:
-                if q:
-                    r[j:] = [a - q * c for a, c in zip(r[j:], b[j:])]
-                j = _leading(r, j + 1, n)
+            if not rem:
+                mr = m + abs(q) * mb
+                fits = mr < half
+                if fits:
+                    r = r - b if q == 1 else r + b if q == -1 else r - q * b
             else:
                 g, s, t = _xgcd(p, x)
-                new = [s * a + t * c for a, c in zip(b[j:], r[j:])]
-                qb = p // g
-                qr = x // g
-                old = [a - qb * c for a, c in zip(b[j:], new)]
-                r[j:] = [a - qr * c for a, c in zip(r[j:], new)]
-                basis[j] = [0] * j + new
-                changed = True
-                # the displaced old basis row leads strictly right of j
-                old_full = [0] * j + old
-                if _leading(old_full, j + 1, n) is not None:
-                    stack.append(old_full)
-                j = _leading(r, j + 1, n)
-    return changed
+                u, v = x // g, p // g
+                mn = abs(s) * mb + abs(t) * m
+                mr = abs(u) * mb + abs(v) * m
+                fits = mn < half and mr < half
+                if fits:
+                    rows[j], pivots[j], bounds[j] = s * b + t * r, g, mn
+                    touched.append(j)
+                    r = u * b - v * r
+            if fits:
+                # r is zero at column j now: shift it down to its next lead
+                if not r:
+                    return touched
+                m = mr
+                y = r if r > 0 else -r
+                d = ((y ^ (y - 1)).bit_length() - 1) // w
+                r >>= w * d
+                j += d
+                continue
+            # the a-priori bound is past 2^(w-1): retry with tighter
+            # bounds, or at twice the width when neither bound tightens
+            tm, bounds[j] = self._tighten(r, m), self._tighten(b, mb)
+            if tm == m and bounds[j] == mb:
+                (r,) = self._widen(r)
+                lay = self.layout
+                w, half, mask = lay.w, lay.half, lay.mask
+            m = tm
+
+    def reduce(self, touched: list) -> None:
+        """Bring every above-pivot entry back into [0, pivot) after an
+        insert that changed the rows at ``touched``.
+
+        Rows are reduced one at a time, each against the pivots right of it
+        in increasing order.  Only the entries that can be out of range are
+        read: every row's entry at a touched pivot, and every entry of a row
+        that was touched or has just been changed, right of the change.
+        Every other above-pivot entry is still in [0, pivot).
+        """
+        rows, pivots = self.rows, self.pivots
+        order = sorted(rows)
+        hot = sorted(set(touched))
+        for i, a in enumerate(order):
+            if a > hot[-1]:
+                break
+            start = i + 1
+            if a not in hot:
+                start = 0
+                lay = self.layout
+                for c in hot:
+                    if c > a:
+                        x = rows[a] + lay.bias >> lay.w * (c - a) & lay.mask
+                        q = (x - lay.half) // pivots[c]
+                        if q:
+                            self._sub(a, q, c)
+                            start = bisect_right(order, c)
+                            break
+                if not start:
+                    continue
+            rest = order[start:]
+            if rest:
+                f = self.layout.fields(rows[a])
+                for c in rest:
+                    q = f[c - a] // pivots[c]
+                    if q:
+                        self._sub(a, q, c)
+                        f = self.layout.fields(rows[a])
+
+    def _sub(self, a: int, q: int, c: int) -> None:
+        """Row a -= q * row c (c > a), first tightening or widening until
+        the a-priori bound of the result is below 2^(w-1)."""
+        rows, bounds = self.rows, self.bounds
+        m = bounds[a] + abs(q) * bounds[c]
+        while m >= self.layout.half:
+            ma = self._tighten(rows[a], bounds[a])
+            mc = self._tighten(rows[c], bounds[c])
+            if ma == bounds[a] and mc == bounds[c]:
+                self._widen()
+            bounds[a], bounds[c] = ma, mc
+            m = ma + abs(q) * mc
+        rows[a] -= q * rows[c] << self.layout.w * (c - a)
+        bounds[a] = m
+
+    def _tighten(self, x: int, m: int) -> int:
+        """A bound on the fields of x no larger than m, from at most three
+        SWAR range tests."""
+        for cap, bias, mask in self.layout.ladder:
+            if m <= cap:
+                break
+            if not (x + bias) & mask:
+                return cap
+        return m
+
+    def _widen(self, *extra) -> list:
+        """Repack the basis, and the rows ``extra``, at twice the width."""
+        old = self.layout
+        new = self.layout = _layout(self.n, 2 * old.w)
+        rows = self.rows
+        for j, x in rows.items():
+            rows[j] = new.pack(list(old.fields(x)))
+        return [new.pack(list(old.fields(x))) for x in extra]
+
+    def unpacked(self) -> dict:
+        """The basis as tuples of length n, keyed by pivot column."""
+        n, fields = self.n, self.layout.fields
+        return {j: (0,) * j + tuple(fields(x)[:n - j])
+                for j, x in self.rows.items()}
+
+
+def _build(rows, n: int) -> _Echelon:
+    """Fold ``rows`` into a fresh basis, reducing above the pivots after
+    each insert that changes it.  Insertion stops early once the basis is
+    the full standard lattice (all n pivots equal to 1): no further integer
+    row can change it."""
+    e = _Echelon(n)
+    pivots = e.pivots
+    for row in rows:
+        touched = e.add(row)
+        if touched:
+            e.reduce(touched)
+            if len(pivots) == n and all(p == 1 for p in pivots.values()):
+                break
+    return e
 
 
 def _echelon_basis(rows, n: int) -> dict:
-    """Echelon basis of the lattice spanned by ``rows``.
+    """Hermite basis of the lattice spanned by ``rows``, keyed by 0-based
+    pivot column, each row a tuple of length n.
 
-    A repeated row reduces to zero, and insertion stops early once the basis
-    is the full standard lattice (all n pivots equal to 1): no further
-    integer row can change it.
+    A row is an integer sequence of length n, or an int read as a 0/1 row
+    (bit j is column j).  Every Hermite build of a row lattice passes here;
+    the Smith rounds and the lattice queries use the engine directly.
     """
-    basis: dict = {}
-    for row in rows:
-        if _insert_row(basis, list(row), n):
-            _reduce_above(basis, n)
-            if len(basis) == n and all(basis[j][j] == 1 for j in basis):
-                break
-    return basis
-
-
-def _reduce_above(basis: dict, n: int) -> list:
-    """Order basis rows and reduce above-pivot entries into [0, pivot)."""
-    pivots = sorted(basis)
-    rows = [basis[j] for j in pivots]
-    for k, j in enumerate(pivots):
-        p = rows[k][j]
-        for i in range(k):
-            q = rows[i][j] // p  # floor puts the entry into [0, p)
-            if q:
-                ri = rows[i]
-                rk = rows[k]
-                ri[j:] = [a - q * c for a, c in zip(ri[j:], rk[j:])]
-    return rows
+    return _build(rows, n).unpacked()
 
 
 def _hermite_form(rows, n: int) -> HermiteForm:
-    """Hermite basis of the lattice spanned by ``rows``, a list or tuple of
-    integer sequences of length ``n``: the echelon build behind
+    """Hermite basis of the lattice spanned by ``rows`` (as
+    ``_echelon_basis`` takes them): the echelon build behind
     ``hermite_normal_form`` and the core of each RA lattice."""
-    basis = _echelon_basis(rows, n)
-    _reduce_above(basis, n)
-    return _form_of(basis, n)
+    return _form_of(_echelon_basis(rows, n), n)
 
 
 def _form_of(basis: dict, n: int) -> HermiteForm:
@@ -262,12 +499,8 @@ def _snf_divisors(rows) -> list:
     divisor chain.
     """
     while any(sum(1 for x in row if x) > 1 for row in rows):
-        n = len(rows)
-        basis: dict = {}
-        for col in zip(*rows):
-            if _insert_row(basis, list(col), n):
-                _reduce_above(basis, n)
-        rows = _reduce_above(basis, n)
+        basis = _build(list(zip(*rows)), len(rows)).unpacked()
+        rows = [basis[j] for j in sorted(basis)]
     d = [x for row in rows for x in row if x]
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
@@ -303,11 +536,16 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     return lattice_smith_form(hermite_normal_form(m), min(m.rows, m.cols))
 
 
-def _pivot_rows(h: HermiteForm) -> dict:
-    """The basis of ``h`` keyed by 0-based pivot column, as ``_insert_row``
-    takes it.  The row tuples are shared: ``_insert_row`` replaces basis
-    rows but never writes into one."""
-    return dict(zip([j - 1 for j in h.pivot_columns], h.matrix.data))
+def _lattice_echelon(h: HermiteForm) -> _Echelon:
+    """A copy of the packed basis of ``h``, which is packed on first use
+    and kept on ``h``."""
+    e = h._echelon
+    if e is None:
+        e = _Echelon(h.matrix.cols)
+        for j, row in zip(h.pivot_columns, h.matrix.data):
+            e.add(row)
+        object.__setattr__(h, "_echelon", e)
+    return e.copy()
 
 
 def lattice_contains(h: HermiteForm, v) -> bool:
@@ -316,11 +554,10 @@ def lattice_contains(h: HermiteForm, v) -> bool:
     v lies in the lattice exactly when it reduces to zero against the
     Hermite basis, that is when inserting it changes no pivot.
     """
-    n = h.matrix.cols
     v = list(map(index, v))
-    if len(v) != n:
+    if len(v) != h.matrix.cols:
         raise ValueError("dimension mismatch")
-    return not _insert_row(_pivot_rows(h), v, n)
+    return not _lattice_echelon(h).add(v)
 
 
 def minimal_axis_multiple(h: HermiteForm, i: int) -> int:
@@ -333,14 +570,12 @@ def minimal_axis_multiple(h: HermiteForm, i: int) -> int:
     n = h.matrix.cols
     if not 1 <= i <= n:
         raise IndexError(f"column index {i} out of range 1..{n}")
-    basis = _pivot_rows(h)
-    old_prod = prod(row[j] for j, row in basis.items())
-    e = [0] * n
-    e[i - 1] = 1
-    _insert_row(basis, e, n)
-    if len(basis) > len(h.pivot_columns):
+    e = _lattice_echelon(h)
+    old_prod = prod(e.pivots.values())
+    e.add(1 << (i - 1))
+    if len(e.pivots) > len(h.pivot_columns):
         return 0
-    return old_prod // prod(row[j] for j, row in basis.items())
+    return old_prod // prod(e.pivots.values())
 
 
 def _is_prime(p: int) -> bool:

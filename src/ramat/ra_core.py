@@ -141,6 +141,25 @@ def _peel(masks: list):
         masks = list(rows)
 
 
+def _squeeze(masks: list, peeled: int, n: int) -> list:
+    """The masks with the peeled bits taken out, so that bit i is the i-th
+    unpeeled column: each run of unpeeled columns shifts down as one."""
+    if not peeled:
+        return masks
+    runs = []  # (lowest column, run mask, shift down)
+    j = k = 0
+    while j < n:
+        start = j
+        while j < n and not peeled >> j & 1:
+            j += 1
+        if j > start:
+            runs.append((start, (1 << (j - start)) - 1, start - k))
+            k += j - start
+        j += 1
+    return [sum((m & run << lo) >> down for lo, run, down in runs)
+            for m in masks]
+
+
 class _Lattice(NamedTuple):
     """One graph's RA row lattice, split by the peel.
 
@@ -173,8 +192,10 @@ def _latest_lattice(g: Graph) -> _Lattice:
     core = None
     if masks:
         columns = [j for j in range(n) if not peeled >> j & 1]
-        core = _hermite_form([[m >> j & 1 for j in columns] for m in masks],
-                             len(columns))
+        # the Hermite form does not depend on row order, and sparse rows
+        # first keep the transient entries small
+        rows = sorted(_squeeze(masks, peeled, n), key=int.bit_count)
+        core = _hermite_form(rows, len(columns))
         for row, j in zip(core.matrix.data, core.pivot_columns):
             full = [0] * n
             for k, x in zip(columns, row):
@@ -204,7 +225,12 @@ def classify(g: Graph):
     verdict per component (component order follows smallest vertex)."""
     comps = connected_components(g)
     if len(comps) > 1:
-        return [classify(subgraph(g, comp)) for comp in comps]
+        return [_verdict(subgraph(g, comp)) for comp in comps]
+    return _verdict(g)
+
+
+def _verdict(g: Graph) -> RAClassification:
+    """``classify`` of a graph already known to be connected."""
     n = g.n
     lat = _latest_lattice(g)
     sf = _smith_form(lat, n)
@@ -243,11 +269,16 @@ def classification_record(g: Graph, c: RAClassification | None = None) -> dict:
         c = classify(g)
         if isinstance(c, list):
             raise ValueError("pass per-component classifications explicitly")
+    return _record(g, c, is_connected(g))
+
+
+def _record(g: Graph, c: RAClassification, connected: bool) -> dict:
+    """``classification_record`` with the connectivity already known."""
     return {
         "n": g.n,
         "girth": girth(g),
         "bipartite": is_bipartite(g) is not None,
-        "connected": is_connected(g),
+        "connected": connected,
         "divisors": list(c.divisors),
         "nullity": c.nullity,
         "status": c.status,

@@ -1,9 +1,9 @@
 """Independent oracles and corpus helpers for the test suite.
 
 The normal-form oracles here deliberately share no code with the library:
-a first-nonzero-pivot textbook reduction and, for small matrices, divisor
-chains obtained from gcds of k x k minors.  Disagreement with the library
-on any input is a test failure.
+a first-nonzero-pivot textbook Smith reduction, a textbook Hermite form,
+and, for small matrices, divisor chains obtained from gcds of k x k minors.
+Disagreement with the library on any input is a test failure.
 """
 
 from __future__ import annotations
@@ -116,6 +116,45 @@ def determinantal_divisors(rows) -> list:
         prev = g
     chain += [0] * (min(m, n) - len(chain))
     return chain
+
+
+def ref_hermite(rows) -> tuple:
+    """Textbook row-style Hermite form: (rows, pivot columns), the pivot
+    columns 1-based.
+
+    Column by column, Euclid's algorithm on the rows below the last pivot
+    leaves one row with a nonzero entry there; that row is made positive at
+    its pivot and reduces the rows above it into [0, pivot).  Zero rows are
+    dropped, so a rank-0 matrix gives ((), ()).
+    """
+    mat = [list(map(int, r)) for r in rows]
+    m, n = len(mat), len(mat[0])
+    top = 0  # rows above top are pivot rows
+    pivots = []
+    for col in range(n):
+        while True:
+            live = [i for i in range(top, m) if mat[i][col]]
+            if not live:
+                break
+            best = min(live, key=lambda i: abs(mat[i][col]))
+            mat[top], mat[best] = mat[best], mat[top]
+            p = mat[top][col]
+            for i in range(top + 1, m):
+                q = mat[i][col] // p
+                mat[i] = [a - q * b for a, b in zip(mat[i], mat[top])]
+            if all(mat[i][col] == 0 for i in range(top + 1, m)):
+                break
+        if top == m or mat[top][col] == 0:
+            continue
+        if mat[top][col] < 0:
+            mat[top] = [-a for a in mat[top]]
+        p = mat[top][col]
+        for i in range(top):
+            q = mat[i][col] // p
+            mat[i] = [a - q * b for a, b in zip(mat[i], mat[top])]
+        pivots.append(col + 1)
+        top += 1
+    return tuple(tuple(r) for r in mat[:top]), tuple(pivots)
 
 
 def random_int_matrix(rng: random.Random, rows: int, cols: int, lo=-9, hi=9):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramat import intlin
 from ramat.intlin import (
     IntMatrix,
     hermite_normal_form,
@@ -24,6 +25,7 @@ from support import (
     mat_mul,
     random_int_matrix,
     random_permutation_matrix,
+    ref_hermite,
     ref_smith_divisors,
 )
 
@@ -345,6 +347,91 @@ class TestMinimalAxisMultiple:
                 pm = [[row[j] for j in order] for row in m]
                 h = hermite_normal_form(IntMatrix(pm))
                 assert h.diagonal[-1] == minimal_axis_multiple(lat, i)
+
+
+# Entries at and next to +-2^62, +-2^63, +-2^64 and +-2^70 push the packed
+# rows past 64-bit fields, so the basis is repacked at twice the width both
+# while a row is packed and in the middle of an insert.
+WIDE = sorted({s * (2 ** k + d) for k in (62, 63, 64, 70)
+               for s in (-1, 1) for d in (-1, 0, 1)})
+ENTRIES = st.one_of(st.integers(-9, 9), st.sampled_from(WIDE))
+
+
+@st.composite
+def wide_matrices(draw):
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5))
+    return [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+
+
+def ref_contains(rows, v) -> bool:
+    """v is in the row lattice exactly when adding it as a row leaves the
+    textbook Hermite form as it is."""
+    return ref_hermite(rows + [v]) == ref_hermite(rows)
+
+
+def ref_axis_multiple(rows, i: int) -> int:
+    """With column i moved last, the lattice meets the axis of i in the
+    multiples of the last row exactly when that row pivots in the last
+    column: it is then (0, ..., 0, a)."""
+    n = len(rows[0])
+    order = [j for j in range(n) if j != i - 1] + [i - 1]
+    basis, pivots = ref_hermite([[r[j] for j in order] for r in rows])
+    return basis[-1][-1] if pivots and pivots[-1] == n else 0
+
+
+class TestAgainstTextbookHermite:
+    """The library against ``ref_hermite``, on matrices with negative and
+    wide entries."""
+
+    @given(wide_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_hermite_form(self, m):
+        basis, pivots = ref_hermite(m)
+        h = hermite_normal_form(IntMatrix(m))
+        assert h.pivot_columns == pivots
+        assert h.matrix.data == (basis or ((0,) * len(m[0]),))
+
+    @given(wide_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_smith_form(self, m):
+        basis, pivots = ref_hermite(m)
+        sf = smith_normal_form(IntMatrix(m))
+        assert sf.rank == len(pivots)
+        if basis:
+            assert list(sf.divisors[:sf.rank]) == ref_smith_divisors(basis)
+
+    @given(wide_matrices(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_membership_and_axis_multiples(self, m, data):
+        n = len(m[0])
+        h = hermite_normal_form(IntMatrix(m))
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(m),
+                                    max_size=len(m)))
+        inside = [sum(c * r[j] for c, r in zip(coeffs, m)) for j in range(n)]
+        other = data.draw(st.lists(ENTRIES, min_size=n, max_size=n))
+        assert lattice_contains(h, inside)
+        assert lattice_contains(h, other) == ref_contains(m, other)
+        for i in range(1, n + 1):
+            assert minimal_axis_multiple(h, i) == ref_axis_multiple(m, i)
+
+    def test_repack_in_the_middle_of_an_insert(self, monkeypatch):
+        # the second row meets the pivot 2^70 with lead 2^70 + 1: the
+        # unimodular step's a-priori bound, about 2^141, is past the 128-bit
+        # fields the first row was packed at
+        widths = []
+        real = intlin._Echelon._widen
+
+        def widen(self, *extra):
+            widths.append(self.layout.w)
+            return real(self, *extra)
+
+        monkeypatch.setattr(intlin._Echelon, "_widen", widen)
+        m = [[2 ** 70, 1, -3], [2 ** 70 + 1, 1, 5], [7, -2 ** 64, 0]]
+        h = hermite_normal_form(IntMatrix(m))
+        assert widths[-1] == 128
+        basis, pivots = ref_hermite(m)
+        assert (h.matrix.data, h.pivot_columns) == (basis, pivots)
 
 
 class TestKernelModP:

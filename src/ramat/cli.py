@@ -55,7 +55,7 @@ from .products import (
     strong,
     tensor,
 )
-from .ra_core import _record, _verdict, classify, elementary_divisors, ra_matrix
+from .ra_core import _record, _verdict, classify, is_ra, ra_matrix
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -241,11 +241,10 @@ def batch_category(g: Graph):
     if gi == 3:
         if not is_neighborhood_distinguishable(g):
             return ("3", "nbhd-indistinguishable")
-        ra = all(d == 1 for d in elementary_divisors(g).divisors)
+        ra = is_ra(g)
         return ("3", "nbhd-distinguishable-ra" if ra else "nbhd-distinguishable-not-ra")
     if gi == 4:
-        ra = all(d == 1 for d in elementary_divisors(g).divisors)
-        return ("4", "ra" if ra else "not-ra")
+        return ("4", "ra" if is_ra(g) else "not-ra")
     return ("5+", "all")
 
 

@@ -255,6 +255,9 @@ class _Echelon:
         self.pivots = {}
         self.bounds = {}
 
+    def __len__(self) -> int:  # the rank
+        return len(self.rows)
+
     def copy(self) -> "_Echelon":
         e = _Echelon.__new__(_Echelon)
         e.n, e.layout = self.n, self.layout
@@ -430,10 +433,11 @@ class _Echelon:
 
 
 def _build(rows, n: int) -> _Echelon:
-    """Fold ``rows`` into a fresh basis, reducing above the pivots after
-    each insert that changes it.  Insertion stops early once the basis is
-    the full standard lattice (all n pivots equal to 1): no further integer
-    row can change it."""
+    """Packed Hermite basis of the lattice spanned by ``rows`` (integer
+    sequences of length n, or ints read as 0/1 rows with bit j at column
+    j), reducing above the pivots after each insert that changes it.
+    Insertion stops early once the basis is the full standard lattice (all
+    n pivots equal to 1): no further integer row can change it."""
     e = _Echelon(n)
     pivots = e.pivots
     for row in rows:
@@ -445,22 +449,10 @@ def _build(rows, n: int) -> _Echelon:
     return e
 
 
-def _echelon_basis(rows, n: int) -> dict:
-    """Hermite basis of the lattice spanned by ``rows``, keyed by 0-based
-    pivot column, each row a tuple of length n.
-
-    A row is an integer sequence of length n, or an int read as a 0/1 row
-    (bit j is column j).  Every Hermite build of a row lattice passes here;
-    the Smith rounds and the lattice queries use the engine directly.
-    """
-    return _build(rows, n).unpacked()
-
-
-def _hermite_form(rows, n: int) -> HermiteForm:
-    """Hermite basis of the lattice spanned by ``rows`` (as
-    ``_echelon_basis`` takes them): the echelon build behind
-    ``hermite_normal_form`` and the core of each RA lattice."""
-    return _form_of(_echelon_basis(rows, n), n)
+# Every Hermite build of a row lattice calls the engine by this name, which
+# tracing and tests may rebind; the Smith rounds and the lattice queries
+# call ``_build`` directly.
+_echelon_basis = _build
 
 
 def _form_of(basis: dict, n: int) -> HermiteForm:
@@ -482,7 +474,7 @@ def hermite_normal_form(m: IntMatrix) -> HermiteForm:
     increasing pivot columns, positive pivots, and reduced above-pivot
     entries.
     """
-    return _hermite_form(m.data, m.cols)
+    return _form_of(_echelon_basis(m.data, m.cols).unpacked(), m.cols)
 
 
 def _snf_divisors(rows) -> list:
@@ -537,15 +529,15 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
 
 
 def _lattice_echelon(h: HermiteForm) -> _Echelon:
-    """A copy of the packed basis of ``h``, which is packed on first use
-    and kept on ``h``."""
+    """The packed basis of ``h``, packed on first use and kept on ``h``;
+    callers that fold into it fold into a copy."""
     e = h._echelon
     if e is None:
         e = _Echelon(h.matrix.cols)
-        for j, row in zip(h.pivot_columns, h.matrix.data):
+        for row in h.matrix.data:
             e.add(row)
         object.__setattr__(h, "_echelon", e)
-    return e.copy()
+    return e
 
 
 def lattice_contains(h: HermiteForm, v) -> bool:
@@ -557,23 +549,29 @@ def lattice_contains(h: HermiteForm, v) -> bool:
     v = list(map(index, v))
     if len(v) != h.matrix.cols:
         raise ValueError("dimension mismatch")
-    return not _lattice_echelon(h).add(v)
+    return not _lattice_echelon(h).copy().add(v)
 
 
 def minimal_axis_multiple(h: HermiteForm, i: int) -> int:
-    """Smallest a > 0 with a*e_i in the lattice, or 0 if none exists.
+    """Smallest a > 0 with a*e_i in the lattice, or 0 if none exists."""
+    n = h.matrix.cols
+    if not 1 <= i <= n:
+        raise IndexError(f"column index {i} out of range 1..{n}")
+    return _axis_multiple(_lattice_echelon(h), i - 1)
+
+
+def _axis_multiple(e: _Echelon, i: int) -> int:
+    """``minimal_axis_multiple`` of the lattice of e at the 0-based column
+    i, folded into a copy of e.
 
     The set {a : a*e_i in L} is an ideal of Z; its nonnegative generator is
     the index [L + Z*e_i : L], computed as the ratio of pivot products of the
     two Hermite bases.  A rank increase means the line only meets L in 0.
     """
-    n = h.matrix.cols
-    if not 1 <= i <= n:
-        raise IndexError(f"column index {i} out of range 1..{n}")
-    e = _lattice_echelon(h)
-    old_prod = prod(e.pivots.values())
-    e.add(1 << (i - 1))
-    if len(e.pivots) > len(h.pivot_columns):
+    e = e.copy()
+    rank, old_prod = len(e), prod(e.pivots.values())
+    e.add(1 << i)
+    if len(e) > rank:
         return 0
     return old_prod // prod(e.pivots.values())
 

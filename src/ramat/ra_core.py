@@ -14,20 +14,24 @@ left; the columns that remain form the core, and only the core's rows reach
 the echelon engine.  (A tree on 3 or more vertices and a graph of girth
 >= 5 peel every column, so they are RA on bitmasks alone.)  Each peeled
 column contributes one divisor 1 and axis multiple 1; the other divisors
-and axis multiples are the core's.  ``ra_lattice`` still returns the full
-canonical Hermite basis: the core's rows with the peeled columns put back
-as zeros, plus e_w at each peeled w, in pivot order.  That is already
-reduced, because every peeled pivot is 1.  Pair signs and the theorems read
-that basis.  The latest graph's lattice is kept, so consecutive calls on one
-graph (``classify``, a neighborly predictor, ``pair_sign``) share one peel
-and at most one echelon build.
+and axis multiples are the core's.
+
+A graph's lattice is the peel mask plus the core's packed echelon basis.
+When every pivot of the core is 1 (it is saturated), the pivot minor is
+unimodular and the core is a direct summand of Z^w, w its width.  Then its
+nonzero divisors are rank ones; a*e_i lies in it for some a > 0 only if e_i
+does, which is when i is a pivot whose row is e_i; and the graph is RA
+exactly when the core has full rank.  Only other cores run Smith rounds and
+fold e_i into a copy of their basis.  ``ra_lattice`` derives the full
+canonical Hermite basis on its first call for a graph.  The latest graph's
+lattice is kept, so calls on one graph (``classify``, a neighborly
+predictor, ``pair_sign``) share one peel and at most one echelon build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 from .graphs import (
     Graph,
@@ -38,15 +42,15 @@ from .graphs import (
     is_connected,
     subgraph,
 )
+from . import intlin
 from .intlin import (
     HermiteForm,
     IntMatrix,
     SmithForm,
+    _axis_multiple,
     _form_of,
-    _hermite_form,
+    _snf_divisors,
     lattice_contains,
-    lattice_smith_form,
-    minimal_axis_multiple,
 )
 
 __all__ = [
@@ -56,6 +60,7 @@ __all__ = [
     "ra_lattice",
     "elementary_divisors",
     "classify",
+    "is_ra",
     "classification_record",
     "pair_sign",
     "is_neighborly",
@@ -160,64 +165,93 @@ def _squeeze(masks: list, peeled: int, n: int) -> list:
             for m in masks]
 
 
-class _Lattice(NamedTuple):
+class _Lattice:
     """One graph's RA row lattice, split by the peel.
 
-    ``peeled`` is the mask of the peeled columns, ``core`` the Hermite basis
-    over the other columns in increasing order (None when every column is
-    peeled), and ``merged`` the full canonical basis in Z^n.
+    ``peeled`` is the mask of the peeled columns and ``core`` the packed
+    Hermite basis (an ``intlin._Echelon``) over the other ``width`` columns
+    in increasing order, None when every column is peeled.  ``saturated``
+    says every pivot of the core is 1, the case the module docstring
+    describes.  ``hermite`` is the full basis, made by ``ra_lattice``.
     """
 
-    peeled: int
-    core: HermiteForm | None
-    merged: HermiteForm
+    __slots__ = ("n", "peeled", "width", "core", "saturated", "ra", "hermite")
+
+    def __init__(self, g: Graph):
+        n = self.n = g.n
+        self.peeled, masks = _peel(_ra_masks(g))
+        self.width = n - self.peeled.bit_count()
+        self.core = self.hermite = None
+        self.saturated = self.ra = True
+        if masks:
+            # the Hermite form does not depend on row order, and sparse rows
+            # first keep the transient entries small
+            rows = sorted(_squeeze(masks, self.peeled, n), key=int.bit_count)
+            core = self.core = intlin._echelon_basis(rows, self.width)
+            self.saturated = all(p == 1 for p in core.pivots.values())
+            self.ra = self.saturated and len(core) == self.width
+
+    def smith_form(self) -> SmithForm:
+        """A divisor 1 per peeled column, then the core's nonzero divisors,
+        padded with zeros to n."""
+        n, ones = self.n, (1,) * (self.n - self.width)
+        if self.saturated:
+            nonzero = ones + (1,) * len(self.core or ())
+        else:
+            basis = self.core.unpacked()
+            nonzero = ones + tuple(_snf_divisors([basis[j] for j in sorted(basis)]))
+        rank = len(nonzero)
+        return SmithForm(nonzero + (0,) * (n - rank), rank, n - rank)
+
+    def axis_multiples(self) -> tuple:
+        """Least a > 0 with a*e_v in the lattice for each column v, or 0:
+        1 at a peeled column, the core's at the others."""
+        core, unit = self.core, self.saturated
+        at_core = (int(core.rows.get(i) == 1) if unit
+                   else _axis_multiple(core, i) for i in range(self.width))
+        return tuple(1 if self.peeled >> v & 1 else next(at_core)
+                     for v in range(self.n))
 
 
-def ra_lattice(g: Graph) -> HermiteForm:
-    """Hermite basis of the integer row lattice of the RA matrix.
-
-    It is the peeled unit columns plus the basis of the core, the one
-    echelon build per graph (none when every column is peeled).  The latest
-    graph's lattice is kept, so consecutive calls on one graph share it.
-    """
-    return _latest_lattice(g).merged
+# exact: Graph compares by (n, adj), and the lattice is never changed but
+# for its ``hermite``, which depends on the graph alone
+_latest_lattice = lru_cache(maxsize=1)(_Lattice)
 
 
-@lru_cache(maxsize=1)
-def _latest_lattice(g: Graph) -> _Lattice:
-    # exact: Graph compares by (n, adj), and the Hermite bases are immutable
-    n = g.n
-    peeled, masks = _peel(_ra_masks(g))
-    basis = {w: [0] * w + [1] + [0] * (n - 1 - w) for w in _bits(peeled)}
-    core = None
-    if masks:
-        columns = [j for j in range(n) if not peeled >> j & 1]
-        # the Hermite form does not depend on row order, and sparse rows
-        # first keep the transient entries small
-        rows = sorted(_squeeze(masks, peeled, n), key=int.bit_count)
-        core = _hermite_form(rows, len(columns))
-        for row, j in zip(core.matrix.data, core.pivot_columns):
+def _full_basis(lat: _Lattice) -> HermiteForm:
+    """The full canonical basis: the core's rows with the peeled columns
+    put back as zeros, plus e_w at each peeled w, in pivot order.  That is
+    already reduced, because every peeled pivot is 1."""
+    n = lat.n
+    basis = {w: [0] * w + [1] + [0] * (n - 1 - w) for w in _bits(lat.peeled)}
+    if lat.core is not None:
+        columns = [j for j in range(n) if not lat.peeled >> j & 1]
+        for j, row in lat.core.unpacked().items():
             full = [0] * n
             for k, x in zip(columns, row):
                 full[k] = x
-            basis[columns[j - 1]] = full
-    return _Lattice(peeled, core, _form_of(basis, n))
+            basis[columns[j]] = full
+    return _form_of(basis, n)
 
 
-def _smith_form(lat: _Lattice, n: int) -> SmithForm:
-    """Smith form of the whole lattice: a 1 per peeled column, then the
-    core's divisors, padded with zeros to n."""
-    ones = (1,) * lat.peeled.bit_count()
-    if lat.core is None:
-        return SmithForm(divisors=ones, rank=n, nullity=0)
-    sf = lattice_smith_form(lat.core, n - len(ones))
-    return SmithForm(divisors=ones + sf.divisors, rank=len(ones) + sf.rank,
-                     nullity=sf.nullity)
+def ra_lattice(g: Graph) -> HermiteForm:
+    """Hermite basis of the integer row lattice of the RA matrix, derived
+    on the first call for a graph and kept with its lattice."""
+    lat = _latest_lattice(g)
+    if lat.hermite is None:
+        lat.hermite = _full_basis(lat)
+    return lat.hermite
 
 
 def elementary_divisors(g: Graph) -> SmithForm:
     """Smith divisors of the RA matrix, padded with zeros to length n."""
-    return _smith_form(_latest_lattice(g), g.n)
+    return _latest_lattice(g).smith_form()
+
+
+def is_ra(g: Graph) -> bool:
+    """Whether the RA row lattice is all of Z^n, that is every elementary
+    divisor is 1, without a Smith form."""
+    return _latest_lattice(g).ra
 
 
 def classify(g: Graph):
@@ -231,21 +265,11 @@ def classify(g: Graph):
 
 def _verdict(g: Graph) -> RAClassification:
     """``classify`` of a graph already known to be connected."""
-    n = g.n
     lat = _latest_lattice(g)
-    sf = _smith_form(lat, n)
-    divisors = sf.divisors
-    axis = []
-    i = 0  # 1-based index of the core column
-    for v in range(n):
-        if lat.peeled >> v & 1:
-            axis.append(1)
-        else:
-            i += 1
-            axis.append(minimal_axis_multiple(lat.core, i))
-    axis = tuple(axis)
+    sf = lat.smith_form()
+    divisors, axis = sf.divisors, lat.axis_multiples()
     status, mu, nonuniform = "general", None, False
-    if all(d == 1 for d in divisors):
+    if lat.ra:
         status, mu = "RA", 1
     elif sf.nullity == 0 and all(d == 1 for d in divisors[:-1]):
         k = divisors[-1]

@@ -19,11 +19,13 @@ from ramat.graphs import (
     graph6_encode,
     is_bipartite,
     is_connected,
+    is_neighborhood_distinguishable,
     kneser,
     path,
     subgraph,
 )
 from ramat import intlin, ra_core
+from ramat.cli import batch_category
 from ramat.intlin import (
     IntMatrix,
     hermite_normal_form,
@@ -39,13 +41,20 @@ from ramat.ra_core import (
     is_neighborly,
     is_negatively_neighborly,
     is_positively_neighborly,
+    is_ra,
     pair_sign,
     ra_lattice,
     ra_matrix,
 )
 from ramat.theorems import mu_negatively_neighborly, mu_neighborly
 
-from support import activation_rows, connected_8_vertex_file, random_graph
+from support import (
+    activation_rows,
+    connected_8_vertex_file,
+    connected_graphs_up_to_iso,
+    random_graph,
+    ref_smith_divisors,
+)
 
 
 class TestActivationMatrix:
@@ -296,6 +305,92 @@ class TestOneLatticePerGraph:
             assert lat == hermite_normal_form(ra_matrix(g).matrix)
 
 
+def _count_full_bases(monkeypatch) -> list:
+    """Record every full-width basis ``ra_lattice`` derives from now on,
+    starting from an empty lattice memo."""
+    made = []
+    real = ra_core._full_basis
+
+    def counted(lat):
+        made.append(lat.n)
+        return real(lat)
+
+    monkeypatch.setattr(ra_core, "_full_basis", counted)
+    ra_core._latest_lattice.cache_clear()
+    return made
+
+
+class TestFullBasisOnDemand:
+    GRAPHS = (path(4), cube(3), crown(10), kneser(6, 2), complete(5))
+
+    def test_divisors_verdicts_and_batch_build_none(self, monkeypatch):
+        made = _count_full_bases(monkeypatch)
+        for g in self.GRAPHS:
+            classify(g)
+            elementary_divisors(g)
+            batch_category(g)
+            is_ra(g)
+        assert made == []
+
+    def test_sign_queries_on_one_graph_build_one(self, monkeypatch):
+        for g in self.GRAPHS:
+            made = _count_full_bases(monkeypatch)
+            classify(g)
+            pair_sign(g, *g.edges()[0])
+            is_neighborly(g)
+            mu_neighborly(g, is_bipartite(g) or (g.vertices(), ()))
+            assert ra_lattice(g) is ra_lattice(g)
+            assert made == [g.n]
+
+
+def old_batch_category(g):
+    """``batch_category`` with RA read off the Smith divisors."""
+    gi = girth(g)
+    if gi not in (3, 4):
+        return ("5+", "all")
+    if gi == 3 and not is_neighborhood_distinguishable(g):
+        return ("3", "nbhd-indistinguishable")
+    ra = all(d == 1 for d in elementary_divisors(g).divisors)
+    if gi == 3:
+        return ("3", "nbhd-distinguishable-ra" if ra else "nbhd-distinguishable-not-ra")
+    return ("4", "ra" if ra else "not-ra")
+
+
+class TestSaturatedCore:
+    def test_shortcut_matches_the_smith_and_axis_path(self):
+        # a core whose pivots are all 1 skips the Smith rounds and the axis
+        # folds; both kinds of core must answer like the full build
+        rng = random.Random(23)
+        cases = [graph6_decode("G?zTb_"), cube(3), kneser(6, 2), path(4)]
+        while len(cases) < 60:
+            g = random_graph(rng, rng.randint(1, 14), rng.choice((0.2, 0.4, 0.6)))
+            if is_connected(g):
+                cases.append(g)
+        kinds = set()
+        for g in cases:
+            n = g.n
+            h = hermite_normal_form(ra_matrix(g).matrix)
+            want = lattice_smith_form(h, n)
+            ref = ref_smith_divisors(ra_matrix(g).matrix.data)
+            ref += [0] * (n - len(ref))
+            sf = elementary_divisors(g)
+            c = classify(g)
+            assert sf == want and list(sf.divisors) == ref, graph6_encode(g)
+            assert c.divisors == sf.divisors and c.nullity == want.nullity
+            assert c.axis_multiples == tuple(
+                minimal_axis_multiple(h, i) for i in range(1, n + 1))
+            assert is_ra(g) == all(d == 1 for d in ref)
+            lat = ra_core._latest_lattice(g)
+            if lat.core is not None:
+                kinds.add(lat.saturated)
+        assert kinds == {True, False}
+
+    def test_batch_ra_question_matches_the_divisors(self):
+        for n in range(1, 7):
+            for g in connected_graphs_up_to_iso(n):
+                assert batch_category(g) == old_batch_category(g), graph6_encode(g)
+
+
 def assert_peel_matches_full_build(g):
     """The peeled lattice answers exactly like one echelon build over the
     whole RA matrix: the same Hermite basis, divisors and axis multiples."""
@@ -334,7 +429,9 @@ class TestPeel:
     @pytest.mark.slow
     def test_every_connected_8_vertex_graph(self):
         for line in connected_8_vertex_file().read_text().split():
-            assert_peel_matches_full_build(graph6_decode(line))
+            g = graph6_decode(line)
+            assert_peel_matches_full_build(g)
+            assert batch_category(g) == old_batch_category(g), line
 
     @pytest.mark.slow
     def test_kneser_12_3(self):

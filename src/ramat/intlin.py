@@ -44,7 +44,7 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, prod
 from operator import index, mul
@@ -144,10 +144,6 @@ class HermiteForm:
     matrix: IntMatrix
     pivot_columns: tuple  # 1-based
     diagonal: tuple  # length cols; zero where no pivot meets the diagonal
-    # the packed basis that membership and axis queries fold into, made on
-    # first use
-    _echelon: object = field(default=None, init=False, repr=False,
-                             compare=False)
 
 
 def _xgcd(a: int, b: int):
@@ -528,15 +524,12 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     return lattice_smith_form(hermite_normal_form(m), min(m.rows, m.cols))
 
 
-def _lattice_echelon(h: HermiteForm) -> _Echelon:
-    """The packed basis of ``h``, packed on first use and kept on ``h``;
-    callers that fold into it fold into a copy."""
-    e = h._echelon
-    if e is None:
-        e = _Echelon(h.matrix.cols)
-        for row in h.matrix.data:
-            e.add(row)
-        object.__setattr__(h, "_echelon", e)
+def _packed(h: HermiteForm) -> _Echelon:
+    """A fresh packed basis of ``h``.  Its rows are reduced already and lead
+    at increasing columns, so each is added as it is."""
+    e = _Echelon(h.matrix.cols)
+    for row in h.matrix.data:
+        e.add(row)
     return e
 
 
@@ -549,7 +542,7 @@ def lattice_contains(h: HermiteForm, v) -> bool:
     v = list(map(index, v))
     if len(v) != h.matrix.cols:
         raise ValueError("dimension mismatch")
-    return not _lattice_echelon(h).copy().add(v)
+    return not _packed(h).add(v)
 
 
 def minimal_axis_multiple(h: HermiteForm, i: int) -> int:
@@ -557,7 +550,7 @@ def minimal_axis_multiple(h: HermiteForm, i: int) -> int:
     n = h.matrix.cols
     if not 1 <= i <= n:
         raise IndexError(f"column index {i} out of range 1..{n}")
-    return _axis_multiple(_lattice_echelon(h), i - 1)
+    return _axis_multiple(_packed(h), i - 1)
 
 
 def _axis_multiple(e: _Echelon, i: int) -> int:

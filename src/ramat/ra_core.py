@@ -22,8 +22,10 @@ unimodular and the core is a direct summand of Z^w, w its width.  Then its
 nonzero divisors are rank ones; a*e_i lies in it for some a > 0 only if e_i
 does, which is when i is a pivot whose row is e_i; and the graph is RA
 exactly when the core has full rank.  Only other cores run Smith rounds and
-fold e_i into a copy of their basis.  ``ra_lattice`` derives the full
-canonical Hermite basis on its first call for a graph.  The latest graph's
+fold e_i into a copy of their basis.  A sign query e_u +- e_v drops its
+peeled coordinates, whose unit vectors lie in the lattice, and folds the
+rest into a copy of the core.  ``ra_lattice`` derives the full canonical
+Hermite basis on each call and does not keep it.  The latest graph's
 lattice is kept, so calls on one graph (``classify``, a neighborly
 predictor, ``pair_sign``) share one peel and at most one echelon build.
 """
@@ -50,7 +52,6 @@ from .intlin import (
     _axis_multiple,
     _form_of,
     _snf_divisors,
-    lattice_contains,
 )
 
 __all__ = [
@@ -172,16 +173,17 @@ class _Lattice:
     Hermite basis (an ``intlin._Echelon``) over the other ``width`` columns
     in increasing order, None when every column is peeled.  ``saturated``
     says every pivot of the core is 1, the case the module docstring
-    describes.  ``hermite`` is the full basis, made by ``ra_lattice``.
+    describes.  Every divisor, axis multiple and pair sign is read off these;
+    the full-width basis is derived only when ``ra_lattice`` asks for it.
     """
 
-    __slots__ = ("n", "peeled", "width", "core", "saturated", "ra", "hermite")
+    __slots__ = ("n", "peeled", "width", "core", "saturated", "ra")
 
     def __init__(self, g: Graph):
         n = self.n = g.n
         self.peeled, masks = _peel(_ra_masks(g))
         self.width = n - self.peeled.bit_count()
-        self.core = self.hermite = None
+        self.core = None
         self.saturated = self.ra = True
         if masks:
             # the Hermite form does not depend on row order, and sparse rows
@@ -212,9 +214,18 @@ class _Lattice:
         return tuple(1 if self.peeled >> v & 1 else next(at_core)
                      for v in range(self.n))
 
+    def contains_pair(self, u: int, v: int, s: int) -> bool:
+        """Whether e_u + s*e_v (0-based columns) is in the lattice.  Each
+        peeled column's unit vector is, so the vector is squeezed to the
+        core columns and folded into a copy of the core."""
+        peeled, x = self.peeled, [0] * self.width
+        for j, c in ((u, 1), (v, s)):
+            if not peeled >> j & 1:
+                x[j - (peeled & ((1 << j) - 1)).bit_count()] = c
+        return not any(x) or not self.core.copy().add(x)
 
-# exact: Graph compares by (n, adj), and the lattice is never changed but
-# for its ``hermite``, which depends on the graph alone
+
+# exact: Graph compares by (n, adj), and the lattice is never changed
 _latest_lattice = lru_cache(maxsize=1)(_Lattice)
 
 
@@ -236,11 +247,8 @@ def _full_basis(lat: _Lattice) -> HermiteForm:
 
 def ra_lattice(g: Graph) -> HermiteForm:
     """Hermite basis of the integer row lattice of the RA matrix, derived
-    on the first call for a graph and kept with its lattice."""
-    lat = _latest_lattice(g)
-    if lat.hermite is None:
-        lat.hermite = _full_basis(lat)
-    return lat.hermite
+    from the graph's lattice on each call."""
+    return _full_basis(_latest_lattice(g))
 
 
 def elementary_divisors(g: Graph) -> SmithForm:
@@ -311,16 +319,18 @@ def _record(g: Graph, c: RAClassification, connected: bool) -> dict:
     }
 
 
-def pair_sign_from_lattice(lat: HermiteForm, u: int, v: int) -> str:
-    n = lat.matrix.cols
-    plus = [0] * n
-    plus[u - 1] += 1
-    plus[v - 1] += 1
-    minus = [0] * n
-    minus[u - 1] += 1
-    minus[v - 1] -= 1
-    pos = lattice_contains(lat, plus)
-    neg = lattice_contains(lat, minus)
+def pair_sign(g: Graph, u: int, v: int) -> str:
+    """Membership of e_u + e_v and e_u - e_v in the RA row lattice:
+    "positive", "negative", "both", or "none"."""
+    if u == v:
+        raise ValueError("pair sign needs two distinct vertices")
+    n = g.n
+    for w in (u, v):
+        if not 1 <= w <= n:
+            raise IndexError(f"vertex {w} out of range 1..{n}")
+    lat = _latest_lattice(g)
+    pos = lat.contains_pair(u - 1, v - 1, 1)
+    neg = lat.contains_pair(u - 1, v - 1, -1)
     if pos and neg:
         return "both"
     if pos:
@@ -328,14 +338,6 @@ def pair_sign_from_lattice(lat: HermiteForm, u: int, v: int) -> str:
     if neg:
         return "negative"
     return "none"
-
-
-def pair_sign(g: Graph, u: int, v: int) -> str:
-    """Membership of e_u + e_v and e_u - e_v in the RA row lattice:
-    "positive", "negative", "both", or "none"."""
-    if u == v:
-        raise ValueError("pair sign needs two distinct vertices")
-    return pair_sign_from_lattice(ra_lattice(g), u, v)
 
 
 def is_neighborly(g: Graph) -> bool:

@@ -33,7 +33,7 @@ from .graphs import (
 )
 from .intlin import _is_prime
 from .products import disjoint_union, pyramid
-from .ra_core import elementary_divisors, pair_sign_from_lattice, ra_lattice
+from .ra_core import elementary_divisors, pair_sign
 
 __all__ = [
     "MuPrediction",
@@ -108,9 +108,8 @@ def mu_neighborly(g: Graph, parts) -> MuPrediction:
     u_set, v_set = (frozenset(p) for p in parts)
     if u_set & v_set or u_set | v_set != set(g.vertices()):
         return _inapplicable(tid, "parts do not partition the vertex set")
-    lat = ra_lattice(g)
     for a, b in combinations(g.vertices(), 2):
-        sign = pair_sign_from_lattice(lat, a, b)
+        sign = pair_sign(g, a, b)
         same = (a in u_set) == (b in u_set)
         want = "negative" if same else "positive"
         if sign != want and sign != "both":
@@ -143,9 +142,8 @@ def mu_negatively_neighborly(g: Graph) -> MuPrediction:
     tid = "negatively-neighborly"
     if not is_connected(g):
         return _inapplicable(tid, "graph is not connected")
-    lat = ra_lattice(g)
     for a, b in g.edges():
-        if pair_sign_from_lattice(lat, a, b) not in ("negative", "both"):
+        if pair_sign(g, a, b) not in ("negative", "both"):
             return _inapplicable(tid, f"edge ({a},{b}) is not negative")
     delta = gcd(*(degree(g, v) + 1 for v in g.vertices()))
     kappa = gcd(

@@ -1,5 +1,5 @@
-"""Every ramat module exports only names it defines, and none builds a
-graph through an edge list."""
+"""Every ramat module exports only names it defines, none builds a graph
+through an edge list, and none queries a full-width lattice."""
 
 import ast
 import importlib
@@ -41,14 +41,28 @@ def test_every_import_is_used_or_exported():
         assert sorted(imported - used - exported) == [], path.name
 
 
-def test_no_module_builds_a_graph_from_an_edge_list():
-    # every builder writes adjacency masks; from_edges is for callers only
+def _calls(names) -> dict:
+    """Module file name -> line numbers of its calls to any of ``names``,
+    by bare name or as an attribute, for every ramat module that has one."""
+    found = {}
     for path in sorted(Path(ramat.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        calls = [
+        lines = [
             node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "from_edges"
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in names
         ]
-        assert calls == [], path.name
+        if lines:
+            found[path.name] = lines
+    return found
+
+
+def test_no_module_builds_a_graph_from_an_edge_list():
+    # every builder writes adjacency masks; from_edges is for callers only
+    assert _calls({"from_edges"}) == {}
+
+
+def test_no_module_queries_a_full_width_lattice():
+    # every graph quantity is read off the peeled core lattice; the full
+    # Hermite basis and the queries on it are for callers and tests only
+    assert _calls({"ra_lattice", "lattice_contains", "minimal_axis_multiple"}) == {}

@@ -7,6 +7,7 @@ from math import prod
 import pytest
 
 from ramat.graphs import (
+    Graph,
     complete,
     connected_components,
     crown,
@@ -33,7 +34,7 @@ from ramat.intlin import (
     lattice_smith_form,
     minimal_axis_multiple,
 )
-from ramat.products import cartesian, disjoint_union
+from ramat.products import cartesian, disjoint_union, pyramid
 from ramat.ra_core import (
     classification_record,
     classify,
@@ -46,7 +47,11 @@ from ramat.ra_core import (
     ra_lattice,
     ra_matrix,
 )
-from ramat.theorems import mu_negatively_neighborly, mu_neighborly
+from ramat.theorems import (
+    construct_prescribed,
+    mu_negatively_neighborly,
+    mu_neighborly,
+)
 
 from support import (
     activation_rows,
@@ -300,9 +305,9 @@ class TestOneLatticePerGraph:
     def test_hit_equals_a_fresh_build(self):
         ra_core._latest_lattice.cache_clear()
         for g in (path(4), kneser(6, 2), disjoint_union([complete(3), path(3)])):
-            lat = ra_lattice(g)
-            assert ra_lattice(g) is lat
-            assert lat == hermite_normal_form(ra_matrix(g).matrix)
+            want = hermite_normal_form(ra_matrix(g).matrix)
+            assert ra_lattice(g) == want  # builds the graph's lattice
+            assert ra_lattice(g) == want  # derives again from the kept one
 
 
 def _count_full_bases(monkeypatch) -> list:
@@ -333,14 +338,19 @@ class TestFullBasisOnDemand:
         assert made == []
 
     def test_sign_queries_on_one_graph_build_one(self, monkeypatch):
+        # sign queries fold into the core and derive no full basis; each
+        # ra_lattice call derives exactly one and keeps none
         for g in self.GRAPHS:
             made = _count_full_bases(monkeypatch)
             classify(g)
             pair_sign(g, *g.edges()[0])
             is_neighborly(g)
             mu_neighborly(g, is_bipartite(g) or (g.vertices(), ()))
-            assert ra_lattice(g) is ra_lattice(g)
+            assert made == []
+            ra_lattice(g)
             assert made == [g.n]
+            ra_lattice(g)
+            assert made == [g.n, g.n]
 
 
 def old_batch_category(g):
@@ -521,6 +531,41 @@ class TestPairSignsAndNeighborliness:
     def test_pair_sign_rejects_equal_vertices(self):
         with pytest.raises(ValueError):
             pair_sign(complete(3), 2, 2)
+
+    def test_pair_sign_rejects_vertices_outside_1_to_n(self):
+        for g, u, v in ((complete(3), 0, 1), (path(3), 0, 2), (path(3), 4, 1),
+                        (path(3), 1, 4), (complete(3), -1, 2)):
+            with pytest.raises(IndexError, match=f"out of range 1..{g.n}"):
+                pair_sign(g, u, v)
+
+    def test_every_pair_matches_the_full_basis(self):
+        # the core fold answers like membership in the full Hermite basis,
+        # on graphs with a peel and a core, one that peels every column and
+        # one that peels none
+        rng = random.Random(31)
+        mixed = [pyramid(crown(8)), construct_prescribed([2, 4], 1)]
+        while len(mixed) < 12:
+            g = random_graph(rng, rng.randint(4, 9), 0.6)
+            n = g.n
+            tails = [(rng.randint(1, n), n + k) for k in range(1, rng.randint(2, 4))]
+            g = Graph.from_edges(tails[-1][1], g.edges() + tails)
+            if ra_core._latest_lattice(g).core is not None:  # not all peeled
+                mixed.append(g)
+        for g in mixed:
+            lat = ra_core._latest_lattice(g)
+            assert lat.peeled and lat.core is not None, graph6_encode(g)
+        assert ra_core._latest_lattice(path(5)).core is None
+        assert ra_core._latest_lattice(crown(10)).peeled == 0
+        for g in mixed + [path(5), crown(10)]:
+            h = hermite_normal_form(ra_matrix(g).matrix)
+            for u, v in combinations(g.vertices(), 2):
+                e = [int(w in (u, v)) for w in g.vertices()]
+                pos = lattice_contains(h, e)
+                e[v - 1] = -1
+                neg = lattice_contains(h, e)
+                want = {(1, 1): "both", (1, 0): "positive",
+                        (0, 1): "negative", (0, 0): "none"}[pos, neg]
+                assert pair_sign(g, u, v) == want, (graph6_encode(g), u, v)
 
 
 class TestHalfRAEquivalence:

@@ -37,6 +37,20 @@ The resulting basis is canonical for the integer row lattice under the given
 column order, so outputs are bit-exact and comparable.  The engine keeps
 its basis in that form after every insert that changes it, re-reading only
 the entries the insert can have moved out of range.
+
+A reduced basis is zero at every unit-pivot column except in the row of
+that pivot, and the RA lattices this library builds have mostly unit
+pivots (Kn(12,3): 210 of 220).  Two parts of the engine rest on that:
+
+- The reduction runs bottom-up, from the highest pivot down, so each row
+  subtracted is reduced already and moves no entry at a unit pivot: a row
+  the insert left alone is read one field at a time, at the touched
+  columns and the non-unit pivots, and is never unpacked.
+- Once few columns are left that are not unit pivots, ``_build`` first
+  tests each 0/1 row for membership in the quotient by the unit pivots,
+  a small group, and only the rows that fail are inserted (Hermite forms
+  taken modulo the determinant, Domich, Kannan and Trotter, Math. Oper.
+  Res. 1987, carried over to the unit pivots).
 """
 
 from __future__ import annotations
@@ -350,42 +364,54 @@ class _Echelon:
 
     def reduce(self, touched: list) -> None:
         """Bring every above-pivot entry back into [0, pivot) after an
-        insert that changed the rows at ``touched``.
+        insert that changed the rows at ``touched``, in increasing order as
+        ``add`` returns them.
 
-        Rows are reduced one at a time, each against the pivots right of it
-        in increasing order.  Only the entries that can be out of range are
-        read: every row's entry at a touched pivot, and every entry of a row
-        that was touched or has just been changed, right of the change.
-        Every other above-pivot entry is still in [0, pivot).
+        Rows are reduced bottom-up, from the highest pivot down, each
+        against the pivots right of it in increasing order, so every row
+        subtracted is reduced already: zero at every unit-pivot column but
+        its own.  A subtraction therefore moves no entry at a unit-pivot
+        column.  A touched row is unpacked once, and after its first
+        subtraction only its entries at non-unit pivots are read again.  An
+        untouched row was in range before the insert: only its entries at
+        the touched columns, and after a subtraction at the non-unit pivots
+        right of it, can be out of range, and they are read one field at a
+        time.
         """
         rows, pivots = self.rows, self.pivots
         order = sorted(rows)
-        hot = sorted(set(touched))
-        for i, a in enumerate(order):
-            if a > hot[-1]:
-                break
-            start = i + 1
-            if a not in hot:
-                start = 0
-                lay = self.layout
-                for c in hot:
-                    if c > a:
-                        x = rows[a] + lay.bias >> lay.w * (c - a) & lay.mask
-                        q = (x - lay.half) // pivots[c]
-                        if q:
-                            self._sub(a, q, c)
-                            start = bisect_right(order, c)
-                            break
-                if not start:
-                    continue
-            rest = order[start:]
-            if rest:
-                f = self.layout.fields(rows[a])
-                for c in rest:
-                    q = f[c - a] // pivots[c]
+        cand = None  # where an untouched row can be out of range once moved
+        for i in range(bisect_right(order, touched[-1]) - 1, -1, -1):
+            a = order[i]
+            k = bisect_right(touched, a)
+            if k and touched[k - 1] == a:
+                f, moved = self.layout.fields(rows[a]), False
+                for c in order[i + 1:]:
+                    p = pivots[c]
+                    x = f[c - a] if p == 1 or not moved else self._field(a, c)
+                    q = x // p
                     if q:
                         self._sub(a, q, c)
-                        f = self.layout.fields(rows[a])
+                        moved = True
+                continue
+            for c in touched[k:]:
+                q = self._field(a, c) // pivots[c]
+                if q:
+                    self._sub(a, q, c)
+                    if cand is None:
+                        cand = sorted({*touched, *(j for j in order
+                                                   if pivots[j] != 1)})
+                    for c in cand[bisect_right(cand, c):]:
+                        q = self._field(a, c) // pivots[c]
+                        if q:
+                            self._sub(a, q, c)
+                    break
+
+    def _field(self, a: int, c: int) -> int:
+        """The entry of row a at column c >= a."""
+        lay = self.layout
+        x = self.rows[a] + lay.bias >> lay.w * (c - a)
+        return (x & lay.mask) - lay.half
 
     def _sub(self, a: int, q: int, c: int) -> None:
         """Row a -= q * row c (c > a), first tightening or widening until
@@ -428,21 +454,142 @@ class _Echelon:
                 for j, x in self.rows.items()}
 
 
+# translation tables to the low and the high nibble of each byte
+_LOW = bytes(b & 15 for b in range(256))
+_HIGH = bytes(b >> 4 for b in range(256))
+
+
+def _quotient(e: _Echelon):
+    """A membership test of 0/1 rows (ints, bit j at column j) in the
+    lattice L of e, read in the quotient by its unit pivots.
+
+    Let Q be the columns that are not unit pivots.  The reduced row b_j of
+    a unit pivot j is e_j plus entries in Q only, so modulo L, e_j is
+    congruent to -b_j restricted to Q; and a vector of L that is zero off Q
+    is a sum of the rows with non-unit pivots, restricted to Q the rows of
+    an echelon basis H.  A row is therefore in L exactly when its image y
+    in Z^Q, the sum of the images of its set bits, is in the lattice of H:
+    when the walk that takes y_c // p times the row of H off y at each of
+    its pivots c, with pivot p, in turn leaves y_c divisible by p at each
+    of them and zero at the other columns of Q.  The images are packed over
+    Q, and y is summed from one table per four columns (Four Russians),
+    looked up by the nibbles of the row's bytes, that holds the sums of
+    the images of all subsets of those columns.
+    """
+    n, rows, pivots, fields = e.n, e.rows, e.pivots, e.layout.fields
+    q = [c for c in range(n) if pivots.get(c) != 1]
+    images, size = [], 0  # (first position in Q, entries from there)
+    for j in range(n):
+        i = bisect_right(q, j)
+        if pivots.get(j) == 1:
+            f = fields(rows[j])
+            v = [-f[c - j] for c in q[i:]]
+        else:
+            i, v = i - 1, (1,)
+        images.append((i, v))
+        size += max(map(abs, v), default=0)
+    w = 16
+    while size >> w - 1:  # every field of every sum below 2^(w-1)
+        w *= 2
+    lay = _layout(len(q), w)
+    images = [lay.pack(v) << w * i for i, v in images]
+    tables = []  # per 4 columns, the sums of all subsets of their images
+    for k in range(0, n, 4):
+        t = [0]
+        for x in images[k:k + 4]:
+            t += [s + x for s in t]
+        tables.append(t)
+    low, high = tables[::2], tables[1::2]
+    # the positions in Q of the pivots and of the other columns, and the
+    # walk: (position, pivot, [(position, entry)]) for each pivot whose
+    # row has entries right of it
+    pos = [i for i, c in enumerate(q) if c in pivots]
+    free = [i for i, c in enumerate(q) if c not in pivots]
+    ps, walk = [pivots[q[i]] for i in pos], []
+    for i in pos:
+        c = q[i]
+        f = fields(rows[c])
+        h = [(t, f[q[t] - c]) for t in range(i + 1, len(q)) if f[q[t] - c]]
+        if h:
+            walk.append((i, pivots[c], h))
+    nbytes = (n + 7) // 8
+
+    def test(row: int) -> bool:
+        b = row.to_bytes(nbytes, "little")
+        y = sum(map(list.__getitem__, high, b.translate(_HIGH)),
+                sum(map(list.__getitem__, low, b.translate(_LOW))))
+        if not y:
+            return True
+        y = lay.fields(y)
+        if walk:
+            y = list(y)
+            for i, p, h in walk:
+                x = y[i] // p
+                if x:
+                    for t, v in h:
+                        y[t] -= x * v
+        return not (any(map(y.__getitem__, free))
+                    or any(map(int.__mod__, map(y.__getitem__, pos), ps)))
+
+    return test
+
+
 def _build(rows, n: int) -> _Echelon:
     """Packed Hermite basis of the lattice spanned by ``rows`` (integer
     sequences of length n, or ints read as 0/1 rows with bit j at column
     j), reducing above the pivots after each insert that changes it.
     Insertion stops early once the basis is the full standard lattice (all
-    n pivots equal to 1): no further integer row can change it."""
+    n pivots equal to 1): no further integer row can change it.
+
+    A 0/1 row is first put to the quotient test of ``_quotient`` once one
+    is made.  A test made for an older basis is kept while it is stale: it
+    can only miss rows, since a member of a sublattice is a member of the
+    current lattice, and a missed row is folded in at full cost.  Such
+    rows are tallied by their set bits, and a test is made afresh (or the
+    first time) when the tally reaches ``_Q_WASTE`` times n.
+    """
     e = _Echelon(n)
     pivots = e.pivots
+    units = waste = 0  # the unit pivots, and the bits folded in for nothing
+    test = None
     for row in rows:
+        if test is not None and row.bit_count() > _Q_BITS and test(row):
+            continue
         touched = e.add(row)
         if touched:
             e.reduce(touched)
-            if len(pivots) == n and all(p == 1 for p in pivots.values()):
+            for j in touched:  # a unit pivot is never replaced
+                if pivots[j] == 1:
+                    units += 1
+            if units == n:
                 break
+        elif (n >= _Q_WIDTH and isinstance(row, int)
+              and row.bit_count() > _Q_BITS):
+            waste += row.bit_count()
+            if waste >= _Q_WASTE * n and n - units <= n // _Q_SHARE:
+                test = None  # one set of tables at a time
+                test, waste = _quotient(e), 0
     return e
+
+
+# When ``_build`` uses the quotient test.  Each constant was timed against
+# the alternatives on the RA cores of Kn(7,2) to Kn(14,2), cube(5) to
+# cube(7), crown(20), construct_prescribed([60], 0) and the 8-vertex
+# corpus, in one process, best of several runs.
+# - _Q_WIDTH: below 32 columns the test sped some cores up and slowed
+#   others (crown(20) 36% faster, Kn(7,2) 19% slower), and it slowed the
+#   corpus's cores, at most 8 columns wide, by 18-21%.
+# - _Q_SHARE: a test is made only when at most n/4 columns are not unit
+#   pivots.  At n/8, Kn(12,2) and Kn(14,2) lost 40-50% of their gain; at
+#   n/2, cube(7) was 20% and construct_prescribed([60], 0) 25% slower.
+# - _Q_WASTE: making a test costs about what folding in members with 2n
+#   to 9n set bits costs (Kn(12,3): 2 ms, against 70-110 us for a 22-bit
+#   row), so one is made after 4n; Kn(9,3) at 2n, and Kn(12,3) and
+#   cube(6) at 8n, were 13-54% slower than at 4n.
+# - _Q_BITS: a row of at most 2 set bits folds in about as fast as the test
+#   runs (cube(6): 2 us), so it skips the test; when such rows took it,
+#   cube(6) was 29% and cube(7) 15% slower than with full inserts only.
+_Q_WIDTH, _Q_SHARE, _Q_WASTE, _Q_BITS = 32, 4, 4, 2
 
 
 # Every Hermite build of a row lattice calls the engine by this name, which

@@ -35,7 +35,7 @@ from .graphs import (
 from .group_oracle import dihedral, heisenberg, matrix_power, oracle_record
 from .intlin import IntMatrix, hermite_normal_form, kernel_basis_mod_p, kronecker_product
 from .products import _complete_tensor, cartesian, prism, pyramid, strong, tensor
-from .ra_core import classify, elementary_divisors, ra_matrix
+from .ra_core import _ra_masks, classify, elementary_divisors, ra_matrix
 
 # suite name -> its rows; each lambda looks its ``suite_*`` function up at
 # call time, so a rebound name (a tracer, a monkeypatch) takes effect
@@ -168,12 +168,17 @@ def suite_prescribed():
 
 def suite_kneser_kernel():
     for (n, p) in ((6, 2), (9, 3)):
-        g = kneser(n, p)
-        cm = ra_matrix(g).matrix
+        masks = _ra_masks(kneser(n, p))
         bad = 0
         for x in kneser_vertices(n, p):
             vec = theorems.kneser_kernel_vector(n, p, x)
-            if any(r % p for r in cm.mul_vector(vec)):
+            # C*vec mod p off the RA masks: a row's product is the sum,
+            # over each nonzero entry k, of k times the row's bits where
+            # vec is k
+            where = [sum(1 << j for j, c in enumerate(vec) if c == k)
+                     for k in range(1, p)]
+            if any(sum(k * (m & b).bit_count() for k, b in enumerate(where, 1))
+                   % p for m in masks):
                 bad += 1
         yield _row(
             "kneser-kernel", f"C_Kn({n},{p}) * x = 0 mod {p}", "0 failures",

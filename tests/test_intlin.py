@@ -434,6 +434,141 @@ class TestAgainstTextbookHermite:
         assert (h.matrix.data, h.pivot_columns) == (basis, pivots)
 
 
+def bits_of(mask: int, n: int) -> list:
+    return [mask >> j & 1 for j in range(n)]
+
+
+@st.composite
+def unit_heavy_stacks(draw):
+    """(n, masks): 0/1 rows over n >= 32 columns whose lattice has unit
+    pivots at all but the last k <= 6 columns, so that ``_build`` answers
+    rows through the unit-pivot quotient.  Each other column j gets the row
+    {j} + A_j with A_j among the last columns; a few extra rows over a
+    handful of columns then often leave non-unit pivots in the quotient,
+    or leave it short of full rank.  Unions of
+    disjoint rows, which lie in the lattice, come last, so that a quotient
+    test is made; the extra rows (and up to two unit rows) held back to
+    mix with them make it stale."""
+    n = draw(st.integers(32, 40))
+    k = draw(st.integers(1, 6))
+    tail = st.sets(st.integers(n - k, n - 1))
+    units = [1 << j | sum(1 << c for c in draw(tail)) for j in range(n - k)]
+    some = st.sets(st.integers(0, n - 1), min_size=1, max_size=4)
+    extra = [sum(1 << c for c in draw(some) | draw(tail))
+             for _ in range(draw(st.integers(0, k + 1)))]
+    pairs = st.tuples(st.sampled_from(units + extra),
+                      st.sampled_from(units + extra))
+    unions = [a | b for a, b in draw(st.lists(pairs, min_size=3 * n,
+                                              max_size=3 * n)) if not a & b]
+    rows = extra + units
+    late = draw(st.integers(0, len(extra) + 2))
+    return n, (draw(st.permutations(rows[late:]))
+               + draw(st.permutations(unions + rows[:late])))
+
+
+@st.composite
+def unit_heavy_lattices(draw):
+    """(n, rows): integer rows over n >= 32 columns with unit pivots at all
+    but the last k <= 5.  Each of the last columns c gets p*e_c plus
+    entries right of c, with p in 2..6, or no row and then no entries in
+    any row; each other column j gets e_j plus entries in the last columns.
+    One entry in eight is 2^20, so that the quotient test packs its sums at
+    16, 32 or 64 bits.  The unit rows and the others come apart, each in
+    any order."""
+    n = draw(st.integers(32, 40))
+    k = draw(st.integers(1, 5))
+    ps = [draw(st.sampled_from([0, 2, 3, 4, 6])) for _ in range(k)]
+    entry = st.sampled_from([-3, -2, -1, 0, 1, 2, 3, 2 ** 20])
+
+    def tail(t):  # entries in the last columns from the t-th on
+        return [draw(entry) if ps[u] else 0 for u in range(t, k)]
+
+    units = [[int(i == j) for i in range(n - k)] + tail(0)
+             for j in range(n - k)]
+    rest = [[0] * (n - k + t) + [p] + tail(t + 1)
+            for t, p in enumerate(ps) if p]
+    return n, draw(st.permutations(units)), draw(st.permutations(rest))
+
+
+def hermite_of(e, n: int) -> tuple:
+    h = intlin._form_of(e.unpacked(), n)
+    return h.matrix.data, h.pivot_columns
+
+
+class TestUnitPivotQuotient:
+    """``_build`` on 0/1 masks skips rows that its unit-pivot quotient
+    test (``_quotient``) finds in the lattice; its basis must be the one
+    the integer rows give, which never take that path."""
+
+    @given(unit_heavy_stacks())
+    @settings(max_examples=40, deadline=None)
+    def test_masks_match_textbook_and_integer_rows(self, stack):
+        n, masks = stack
+        rows = [bits_of(m, n) for m in masks]
+        basis, pivots = ref_hermite(rows)
+        e = intlin._build(masks, n)
+        assert hermite_of(e, n) == (basis or ((0,) * n,), pivots)
+        assert e.unpacked() == intlin._build(rows, n).unpacked()
+
+    @given(unit_heavy_lattices(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_stale_table_answers_its_own_lattice(self, lattice, data):
+        # a test made for the lattice of a prefix of the rows answers
+        # membership in it exactly, so a row it lets through lies in the
+        # lattice of all the rows too: a stale test skips no row outside it
+        n, units, rest = lattice
+        rows = units + rest
+        cut = data.draw(st.integers(len(units) - 2, len(rows)))
+        e = intlin._build(rows[:cut], n)
+        test = intlin._quotient(e)
+        # each lattice by its textbook basis, which a member leaves as it is
+        old, now = ref_hermite(rows[:cut]), ref_hermite(rows)
+        # rows at random, and rows clear of the columns with no pivot
+        pivots = sum(1 << j for j in e.pivots)
+        probes = [m & pivots if i % 2 else m for i, m in enumerate(
+            data.draw(st.lists(st.integers(0, (1 << n) - 1),
+                               min_size=8, max_size=8)))]
+        for m in probes:
+            v = bits_of(m, n)
+            assert test(m) == (ref_hermite([*old[0], v]) == old)
+            assert not test(m) or ref_hermite([*now[0], v]) == now
+
+    def test_quotient_path_runs_and_agrees(self, monkeypatch):
+        made = []
+        real = intlin._quotient
+
+        def counted(e):
+            made.append(dict(e.pivots))
+            return real(e)
+
+        monkeypatch.setattr(intlin, "_quotient", counted)
+        rng = random.Random(15)
+        built = stale = 0
+        for _ in range(20):
+            n = rng.randint(32, 40)
+            tail = range(n - 4, n)
+            rows = [1 << j | sum(1 << c for c in tail if rng.random() < 0.5)
+                    for j in range(n - 4)]
+            # e_a + e_c, e_b + e_c, e_a + e_b: 2*e_c is in the lattice; they
+            # come after a first run of unions, which are members already
+            late = []
+            for _ in range(3):
+                a, b = rng.sample(range(n - 4), 2)
+                c = rng.choice(tail)
+                late += [1 << a | 1 << c, 1 << b | 1 << c, 1 << a | 1 << b]
+            unions = [x | y for x in rows + late for y in rows + late
+                      if x < y and not x & y]
+            masks = rows + unions[::2] + late + unions[1::2]
+            made.clear()
+            e = intlin._build(masks, n)
+            built += bool(made)
+            stale += bool(made) and made[0] != e.pivots
+            rows = [bits_of(m, n) for m in masks]
+            assert hermite_of(e, n) == ref_hermite(rows)
+            assert e.unpacked() == intlin._build(rows, n).unpacked()
+        assert built > 5 and stale > 5, (built, stale)
+
+
 class TestKernelModP:
     def test_identity_has_empty_kernel(self):
         assert kernel_basis_mod_p(IntMatrix.identity(3), 2) == []

@@ -1,5 +1,6 @@
 """Activation and RA matrices, divisors, classification, and pair signs."""
 
+import hashlib
 import random
 from itertools import combinations
 from math import prod
@@ -446,6 +447,32 @@ class TestPeel:
     @pytest.mark.slow
     def test_kneser_12_3(self):
         assert_peel_matches_full_build(kneser(12, 3))
+
+
+# SHA-256 of to_text(), the pivot columns and the diagonal of the full
+# Hermite basis, for large lattices no benchmark workload builds
+LARGE_BASES = [
+    ("Kn(14,2)", lambda: kneser(14, 2),
+     "5b40b85a05cf0444646c609101d243ca2cb8cd8239b751580ef4a075771074ac"),
+    ("Kn(16,2)", lambda: kneser(16, 2),
+     "b84a92c1943ed2667e870d7bf9fd32f3e10a7fb2c9ccad9a2aabb248633c36e0"),
+    ("cube(7)", lambda: cube(7),
+     "0810ba7a4c0c2668ece76080d212cca18e6881cfebb3bd64e380284098bea045"),
+    ("construct_prescribed([60],0)", lambda: construct_prescribed([60], 0),
+     "9471fc2f44affab94fd420a7040ffbc38b6a0d4a64ae10b5e78a770aff360ce7"),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("build, digest", [b[1:] for b in LARGE_BASES],
+                         ids=[b[0] for b in LARGE_BASES])
+def test_large_hermite_bases_are_pinned(build, digest):
+    g = build()
+    # through the peeled core's mask rows, then the dense integer rows
+    for h in (ra_lattice(g), hermite_normal_form(ra_matrix(g).matrix)):
+        text = "\n".join([h.matrix.to_text(), repr(h.pivot_columns),
+                          repr(h.diagonal)])
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
 
 class TestArrangementQuantifier:

@@ -44,7 +44,7 @@ from .group_oracle import (
     matrix_power,
     oracle_record,
 )
-from .intlin import IntMatrix, kernel_basis_mod_p
+from .intlin import IntMatrix
 from .products import (
     _complete_tensor,
     cartesian,
@@ -55,7 +55,7 @@ from .products import (
     strong,
     tensor,
 )
-from .ra_core import _record, _verdict, classify, is_ra, ra_matrix
+from .ra_core import _record, _verdict, classify, is_ra, kernel_mod_p
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -381,7 +381,7 @@ def _run_predictor(tid: str, ns):
 
 def cmd_kernel(ns) -> int:
     g = graph6_decode(ns.graph)
-    basis = kernel_basis_mod_p(ra_matrix(g).matrix, ns.mod)
+    basis = kernel_mod_p(g, ns.mod)
     for vec in basis:
         print(" ".join(str(x) for x in vec))
     return EXIT_OK

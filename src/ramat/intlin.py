@@ -1,9 +1,10 @@
 """Exact integer linear algebra: Smith/Hermite normal forms and row lattices.
 
-A row lattice is held as its Hermite basis, a ``HermiteForm``: the lattice
-lives in Z^n with n = ``matrix.cols`` and has rank ``len(pivot_columns)``.
-Membership and axis multiples are both answered by folding one vector into
-that basis with the echelon engine that built it.
+A row lattice in Z^n is built as a packed echelon basis, an ``_Echelon``,
+and handed out as its canonical Hermite basis, a ``HermiteForm`` with
+``matrix.cols`` = n and rank ``len(pivot_columns)``.  Membership and axis
+multiples are answered on the packed basis, by folding one vector into a
+copy of it (``_Echelon.add``, ``_axis_multiple``).
 
 The one echelon engine packs each row of Z^n into a single Python int of
 signed w-bit fields, x = sum of x_j * 2^(w*j), so that a row update
@@ -69,9 +70,6 @@ __all__ = [
     "HermiteForm",
     "smith_normal_form",
     "hermite_normal_form",
-    "lattice_smith_form",
-    "lattice_contains",
-    "minimal_axis_multiple",
     "kernel_basis_mod_p",
     "kronecker_product",
 ]
@@ -80,9 +78,8 @@ __all__ = [
 class IntMatrix:
     """Immutable dense matrix of exact integers.
 
-    Rows and columns are addressed 0-based through ``data``; operations that
-    take a column index in the public API (``minimal_axis_multiple``) use
-    1-based indices to match vertex numbering.
+    Rows and columns are addressed 0-based through ``data``; the pivot
+    columns of a ``HermiteForm`` are 1-based to match vertex numbering.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -593,8 +590,7 @@ _Q_WIDTH, _Q_SHARE, _Q_WASTE, _Q_BITS = 32, 4, 4, 2
 
 
 # Every Hermite build of a row lattice calls the engine by this name, which
-# tracing and tests may rebind; the Smith rounds and the lattice queries
-# call ``_build`` directly.
+# tracing and tests may rebind; the Smith rounds call ``_build`` directly.
 _echelon_basis = _build
 
 
@@ -644,65 +640,26 @@ def _snf_divisors(rows) -> list:
     return d
 
 
-def lattice_smith_form(h: HermiteForm, length: int) -> SmithForm:
-    """Smith form of any matrix whose row lattice has the Hermite basis ``h``.
-
-    The divisors are invariants of the lattice, so the column Hermite rounds
-    of ``_snf_divisors`` start from the ``rank x cols`` Hermite basis; the
-    nonzero divisors are padded with zeros to ``length``.
-    """
-    nonzero = _snf_divisors(h.matrix.data)
-    rank = len(nonzero)
-    return SmithForm(
-        divisors=tuple(nonzero) + (0,) * (length - rank),
-        rank=rank,
-        nullity=h.matrix.cols - rank,
-    )
-
-
 def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Smith normal form of ``m``: the chain of elementary divisors, padded
     with zeros to ``min(rows, cols)``.
 
-    It is read off the Hermite basis of the row lattice of ``m``
-    (``lattice_smith_form`` of ``hermite_normal_form(m)``), so duplicate,
-    zero and dependent rows never reach the Smith step.
+    The divisors are invariants of the row lattice, so the column Hermite
+    rounds of ``_snf_divisors`` start from the ``rank x cols`` Hermite basis
+    of ``m``: duplicate, zero and dependent rows never reach the Smith step.
     """
-    return lattice_smith_form(hermite_normal_form(m), min(m.rows, m.cols))
-
-
-def _packed(h: HermiteForm) -> _Echelon:
-    """A fresh packed basis of ``h``.  Its rows are reduced already and lead
-    at increasing columns, so each is added as it is."""
-    e = _Echelon(h.matrix.cols)
-    for row in h.matrix.data:
-        e.add(row)
-    return e
-
-
-def lattice_contains(h: HermiteForm, v) -> bool:
-    """Exact membership of an integer vector in the row lattice of ``h``.
-
-    v lies in the lattice exactly when it reduces to zero against the
-    Hermite basis, that is when inserting it changes no pivot.
-    """
-    v = list(map(index, v))
-    if len(v) != h.matrix.cols:
-        raise ValueError("dimension mismatch")
-    return not _packed(h).add(v)
-
-
-def minimal_axis_multiple(h: HermiteForm, i: int) -> int:
-    """Smallest a > 0 with a*e_i in the lattice, or 0 if none exists."""
-    n = h.matrix.cols
-    if not 1 <= i <= n:
-        raise IndexError(f"column index {i} out of range 1..{n}")
-    return _axis_multiple(_packed(h), i - 1)
+    nonzero = _snf_divisors(hermite_normal_form(m).matrix.data)
+    rank = len(nonzero)
+    return SmithForm(
+        divisors=tuple(nonzero) + (0,) * (min(m.rows, m.cols) - rank),
+        rank=rank,
+        nullity=m.cols - rank,
+    )
 
 
 def _axis_multiple(e: _Echelon, i: int) -> int:
-    """``minimal_axis_multiple`` of the lattice of e at the 0-based column
-    i, folded into a copy of e.
+    """Smallest a > 0 with a*e_i in the lattice of e, i a 0-based column,
+    or 0 if none exists; e_i is folded into a copy of e.
 
     The set {a : a*e_i in L} is an ideal of Z; its nonnegative generator is
     the index [L + Z*e_i : L], computed as the ratio of pivot products of the
@@ -729,10 +686,21 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-# Input budget of kernel_basis_mod_p: trial division up to isqrt(p) then
-# takes at most about 27 600 steps.  The bound is the square root of the
-# int64 maximum.
+# Input budget of a modulus: trial division up to isqrt(p) then takes at
+# most about 27 600 steps.  The bound is the square root of the int64
+# maximum.
 _MAX_MODULUS = isqrt(2**63 - 1)
+
+
+def _check_modulus(p: int) -> None:
+    """Raise ValueError for a modulus p past the input budget, checked
+    before the primality test, or for a p that is not prime."""
+    if p > _MAX_MODULUS:
+        raise ValueError(
+            f"modulus {p} is past {_MAX_MODULUS}, the int64 square-root bound"
+        )
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
 
 def kernel_basis_mod_p(m: IntMatrix, p: int) -> list:
@@ -740,15 +708,9 @@ def kernel_basis_mod_p(m: IntMatrix, p: int) -> list:
 
     Returns ``cols - rank_mod_p`` vectors with entries in 0..p-1, one per
     free column of the reduced row echelon form of ``m`` mod p, which is
-    unique.  A p past the input budget is rejected before the primality
-    test.
+    unique.  p is checked first (``_check_modulus``).
     """
-    if p > _MAX_MODULUS:
-        raise ValueError(
-            f"modulus {p} is past {_MAX_MODULUS}, the int64 square-root bound"
-        )
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_modulus(p)
     n = m.cols
     # Echelon rows are 1 at their pivot and 0 at the other pivots, so only
     # their free entries are kept: free column f -> entry of each pivot row.

@@ -24,10 +24,15 @@ does, which is when i is a pivot whose row is e_i; and the graph is RA
 exactly when the core has full rank.  Only other cores run Smith rounds and
 fold e_i into a copy of their basis.  A sign query e_u +- e_v drops its
 peeled coordinates, whose unit vectors lie in the lattice, and folds the
-rest into a copy of the core.  ``ra_lattice`` derives the full canonical
+rest into a copy of the core.  The mod-p kernel reads the core too: the
+RA matrix and its Hermite basis span the same rows mod p, each peeled e_w
+makes every kernel vector zero at w, and the kernel basis of the reduced
+row echelon form is unique, so the core's kernel vectors, widened with
+zeros, are the RA matrix's.  ``ra_lattice`` derives the full canonical
 Hermite basis on each call and does not keep it.  The latest graph's
 lattice is kept, so calls on one graph (``classify``, a neighborly
-predictor, ``pair_sign``) share one peel and at most one echelon build.
+predictor, ``pair_sign``, ``kernel_mod_p``) share one peel and at most one
+echelon build.
 """
 
 from __future__ import annotations
@@ -50,8 +55,10 @@ from .intlin import (
     IntMatrix,
     SmithForm,
     _axis_multiple,
+    _check_modulus,
     _form_of,
     _snf_divisors,
+    kernel_basis_mod_p,
 )
 
 __all__ = [
@@ -64,6 +71,7 @@ __all__ = [
     "is_ra",
     "classification_record",
     "pair_sign",
+    "kernel_mod_p",
     "is_neighborly",
     "is_positively_neighborly",
     "is_negatively_neighborly",
@@ -229,19 +237,29 @@ class _Lattice:
 _latest_lattice = lru_cache(maxsize=1)(_Lattice)
 
 
+def _widened(lat: _Lattice, rows) -> list:
+    """Rows over the core's columns as rows over all n columns, zero at
+    every peeled one."""
+    n = lat.n
+    columns = [j for j in range(n) if not lat.peeled >> j & 1]
+    out = []
+    for row in rows:
+        full = [0] * n
+        for k, x in zip(columns, row):
+            full[k] = x
+        out.append(full)
+    return out
+
+
 def _full_basis(lat: _Lattice) -> HermiteForm:
-    """The full canonical basis: the core's rows with the peeled columns
-    put back as zeros, plus e_w at each peeled w, in pivot order.  That is
-    already reduced, because every peeled pivot is 1."""
+    """The full canonical basis: the core's rows widened, plus e_w at each
+    peeled w, keyed by pivot, the first nonzero entry.  That is already
+    reduced, because every peeled pivot is 1."""
     n = lat.n
     basis = {w: [0] * w + [1] + [0] * (n - 1 - w) for w in _bits(lat.peeled)}
     if lat.core is not None:
-        columns = [j for j in range(n) if not lat.peeled >> j & 1]
-        for j, row in lat.core.unpacked().items():
-            full = [0] * n
-            for k, x in zip(columns, row):
-                full[k] = x
-            basis[columns[j]] = full
+        for row in _widened(lat, lat.core.unpacked().values()):
+            basis[next(j for j, x in enumerate(row) if x)] = row
     return _form_of(basis, n)
 
 
@@ -338,6 +356,20 @@ def pair_sign(g: Graph, u: int, v: int) -> str:
     if neg:
         return "negative"
     return "none"
+
+
+def kernel_mod_p(g: Graph, p: int) -> list:
+    """Basis of the right kernel of the RA matrix over Z/pZ, the vectors
+    ``kernel_basis_mod_p`` gives for it, read off the core's Hermite basis
+    and widened with zeros at the peeled columns.  p is checked before any
+    lattice work."""
+    _check_modulus(p)
+    lat = _latest_lattice(g)
+    if lat.core is None:
+        return []
+    basis = lat.core.unpacked()
+    rows = IntMatrix([basis[j] for j in sorted(basis)])
+    return [tuple(v) for v in _widened(lat, kernel_basis_mod_p(rows, p))]
 
 
 def is_neighborly(g: Graph) -> bool:

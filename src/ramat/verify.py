@@ -33,9 +33,9 @@ from .graphs import (
     path,
 )
 from .group_oracle import dihedral, heisenberg, matrix_power, oracle_record
-from .intlin import IntMatrix, hermite_normal_form, kernel_basis_mod_p, kronecker_product
-from .products import _complete_tensor, cartesian, prism, pyramid, strong, tensor
-from .ra_core import _ra_masks, classify, elementary_divisors, ra_matrix
+from .intlin import IntMatrix, hermite_normal_form, kernel_basis_mod_p
+from .products import _complete_tensor, _kron, cartesian, prism, pyramid, strong, tensor
+from .ra_core import _ra_masks, classify, elementary_divisors
 
 # suite name -> its rows; each lambda looks its ``suite_*`` function up at
 # call time, so a rebound name (a tracer, a monkeypatch) takes effect
@@ -216,12 +216,8 @@ def suite_strong_product():
         a = _random_graph(rng, na)
         b = _random_graph(rng, nb)
         g = strong(a, b)
-        ca = ra_matrix(a).matrix
-        cb = ra_matrix(b).matrix
-        cs = ra_matrix(g).matrix
-        kron = kronecker_product(ca, cb)
-        rows_match = Counter(cs.data) == Counter(
-            r for r in kron.data if any(r)
+        rows_match = Counter(_ra_masks(g)) == Counter(
+            _kron(x, y, nb) for x in _ra_masks(a) for y in _ra_masks(b)
         )
         pred = theorems.strong_product_divisors(a, b)
         direct = elementary_divisors(g).divisors

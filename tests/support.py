@@ -1,8 +1,9 @@
 """Independent oracles and corpus helpers for the test suite.
 
 The normal-form oracles here deliberately share no code with the library:
-a first-nonzero-pivot textbook Smith reduction, a textbook Hermite form,
-and, for small matrices, divisor chains obtained from gcds of k x k minors.
+a first-nonzero-pivot textbook Smith reduction, a textbook Hermite form
+with the lattice membership and axis multiples read off it, and, for small
+matrices, divisor chains obtained from gcds of k x k minors.
 Disagreement with the library on any input is a test failure.
 """
 
@@ -141,7 +142,8 @@ def ref_hermite(rows) -> tuple:
             p = mat[top][col]
             for i in range(top + 1, m):
                 q = mat[i][col] // p
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[top])]
+                if q:
+                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[top])]
             if all(mat[i][col] == 0 for i in range(top + 1, m)):
                 break
         if top == m or mat[top][col] == 0:
@@ -151,10 +153,36 @@ def ref_hermite(rows) -> tuple:
         p = mat[top][col]
         for i in range(top):
             q = mat[i][col] // p
-            mat[i] = [a - q * b for a, b in zip(mat[i], mat[top])]
+            if q:
+                mat[i] = [a - q * b for a, b in zip(mat[i], mat[top])]
         pivots.append(col + 1)
         top += 1
     return tuple(tuple(r) for r in mat[:top]), tuple(pivots)
+
+
+def ref_contains(rows, v) -> bool:
+    """v is in the row lattice exactly when the textbook Hermite basis
+    reduces it to zero: at each pivot in turn, the pivot divides v's entry
+    there and that multiple of the pivot row is taken off."""
+    basis, pivots = ref_hermite(rows)
+    v = list(v)
+    for row, j in zip(basis, pivots):
+        q, r = divmod(v[j - 1], row[j - 1])
+        if r:
+            return False
+        v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+def ref_axis_multiple(rows, i: int) -> int:
+    """Smallest a > 0 with a*e_i in the row lattice (i 1-based), or 0.
+    With column i moved last, the lattice meets the axis of i in the
+    multiples of the last row exactly when that row pivots in the last
+    column: it is then (0, ..., 0, a)."""
+    n = len(rows[0])
+    order = [j for j in range(n) if j != i - 1] + [i - 1]
+    basis, pivots = ref_hermite([[r[j] for j in order] for r in rows])
+    return basis[-1][-1] if pivots and pivots[-1] == n else 0
 
 
 def random_int_matrix(rng: random.Random, rows: int, cols: int, lo=-9, hi=9):

@@ -411,6 +411,17 @@ class TestPredictKernelOracle:
         assert "int64" in err
         assert time.perf_counter() - t0 < 1.0
 
+    def test_kernel_modulus_checked_before_the_lattice(self, capsys):
+        # Kn(15,3) has 455 vertices and a 54 873-row core: a bad modulus
+        # must exit 2 before any of that is built
+        g6 = graph6_encode(kneser(15, 3))
+        for p, msg in (("4", "not prime"), ("4000000007", "int64")):
+            t0 = time.perf_counter()
+            rc, out, err = run_cli(capsys, "kernel", "--mod", p, g6)
+            assert (rc, out) == (2, "")
+            assert msg in err
+            assert time.perf_counter() - t0 < 1.0
+
     def test_kernel_output_is_pinned(self, capsys):
         # one vector per free column of the reduced row echelon form mod p,
         # which is unique: these lines are the certificates as published

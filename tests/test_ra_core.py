@@ -28,13 +28,7 @@ from ramat.graphs import (
 )
 from ramat import intlin, ra_core
 from ramat.cli import batch_category
-from ramat.intlin import (
-    IntMatrix,
-    hermite_normal_form,
-    lattice_contains,
-    lattice_smith_form,
-    minimal_axis_multiple,
-)
+from ramat.intlin import IntMatrix, hermite_normal_form, kernel_basis_mod_p
 from ramat.products import cartesian, disjoint_union, pyramid
 from ramat.ra_core import (
     classification_record,
@@ -44,6 +38,7 @@ from ramat.ra_core import (
     is_negatively_neighborly,
     is_positively_neighborly,
     is_ra,
+    kernel_mod_p,
     pair_sign,
     ra_lattice,
     ra_matrix,
@@ -59,6 +54,8 @@ from support import (
     connected_8_vertex_file,
     connected_graphs_up_to_iso,
     random_graph,
+    ref_axis_multiple,
+    ref_contains,
     ref_smith_divisors,
 )
 
@@ -380,16 +377,16 @@ class TestSaturatedCore:
         kinds = set()
         for g in cases:
             n = g.n
-            h = hermite_normal_form(ra_matrix(g).matrix)
-            want = lattice_smith_form(h, n)
-            ref = ref_smith_divisors(ra_matrix(g).matrix.data)
+            rows = ra_matrix(g).matrix.data
+            ref = ref_smith_divisors(rows)
             ref += [0] * (n - len(ref))
             sf = elementary_divisors(g)
             c = classify(g)
-            assert sf == want and list(sf.divisors) == ref, graph6_encode(g)
-            assert c.divisors == sf.divisors and c.nullity == want.nullity
+            assert list(sf.divisors) == ref, graph6_encode(g)
+            assert sf.nullity == ref.count(0) == n - sf.rank
+            assert c.divisors == sf.divisors and c.nullity == sf.nullity
             assert c.axis_multiples == tuple(
-                minimal_axis_multiple(h, i) for i in range(1, n + 1))
+                ref_axis_multiple(rows, i) for i in range(1, n + 1))
             assert is_ra(g) == all(d == 1 for d in ref)
             lat = ra_core._latest_lattice(g)
             if lat.core is not None:
@@ -404,19 +401,21 @@ class TestSaturatedCore:
 
 def assert_peel_matches_full_build(g):
     """The peeled lattice answers exactly like one echelon build over the
-    whole RA matrix: the same Hermite basis, divisors and axis multiples."""
+    whole RA matrix: the same Hermite basis, and the textbook oracles' divisors
+    and axis multiples read off that basis."""
     full = hermite_normal_form(ra_matrix(g).matrix)
     assert ra_lattice(g) == full
-    assert elementary_divisors(g) == lattice_smith_form(full, g.n)
+    ref = ref_smith_divisors(full.matrix.data)
+    assert list(elementary_divisors(g).divisors) == ref + [0] * (g.n - len(ref))
     comps = connected_components(g)
     parts = [g] if len(comps) == 1 else [subgraph(g, comp) for comp in comps]
     verdicts = classify(g)
     if len(comps) == 1:
         verdicts = [verdicts]
     for part, c in zip(parts, verdicts):
-        h = hermite_normal_form(ra_matrix(part).matrix)
+        h = full if part is g else hermite_normal_form(ra_matrix(part).matrix)
         assert c.axis_multiples == tuple(
-            minimal_axis_multiple(h, i) for i in range(1, part.n + 1))
+            ref_axis_multiple(h.matrix.data, i) for i in range(1, part.n + 1))
 
 
 class TestPeel:
@@ -520,12 +519,12 @@ class TestPairSignsAndNeighborliness:
 
     def test_adjacent_pair_in_girth4_is_positive(self):
         g = crown(8)
-        lat = ra_lattice(g)
+        basis = ra_lattice(g).matrix.data
         for u, v in g.edges():
             e = [0] * g.n
             e[u - 1] += 1
             e[v - 1] += 1
-            assert lattice_contains(lat, e)
+            assert ref_contains(basis, e)
 
     def test_cartesian_products_neighborly(self):
         cases = [
@@ -584,15 +583,63 @@ class TestPairSignsAndNeighborliness:
         assert ra_core._latest_lattice(path(5)).core is None
         assert ra_core._latest_lattice(crown(10)).peeled == 0
         for g in mixed + [path(5), crown(10)]:
-            h = hermite_normal_form(ra_matrix(g).matrix)
+            h = hermite_normal_form(ra_matrix(g).matrix).matrix.data
             for u, v in combinations(g.vertices(), 2):
                 e = [int(w in (u, v)) for w in g.vertices()]
-                pos = lattice_contains(h, e)
+                pos = ref_contains(h, e)
                 e[v - 1] = -1
-                neg = lattice_contains(h, e)
+                neg = ref_contains(h, e)
                 want = {(1, 1): "both", (1, 0): "positive",
                         (0, 1): "negative", (0, 0): "none"}[pos, neg]
                 assert pair_sign(g, u, v) == want, (graph6_encode(g), u, v)
+
+
+def assert_kernel_matches_dense(g, p):
+    """The kernel read off the core is the one of the whole RA matrix."""
+    want = kernel_basis_mod_p(ra_matrix(g).matrix, p)
+    assert kernel_mod_p(g, p) == want, (graph6_encode(g), p)
+    return want
+
+
+class TestKernelModP:
+    def test_named_graphs(self):
+        sizes = [len(assert_kernel_matches_dense(g, p)) for g, p in (
+            (kneser(6, 2), 2), (kneser(9, 3), 3), (cube(5), 3),
+            (graph6_decode("G?zTb_"), 2))]
+        assert sizes == [4, 7, 0, 1]
+
+    def test_every_column_peeled(self):
+        g = path(6)
+        assert ra_core._latest_lattice(g).core is None
+        for p in (2, 3, 5, 7):
+            assert assert_kernel_matches_dense(g, p) == []
+
+    def test_disconnected_graph(self):
+        g = disjoint_union([kneser(6, 2), path(4), complete(3), complete(1)])
+        lat = ra_core._latest_lattice(g)
+        assert lat.peeled and lat.core is not None
+        for p in (2, 3):
+            assert assert_kernel_matches_dense(g, p)
+
+    def test_random_graphs(self):
+        rng = random.Random(41)
+        nonempty = 0
+        for _ in range(50):
+            g = random_graph(rng, rng.randint(1, 12), rng.choice((0.2, 0.5, 0.8)))
+            nonempty += bool(assert_kernel_matches_dense(g, rng.choice((2, 3, 5, 7))))
+        assert nonempty >= 10
+
+    def test_modulus_checked_before_any_lattice_work(self, monkeypatch):
+        builds = _count_builds(monkeypatch)
+        with pytest.raises(ValueError, match="not prime"):
+            kernel_mod_p(kneser(6, 2), 4)
+        with pytest.raises(ValueError, match="int64"):
+            kernel_mod_p(kneser(6, 2), 4000000007)
+        assert builds == []
+
+    @pytest.mark.slow
+    def test_kneser_12_3_mod_3(self):
+        assert assert_kernel_matches_dense(kneser(12, 3), 3)
 
 
 class TestHalfRAEquivalence:
@@ -606,11 +653,9 @@ class TestHalfRAEquivalence:
                 if not is_neighborly(g):
                     continue
                 c = classify(g)
-                lat = ra_lattice(g)
+                rows = ra_matrix(g).matrix.data
                 doubled = any(
-                    lattice_contains(
-                        lat, [2 if w == v else 0 for w in range(g.n)]
-                    )
+                    ref_contains(rows, [2 if w == v else 0 for w in range(g.n)])
                     for v in range(g.n)
                 )
                 small = c.status in ("RA", "1/2-RA")

@@ -1,10 +1,10 @@
 """Exact integer linear algebra: Smith/Hermite normal forms and row lattices.
 
-A row lattice in Z^n is built as a packed echelon basis, an ``_Echelon``,
-and handed out as its canonical Hermite basis, a ``HermiteForm`` with
-``matrix.cols`` = n and rank ``len(pivot_columns)``.  Membership and axis
-multiples are answered on the packed basis, by folding one vector into a
-copy of it (``_Echelon.add``, ``_axis_multiple``).
+A row lattice L in Z^n is built as a packed echelon basis, an
+``_Echelon``, and handed out as its canonical Hermite basis, a
+``HermiteForm`` with ``matrix.cols`` = n and rank ``len(pivot_columns)``.
+Every other answer (elementary divisors, membership, axis multiples, the
+kernel mod p) is read off one presentation of Z^n/L, a ``_Quotient``.
 
 The one echelon engine packs each row of Z^n into a single Python int of
 signed w-bit fields, x = sum of x_j * 2^(w*j), so that a row update
@@ -41,17 +41,23 @@ the entries the insert can have moved out of range.
 
 A reduced basis is zero at every unit-pivot column except in the row of
 that pivot, and the RA lattices this library builds have mostly unit
-pivots (Kn(12,3): 210 of 220).  Two parts of the engine rest on that:
+pivots (Kn(12,3): 210 of 220).  Three parts of the engine rest on that:
 
 - The reduction runs bottom-up, from the highest pivot down, so each row
   subtracted is reduced already and moves no entry at a unit pivot: a row
   the insert left alone is read one field at a time, at the touched
   columns and the non-unit pivots, and is never unpacked.
-- Once few columns are left that are not unit pivots, ``_build`` first
-  tests each 0/1 row for membership in the quotient by the unit pivots,
-  a small group, and only the rows that fail are inserted (Hermite forms
-  taken modulo the determinant, Domich, Kannan and Trotter, Math. Oper.
-  Res. 1987, carried over to the unit pivots).
+- The presentation: modulo L the unit vector at a unit pivot is a vector
+  on the other columns Q, so Z^n/L is Z^Q/L(H), H the small echelon basis
+  of the non-unit pivot rows restricted to Q (Kn(12,3): Z^220/L is
+  (Z/3)^10, with 10 columns in Q).  The Smith rounds (Kannan and Bachem,
+  SIAM J. Comput. 1979) run on H alone, an axis multiple is the order of
+  the column's image modulo L(H), and the kernel mod p is H's, carried to
+  the n columns by the images.
+- Once few columns are left in Q, ``_build`` first tests each 0/1 row for
+  membership through the presentation, and only the rows that fail are
+  inserted (Hermite forms taken modulo the determinant, Domich, Kannan and
+  Trotter, Math. Oper. Res. 1987, carried over to the unit pivots).
 """
 
 from __future__ import annotations
@@ -71,7 +77,6 @@ __all__ = [
     "smith_normal_form",
     "hermite_normal_form",
     "kernel_basis_mod_p",
-    "kronecker_product",
 ]
 
 
@@ -456,79 +461,117 @@ _LOW = bytes(b & 15 for b in range(256))
 _HIGH = bytes(b >> 4 for b in range(256))
 
 
-def _quotient(e: _Echelon):
-    """A membership test of 0/1 rows (ints, bit j at column j) in the
-    lattice L of e, read in the quotient by its unit pivots.
+class _Quotient:
+    """Z^n/L for the lattice L of a reduced echelon basis e, presented on
+    the columns Q that are not unit pivots.
 
-    Let Q be the columns that are not unit pivots.  The reduced row b_j of
-    a unit pivot j is e_j plus entries in Q only, so modulo L, e_j is
-    congruent to -b_j restricted to Q; and a vector of L that is zero off Q
-    is a sum of the rows with non-unit pivots, restricted to Q the rows of
-    an echelon basis H.  A row is therefore in L exactly when its image y
-    in Z^Q, the sum of the images of its set bits, is in the lattice of H:
-    when the walk that takes y_c // p times the row of H off y at each of
-    its pivots c, with pivot p, in turn leaves y_c divisible by p at each
-    of them and zero at the other columns of Q.  The images are packed over
-    Q, and y is summed from one table per four columns (Four Russians),
-    looked up by the nibbles of the row's bytes, that holds the sums of
-    the images of all subsets of those columns.
+    The reduced row b_j of a unit pivot j is e_j plus entries in Q only, so
+    modulo L, e_j is congruent to -b_j restricted to Q; and a vector of L
+    that is zero off Q is a sum of the rows with non-unit pivots, which
+    restricted to Q are the rows of an echelon basis H (``h``, over the
+    positions in Q).  So Z^n/L is Z^Q/L(H), column j going to ``images[j]``:
+    -b_j on Q at a unit pivot j, and the unit vector at a column of Q.
     """
-    n, rows, pivots, fields = e.n, e.rows, e.pivots, e.layout.fields
-    q = [c for c in range(n) if pivots.get(c) != 1]
-    images, size = [], 0  # (first position in Q, entries from there)
-    for j in range(n):
-        i = bisect_right(q, j)
-        if pivots.get(j) == 1:
-            f = fields(rows[j])
-            v = [-f[c - j] for c in q[i:]]
-        else:
-            i, v = i - 1, (1,)
-        images.append((i, v))
-        size += max(map(abs, v), default=0)
-    w = 16
-    while size >> w - 1:  # every field of every sum below 2^(w-1)
-        w *= 2
-    lay = _layout(len(q), w)
-    images = [lay.pack(v) << w * i for i, v in images]
-    tables = []  # per 4 columns, the sums of all subsets of their images
-    for k in range(0, n, 4):
-        t = [0]
-        for x in images[k:k + 4]:
-            t += [s + x for s in t]
-        tables.append(t)
-    low, high = tables[::2], tables[1::2]
-    # the positions in Q of the pivots and of the other columns, and the
-    # walk: (position, pivot, [(position, entry)]) for each pivot whose
-    # row has entries right of it
-    pos = [i for i, c in enumerate(q) if c in pivots]
-    free = [i for i, c in enumerate(q) if c not in pivots]
-    ps, walk = [pivots[q[i]] for i in pos], []
-    for i in pos:
-        c = q[i]
-        f = fields(rows[c])
-        h = [(t, f[q[t] - c]) for t in range(i + 1, len(q)) if f[q[t] - c]]
-        if h:
-            walk.append((i, pivots[c], h))
-    nbytes = (n + 7) // 8
 
-    def test(row: int) -> bool:
-        b = row.to_bytes(nbytes, "little")
-        y = sum(map(list.__getitem__, high, b.translate(_HIGH)),
-                sum(map(list.__getitem__, low, b.translate(_LOW))))
-        if not y:
-            return True
-        y = lay.fields(y)
-        if walk:
-            y = list(y)
-            for i, p, h in walk:
-                x = y[i] // p
-                if x:
-                    for t, v in h:
-                        y[t] -= x * v
-        return not (any(map(y.__getitem__, free))
-                    or any(map(int.__mod__, map(y.__getitem__, pos), ps)))
+    __slots__ = ("q", "h", "images")
 
-    return test
+    def __init__(self, e: _Echelon):
+        n, pivots, fields = e.n, e.pivots, e.layout.fields
+        q = self.q = [c for c in range(n) if pivots.get(c) != 1]
+        zero = (0,) * len(q)
+        self.h, self.images = _Echelon(len(q)), [zero] * n
+        for i, c in enumerate(q):
+            self.images[c] = zero[:i] + (1,) + zero[i + 1:]
+        for j, b in e.rows.items():
+            if b != 1:  # else b = e_j, which lies in L
+                f = fields(b)
+                row = [f[c - j] if c >= j else 0 for c in q]
+                if pivots[j] == 1:
+                    self.images[j] = tuple([-x for x in row])
+                else:
+                    self.h.add(row)  # reduced already, with a new pivot
+
+    def order(self, y) -> int:
+        """The least a > 0 with a*y in L(H), or 0 if none exists: the index
+        [L(H) + Z*y : L(H)], the ratio of the pivot products of the two
+        echelon bases, unless the rank grows."""
+        if not any(y):
+            return 1
+        if not self.h:
+            return 0
+        h = self.h.copy()
+        rank, det = len(h), prod(h.pivots.values())
+        h.add(y)
+        return 0 if len(h) > rank else det // prod(h.pivots.values())
+
+    def divisors(self) -> list:
+        """The nonzero elementary divisors of L after its n - |Q| ones, one
+        per unit pivot: those of H, from Smith rounds on H alone."""
+        if not self.h:
+            return []
+        basis = self.h.unpacked()
+        return _snf_divisors([basis[j] for j in sorted(basis)])
+
+    def kernel_mod_p(self, p: int) -> list:
+        """``kernel_basis_mod_p`` of H.  A kernel vector of e mod p is a map
+        Z^n/L -> Z/p, k o images for such a k, and the images carry this
+        basis to e's, since each k and its image end at the same column."""
+        if not self.q:
+            return []
+        basis = self.h.unpacked()
+        rows = [basis[j] for j in sorted(basis)] or [(0,) * len(self.q)]
+        return kernel_basis_mod_p(IntMatrix(rows), p)
+
+    def test(self):
+        """A membership test of 0/1 rows (ints, bit j at column j) in L.
+
+        A row is in L exactly when the sum y of the images of its set bits
+        is in L(H): when taking y_i // p times the row of H off y at each
+        pivot i of H, with pivot p, in turn leaves each y_i divisible by p
+        and the other positions zero.  y is summed from one table per four
+        columns (Four Russians), looked up by the nibbles of the row's
+        bytes, of the packed sums of the images of all their subsets.
+        """
+        n, basis = len(self.images), self.h.unpacked()
+        w = 16
+        while sum(max(map(abs, v), default=0) for v in self.images) >> w - 1:
+            w *= 2  # every field of every sum below 2^(w-1)
+        lay = _layout(len(self.q), w)
+        images = list(map(lay.pack, self.images))
+        tables = []  # per 4 columns, the sums of all subsets of their images
+        for k in range(0, n, 4):
+            t = [0]
+            for x in images[k:k + 4]:
+                t += [s + x for s in t]
+            tables.append(t)
+        low, high = tables[::2], tables[1::2]
+        pos = sorted(basis)
+        free = [i for i in range(len(self.q)) if i not in basis]
+        ps, walk = [basis[i][i] for i in pos], []
+        for i, p in zip(pos, ps):  # each row of H with entries right of i
+            r = [(t, x) for t, x in enumerate(basis[i]) if t > i and x]
+            if r:
+                walk.append((i, p, r))
+        nbytes = (n + 7) // 8
+
+        def test(row: int) -> bool:
+            b = row.to_bytes(nbytes, "little")
+            y = sum(map(list.__getitem__, high, b.translate(_HIGH)),
+                    sum(map(list.__getitem__, low, b.translate(_LOW))))
+            if not y:
+                return True
+            y = lay.fields(y)
+            if walk:
+                y = list(y)
+                for i, p, r in walk:
+                    x = y[i] // p
+                    if x:
+                        for t, v in r:
+                            y[t] -= x * v
+            return not (any(map(y.__getitem__, free))
+                        or any(map(int.__mod__, map(y.__getitem__, pos), ps)))
+
+        return test
 
 
 def _build(rows, n: int) -> _Echelon:
@@ -538,8 +581,8 @@ def _build(rows, n: int) -> _Echelon:
     Insertion stops early once the basis is the full standard lattice (all
     n pivots equal to 1): no further integer row can change it.
 
-    A 0/1 row is first put to the quotient test of ``_quotient`` once one
-    is made.  A test made for an older basis is kept while it is stale: it
+    A 0/1 row is first put to the membership test of a ``_Quotient`` once
+    one is made.  A test made for an older basis is kept while it is stale: it
     can only miss rows, since a member of a sublattice is a member of the
     current lattice, and a missed row is folded in at full cost.  Such
     rows are tallied by their set bits, and a test is made afresh (or the
@@ -565,7 +608,7 @@ def _build(rows, n: int) -> _Echelon:
             waste += row.bit_count()
             if waste >= _Q_WASTE * n and n - units <= n // _Q_SHARE:
                 test = None  # one set of tables at a time
-                test, waste = _quotient(e), 0
+                test, waste = _Quotient(e).test(), 0
     return e
 
 
@@ -644,33 +687,16 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Smith normal form of ``m``: the chain of elementary divisors, padded
     with zeros to ``min(rows, cols)``.
 
-    The divisors are invariants of the row lattice, so the column Hermite
-    rounds of ``_snf_divisors`` start from the ``rank x cols`` Hermite basis
-    of ``m``: duplicate, zero and dependent rows never reach the Smith step.
+    The divisors are read off the ``_Quotient`` of the row lattice.
     """
-    nonzero = _snf_divisors(hermite_normal_form(m).matrix.data)
+    quot = _Quotient(_echelon_basis(m.data, m.cols))
+    nonzero = [1] * (m.cols - len(quot.q)) + quot.divisors()
     rank = len(nonzero)
     return SmithForm(
         divisors=tuple(nonzero) + (0,) * (min(m.rows, m.cols) - rank),
         rank=rank,
         nullity=m.cols - rank,
     )
-
-
-def _axis_multiple(e: _Echelon, i: int) -> int:
-    """Smallest a > 0 with a*e_i in the lattice of e, i a 0-based column,
-    or 0 if none exists; e_i is folded into a copy of e.
-
-    The set {a : a*e_i in L} is an ideal of Z; its nonnegative generator is
-    the index [L + Z*e_i : L], computed as the ratio of pivot products of the
-    two Hermite bases.  A rank increase means the line only meets L in 0.
-    """
-    e = e.copy()
-    rank, old_prod = len(e), prod(e.pivots.values())
-    e.add(1 << i)
-    if len(e) > rank:
-        return 0
-    return old_prod // prod(e.pivots.values())
 
 
 def _is_prime(p: int) -> bool:
@@ -739,16 +765,3 @@ def kernel_basis_mod_p(m: IntMatrix, p: int) -> list:
             v[j] = -x % p
         out.append(tuple(v))
     return out
-
-
-def kronecker_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Kronecker block product in lexicographic (a-major) index order."""
-    out = []
-    for arow in a.data:
-        for brow in b.data:
-            row = []
-            for x in arow:
-                row.extend(x * y for y in brow)
-            out.append(row)
-    return IntMatrix(out)
-

@@ -16,29 +16,27 @@ the echelon engine.  (A tree on 3 or more vertices and a graph of girth
 column contributes one divisor 1 and axis multiple 1; the other divisors
 and axis multiples are the core's.
 
-A graph's lattice is the peel mask plus the core's packed echelon basis.
-When every pivot of the core is 1 (it is saturated), the pivot minor is
-unimodular and the core is a direct summand of Z^w, w its width.  Then its
-nonzero divisors are rank ones; a*e_i lies in it for some a > 0 only if e_i
-does, which is when i is a pivot whose row is e_i; and the graph is RA
-exactly when the core has full rank.  Only other cores run Smith rounds and
-fold e_i into a copy of their basis.  A sign query e_u +- e_v drops its
-peeled coordinates, whose unit vectors lie in the lattice, and folds the
-rest into a copy of the core.  The mod-p kernel reads the core too: the
-RA matrix and its Hermite basis span the same rows mod p, each peeled e_w
-makes every kernel vector zero at w, and the kernel basis of the reduced
-row echelon form is unique, so the core's kernel vectors, widened with
-zeros, are the RA matrix's.  ``ra_lattice`` derives the full canonical
-Hermite basis on each call and does not keep it.  The latest graph's
-lattice is kept, so calls on one graph (``classify``, a neighborly
-predictor, ``pair_sign``, ``kernel_mod_p``) share one peel and at most one
-echelon build.
+A graph's lattice is the peel mask plus the core's packed echelon basis,
+and every answer is read off one presentation of Z^w modulo the core, w its
+width (``intlin._Quotient``): the core columns Q that are not unit pivots,
+the image in Z^Q of each column, 0 at a peeled one, and the echelon basis
+H of the non-unit pivot rows on Q.  The nonzero divisors are a 1 per peeled
+column and per unit pivot, then H's; an axis multiple is the order of the
+column's image modulo L(H), and e_u +- e_v is in the lattice when its
+image is in L(H); the graph is RA exactly when Q is empty; and a kernel
+vector k of H mod p gives the RA matrix's kernel vector images[v] . k.
+``ra_lattice`` derives the full canonical Hermite basis on each call and
+does not keep it.  The latest graph's lattice is kept, so calls on one
+graph (``classify``, a neighborly predictor, ``pair_sign``,
+``kernel_mod_p``) share one peel, at most one echelon build and one
+presentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .graphs import (
     Graph,
@@ -54,11 +52,8 @@ from .intlin import (
     HermiteForm,
     IntMatrix,
     SmithForm,
-    _axis_multiple,
     _check_modulus,
     _form_of,
-    _snf_divisors,
-    kernel_basis_mod_p,
 )
 
 __all__ = [
@@ -179,87 +174,74 @@ class _Lattice:
 
     ``peeled`` is the mask of the peeled columns and ``core`` the packed
     Hermite basis (an ``intlin._Echelon``) over the other ``width`` columns
-    in increasing order, None when every column is peeled.  ``saturated``
-    says every pivot of the core is 1, the case the module docstring
-    describes.  Every divisor, axis multiple and pair sign is read off these;
-    the full-width basis is derived only when ``ra_lattice`` asks for it.
+    in increasing order, None when every column is peeled.  Every answer
+    but the full-width basis is read off ``quotient()``.
     """
 
-    __slots__ = ("n", "peeled", "width", "core", "saturated", "ra")
+    __slots__ = ("n", "peeled", "width", "core", "ra", "_quotient")
 
     def __init__(self, g: Graph):
         n = self.n = g.n
         self.peeled, masks = _peel(_ra_masks(g))
         self.width = n - self.peeled.bit_count()
-        self.core = None
-        self.saturated = self.ra = True
+        self.core, self.ra, self._quotient = None, True, None
         if masks:
             # the Hermite form does not depend on row order, and sparse rows
             # first keep the transient entries small
             rows = sorted(_squeeze(masks, self.peeled, n), key=int.bit_count)
             core = self.core = intlin._echelon_basis(rows, self.width)
-            self.saturated = all(p == 1 for p in core.pivots.values())
-            self.ra = self.saturated and len(core) == self.width
+            # RA exactly when Q is empty: every core column is a unit pivot
+            self.ra = list(core.pivots.values()).count(1) == self.width
+
+    def quotient(self) -> tuple:
+        """(the core's ``intlin._Quotient``, ``_TRIVIAL`` when RA, and the
+        image in Z^Q of each column, 0 at a peeled one), made once."""
+        if self._quotient is None:
+            q = _TRIVIAL if self.ra else intlin._Quotient(self.core)
+            images = [(0,) * len(q.q)] * self.n
+            for v, y in zip(_bits((1 << self.n) - 1 ^ self.peeled), q.images):
+                images[v] = y
+            self._quotient = q, images
+        return self._quotient
 
     def smith_form(self) -> SmithForm:
-        """A divisor 1 per peeled column, then the core's nonzero divisors,
-        padded with zeros to n."""
-        n, ones = self.n, (1,) * (self.n - self.width)
-        if self.saturated:
-            nonzero = ones + (1,) * len(self.core or ())
-        else:
-            basis = self.core.unpacked()
-            nonzero = ones + tuple(_snf_divisors([basis[j] for j in sorted(basis)]))
+        """A divisor 1 per peeled column and per unit pivot of the core,
+        then the quotient's, padded with zeros to n."""
+        n, q = self.n, self.quotient()[0]
+        nonzero = (1,) * (n - len(q.q)) + tuple(q.divisors())
         rank = len(nonzero)
         return SmithForm(nonzero + (0,) * (n - rank), rank, n - rank)
 
     def axis_multiples(self) -> tuple:
         """Least a > 0 with a*e_v in the lattice for each column v, or 0:
-        1 at a peeled column, the core's at the others."""
-        core, unit = self.core, self.saturated
-        at_core = (int(core.rows.get(i) == 1) if unit
-                   else _axis_multiple(core, i) for i in range(self.width))
-        return tuple(1 if self.peeled >> v & 1 else next(at_core)
-                     for v in range(self.n))
+        the order of the image of e_v in the quotient."""
+        q, images = self.quotient()
+        return tuple(map(q.order, images))
 
     def contains_pair(self, u: int, v: int, s: int) -> bool:
-        """Whether e_u + s*e_v (0-based columns) is in the lattice.  Each
-        peeled column's unit vector is, so the vector is squeezed to the
-        core columns and folded into a copy of the core."""
-        peeled, x = self.peeled, [0] * self.width
-        for j, c in ((u, 1), (v, s)):
-            if not peeled >> j & 1:
-                x[j - (peeled & ((1 << j) - 1)).bit_count()] = c
-        return not any(x) or not self.core.copy().add(x)
+        """Whether e_u + s*e_v (0-based columns) is in the lattice, that is
+        its image in the quotient is 0."""
+        q, images = self.quotient()
+        return q.order([a + s * b for a, b in zip(images[u], images[v])]) == 1
 
+
+# the quotient of every RA lattice, Z^n/L = 0, which no query changes
+_TRIVIAL = intlin._Quotient(intlin._Echelon(0))
 
 # exact: Graph compares by (n, adj), and the lattice is never changed
 _latest_lattice = lru_cache(maxsize=1)(_Lattice)
 
 
-def _widened(lat: _Lattice, rows) -> list:
-    """Rows over the core's columns as rows over all n columns, zero at
-    every peeled one."""
-    n = lat.n
-    columns = [j for j in range(n) if not lat.peeled >> j & 1]
-    out = []
-    for row in rows:
-        full = [0] * n
-        for k, x in zip(columns, row):
-            full[k] = x
-        out.append(full)
-    return out
-
-
 def _full_basis(lat: _Lattice) -> HermiteForm:
-    """The full canonical basis: the core's rows widened, plus e_w at each
-    peeled w, keyed by pivot, the first nonzero entry.  That is already
-    reduced, because every peeled pivot is 1."""
+    """The full canonical basis: the core's rows widened with zeros, plus
+    e_w at each peeled w, reduced already since every peeled pivot is 1."""
     n = lat.n
     basis = {w: [0] * w + [1] + [0] * (n - 1 - w) for w in _bits(lat.peeled)}
-    if lat.core is not None:
-        for row in _widened(lat, lat.core.unpacked().values()):
-            basis[next(j for j, x in enumerate(row) if x)] = row
+    columns = [j for j in range(n) if not lat.peeled >> j & 1]
+    for j, row in (lat.core.unpacked().items() if lat.core else ()):
+        basis[columns[j]] = full = [0] * n
+        for k, x in zip(columns, row):
+            full[k] = x
     return _form_of(basis, n)
 
 
@@ -360,16 +342,13 @@ def pair_sign(g: Graph, u: int, v: int) -> str:
 
 def kernel_mod_p(g: Graph, p: int) -> list:
     """Basis of the right kernel of the RA matrix over Z/pZ, the vectors
-    ``kernel_basis_mod_p`` gives for it, read off the core's Hermite basis
-    and widened with zeros at the peeled columns.  p is checked before any
-    lattice work."""
+    ``kernel_basis_mod_p`` gives for it: images[v] . k mod p at each column
+    v, for each kernel vector k of the quotient's H.  p is checked before
+    any lattice work."""
     _check_modulus(p)
-    lat = _latest_lattice(g)
-    if lat.core is None:
-        return []
-    basis = lat.core.unpacked()
-    rows = IntMatrix([basis[j] for j in sorted(basis)])
-    return [tuple(v) for v in _widened(lat, kernel_basis_mod_p(rows, p))]
+    q, images = _latest_lattice(g).quotient()
+    return [tuple(sum(map(mul, y, k)) % p for y in images)
+            for k in q.kernel_mod_p(p)]
 
 
 def is_neighborly(g: Graph) -> bool:

@@ -31,7 +31,7 @@ from .graphs import (
     is_connected,
     kneser_vertices,
 )
-from .intlin import _is_prime
+from .intlin import _check_modulus
 from .products import disjoint_union, pyramid
 from .ra_core import elementary_divisors, pair_sign
 
@@ -478,10 +478,9 @@ def divisor_prime_profile(divisors):
 
 def kneser_kernel_vector(n: int, p: int, x) -> tuple:
     """Vector over the Kneser vertex order with entry |x & v| mod p."""
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if n <= p:
         raise ValueError("needs n > p")
+    _check_modulus(p)
     xs = frozenset(x)
     if len(xs) != p or not xs <= set(range(1, n + 1)):
         raise ValueError("x must be a p-subset of 1..n")
@@ -491,10 +490,9 @@ def kneser_kernel_vector(n: int, p: int, x) -> tuple:
 def kneser_kernel_span_dim(n: int, p: int) -> int:
     """Dimension of the span of all kernel vectors mod p: n-2 when p | n,
     n-1 otherwise."""
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if n <= p:
         raise ValueError("needs n > p")
+    _check_modulus(p)
     return n - 2 if n % p == 0 else n - 1
 
 

@@ -185,6 +185,12 @@ def ref_axis_multiple(rows, i: int) -> int:
     return basis[-1][-1] if pivots and pivots[-1] == n else 0
 
 
+def ref_kronecker(a, b) -> list:
+    """Kronecker product of two row lists in lexicographic (a-major) index
+    order: row (i, k) holds a[i][j] * b[k][l] at column (j, l)."""
+    return [tuple(x * y for x in ra for y in rb) for ra in a for rb in b]
+
+
 def random_int_matrix(rng: random.Random, rows: int, cols: int, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 

@@ -28,7 +28,6 @@ from ramat.intlin import (
     IntMatrix,
     hermite_normal_form,
     kernel_basis_mod_p,
-    kronecker_product,
     smith_normal_form,
 )
 from ramat.products import pyramid, strong
@@ -48,6 +47,7 @@ from support import (
     random_int_matrix,
     random_permutation_matrix,
     mat_mul,
+    ref_kronecker,
 )
 
 
@@ -180,8 +180,8 @@ def test_criterion_10_strong_product_kronecker():
         ca = ra_matrix(a).matrix
         cb = ra_matrix(b).matrix
         cs = ra_matrix(strong(a, b)).matrix
-        kron = kronecker_product(ca, cb)
-        assert Counter(cs.data) == Counter(r for r in kron.data if any(r))
+        kron = ref_kronecker(ca.data, cb.data)
+        assert Counter(cs.data) == Counter(r for r in kron if any(r))
         pred = theorems.strong_product_divisors(a, b)
         direct = elementary_divisors(strong(a, b)).divisors
         assert theorems.divisor_prime_profile(pred) == (

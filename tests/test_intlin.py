@@ -14,7 +14,6 @@ from ramat.intlin import (
     IntMatrix,
     hermite_normal_form,
     kernel_basis_mod_p,
-    kronecker_product,
     smith_normal_form,
 )
 
@@ -26,6 +25,7 @@ from support import (
     ref_axis_multiple,
     ref_contains,
     ref_hermite,
+    ref_kronecker,
     ref_smith_divisors,
 )
 
@@ -43,8 +43,9 @@ def contains(e, v) -> bool:
 
 def axis_multiple(e, i: int) -> int:
     """The engine's smallest a > 0 with a*e_i in the lattice of e (i
-    1-based), or 0."""
-    return intlin._axis_multiple(e, i - 1)
+    1-based), or 0: the order of the image of e_i in its quotient."""
+    quot = intlin._Quotient(e)
+    return quot.order(quot.images[i - 1])
 
 
 class TestSmithForm:
@@ -479,7 +480,7 @@ def hermite_of(e, n: int) -> tuple:
 
 class TestUnitPivotQuotient:
     """``_build`` on 0/1 masks skips rows that its unit-pivot quotient
-    test (``_quotient``) finds in the lattice; its basis must be the one
+    test (``_Quotient.test``) finds in the lattice; its basis must be the one
     the integer rows give, which never take that path."""
 
     @given(unit_heavy_stacks())
@@ -502,7 +503,7 @@ class TestUnitPivotQuotient:
         rows = units + rest
         cut = data.draw(st.integers(len(units) - 2, len(rows)))
         e = intlin._build(rows[:cut], n)
-        test = intlin._quotient(e)
+        test = intlin._Quotient(e).test()
         # each lattice by its textbook basis, which a member leaves as it is
         old, now = ref_hermite(rows[:cut]), ref_hermite(rows)
         # rows at random, and rows clear of the columns with no pivot
@@ -517,13 +518,13 @@ class TestUnitPivotQuotient:
 
     def test_quotient_path_runs_and_agrees(self, monkeypatch):
         made = []
-        real = intlin._quotient
+        real = intlin._Quotient
 
         def counted(e):
             made.append(dict(e.pivots))
             return real(e)
 
-        monkeypatch.setattr(intlin, "_quotient", counted)
+        monkeypatch.setattr(intlin, "_Quotient", counted)
         rng = random.Random(15)
         built = stale = 0
         for _ in range(20):
@@ -596,19 +597,31 @@ class TestKernelModP:
                 )
                 assert len(basis) + rank == mat.cols
 
+    @given(st.one_of(wide_matrices(), unit_heavy_lattices()),
+           st.sampled_from([2, 3, 5]))
+    @settings(max_examples=80, deadline=None)
+    def test_quotient_kernel_is_the_dense_one(self, m, p):
+        # the kernel vectors k of the quotient's H, carried to each column j
+        # as images[j] . k mod p, are the dense basis, vector for vector
+        if isinstance(m, tuple):
+            _, units, rest = m
+            m = units + rest
+        quot = intlin._Quotient(engine(m))
+        got = [tuple(sum(a * b for a, b in zip(y, k)) % p for y in quot.images)
+               for k in quot.kernel_mod_p(p)]
+        assert got == kernel_basis_mod_p(IntMatrix(m), p)
+
 
 class TestKronecker:
+    """The Kronecker oracle the product tests compare RA matrices with."""
+
     def test_identity_factors(self):
-        assert kronecker_product(
-            IntMatrix.identity(2), IntMatrix.identity(2)
-        ) == IntMatrix.identity(4)
-        assert kronecker_product(
-            IntMatrix([[1, 1], [1, 1]]), IntMatrix([[1]])
-        ).data == ((1, 1), (1, 1))
+        eye = IntMatrix.identity(2).data
+        assert ref_kronecker(eye, eye) == list(IntMatrix.identity(4).data)
+        assert ref_kronecker([[1, 1], [1, 1]], [[1]]) == [(1, 1), (1, 1)]
 
     def test_block_layout(self):
-        k = kronecker_product(IntMatrix([[1, 2]]), IntMatrix([[3], [4]]))
-        assert k.data == ((3, 6), (4, 8))
+        assert ref_kronecker([[1, 2]], [[3], [4]]) == [(3, 6), (4, 8)]
 
     @given(
         st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5),
@@ -616,8 +629,8 @@ class TestKronecker:
     )
     @settings(max_examples=60, deadline=None)
     def test_two_by_two_entries(self, a, b, c, d):
-        k = kronecker_product(IntMatrix([[a, b]]), IntMatrix([[c, d]]))
-        assert k.data == ((a * c, a * d, b * c, b * d),)
+        k = ref_kronecker([[a, b]], [[c, d]])
+        assert k == [(a * c, a * d, b * c, b * d)]
 
 
 class TestMatrixBasics:

@@ -16,7 +16,7 @@ from ramat.graphs import (
     connected_components,
     path,
 )
-from ramat.intlin import IntMatrix, kronecker_product
+from ramat.intlin import IntMatrix
 from ramat.products import (
     cartesian,
     disjoint_union,
@@ -27,7 +27,7 @@ from ramat.products import (
     tensor,
 )
 
-from support import activation_rows, are_isomorphic, random_graph
+from support import activation_rows, are_isomorphic, random_graph, ref_kronecker
 
 
 class TestCartesian:
@@ -130,10 +130,8 @@ class TestStrong:
             a = random_graph(rng, rng.randint(1, 5), 0.5)
             b = random_graph(rng, rng.randint(1, 5), 0.5)
             am = IntMatrix(activation_rows(strong(a, b)))
-            k = kronecker_product(
-                IntMatrix(activation_rows(a)), IntMatrix(activation_rows(b))
-            )
-            assert am == k
+            k = ref_kronecker(activation_rows(a), activation_rows(b))
+            assert am == IntMatrix(k)
 
 
 class TestJoinPyramidPrism:

@@ -366,8 +366,9 @@ def old_batch_category(g):
 
 class TestSaturatedCore:
     def test_shortcut_matches_the_smith_and_axis_path(self):
-        # a core whose pivots are all 1 skips the Smith rounds and the axis
-        # folds; both kinds of core must answer like the full build
+        # a core whose pivots are all 1 has an empty block H in its
+        # quotient, and one with another pivot does not; both kinds of core
+        # must answer like the full build
         rng = random.Random(23)
         cases = [graph6_decode("G?zTb_"), cube(3), kneser(6, 2), path(4)]
         while len(cases) < 60:
@@ -390,13 +391,31 @@ class TestSaturatedCore:
             assert is_ra(g) == all(d == 1 for d in ref)
             lat = ra_core._latest_lattice(g)
             if lat.core is not None:
-                kinds.add(lat.saturated)
+                kinds.add(set(lat.core.pivots.values()) == {1})
         assert kinds == {True, False}
 
     def test_batch_ra_question_matches_the_divisors(self):
         for n in range(1, 7):
             for g in connected_graphs_up_to_iso(n):
                 assert batch_category(g) == old_batch_category(g), graph6_encode(g)
+
+
+class TestQuotientBlock:
+    def test_smith_rounds_run_on_the_block_alone(self, monkeypatch):
+        # Z^220/L = (Z/3)^10 for Kn(12,3): the Smith rounds get the 10
+        # columns of the block H, never the 220-column core
+        calls = []
+        real = intlin._snf_divisors
+
+        def recorded(rows):
+            calls.append({len(r) for r in rows})
+            return real(rows)
+
+        monkeypatch.setattr(intlin, "_snf_divisors", recorded)
+        ra_core._latest_lattice.cache_clear()
+        c = classify(kneser(12, 3))
+        assert c.divisors == (1,) * 210 + (3,) * 10
+        assert calls == [{10}]
 
 
 def assert_peel_matches_full_build(g):
@@ -603,10 +622,14 @@ def assert_kernel_matches_dense(g, p):
 
 class TestKernelModP:
     def test_named_graphs(self):
+        # Kn(12,2)'s block H has a pivot 4, and construct_prescribed([2, 4],
+        # 1) has divisors and nullity together
+        both = construct_prescribed([2, 4], 1)
         sizes = [len(assert_kernel_matches_dense(g, p)) for g, p in (
             (kneser(6, 2), 2), (kneser(9, 3), 3), (cube(5), 3),
-            (graph6_decode("G?zTb_"), 2))]
-        assert sizes == [4, 7, 0, 1]
+            (graph6_decode("G?zTb_"), 2), (kneser(12, 2), 2), (both, 2),
+            (both, 3))]
+        assert sizes == [4, 7, 0, 1, 11, 3, 1]
 
     def test_every_column_peeled(self):
         g = path(6)

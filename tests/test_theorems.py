@@ -2,6 +2,7 @@
 direct classification."""
 
 import random
+import time
 from itertools import combinations
 from math import comb
 
@@ -402,6 +403,24 @@ class TestKneserKernel:
             kneser_kernel_vector(6, 2, (1, 2, 3))
         with pytest.raises(ValueError):
             kneser_kernel_span_dim(2, 2)
+
+    def test_huge_prime_rejected_at_once(self):
+        # n > p is tested before p, and p is checked against the modulus
+        # budget before any trial division
+        p = 2**61 - 1
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="needs n > p"):
+            kneser_kernel_span_dim(3, p)
+        with pytest.raises(ValueError, match="needs n > p"):
+            kneser_kernel_vector(3, p, (1, 2))
+        for n in (p + 1, 2**62):
+            with pytest.raises(ValueError, match="int64"):
+                kneser_kernel_span_dim(n, p)
+            with pytest.raises(ValueError, match="int64"):
+                kneser_kernel_vector(n, p, (1, 2))
+        with pytest.raises(ValueError, match="not prime"):
+            kneser_kernel_span_dim(9, 4)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestZ:

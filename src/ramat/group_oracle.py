@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .graphs import Graph
-from .intlin import IntMatrix, _is_prime
+from .intlin import IntMatrix, _check_modulus
 
 __all__ = [
     "FiniteGroup",
@@ -147,9 +147,9 @@ class FiniteGroup:
 
 def heisenberg(p: int) -> FiniteGroup:
     """Upper unitriangular 3x3 matrices over Z/pZ; order p^3, with a central
-    commutator subgroup of order p."""
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    commutator subgroup of order p.  p is checked against the modulus
+    bound before the primality test (``intlin._check_modulus``)."""
+    _check_modulus(p)
 
     # (a1, b1, c1) (a2, b2, c2) = (a1 + a2, b1 + b2, c1 + c2 + a1 b2) mod p,
     # with (a, b, c) at index (a p + b) p + c

@@ -54,10 +54,14 @@ pivots (Kn(12,3): 210 of 220).  Three parts of the engine rest on that:
   SIAM J. Comput. 1979) run on H alone, an axis multiple is the order of
   the column's image modulo L(H), and the kernel mod p is H's, carried to
   the n columns by the images.
-- Once few columns are left in Q, ``_build`` first tests each 0/1 row for
-  membership through the presentation, and only the rows that fail are
-  inserted (Hermite forms taken modulo the determinant, Domich, Kannan and
-  Trotter, Math. Oper. Res. 1987, carried over to the unit pivots).
+- The build finishes inside the presentation (Hermite forms taken modulo
+  the lattice, Domich, Kannan and Trotter, Math. Oper. Res. 1987, carried
+  over to the unit pivots).  Once few columns are left in Q, ``_build``
+  stops inserting over the n columns: a 0/1 row is tested for membership
+  in Smith coordinates of H, where the test is one packed sum read mod the
+  divisors, and a row the test misses has its image in Z^Q folded into H.
+  H's own unit pivots leave Q when the quotient is presented afresh, and
+  the basis over the n columns is assembled once, at the end.
 """
 
 from __future__ import annotations
@@ -456,9 +460,36 @@ class _Echelon:
                 for j, x in self.rows.items()}
 
 
-# translation tables to the low and the high nibble of each byte
-_LOW = bytes(b & 15 for b in range(256))
-_HIGH = bytes(b >> 4 for b in range(256))
+def _width(m: int) -> int:
+    """The least field width 16 * 2^k whose signed fields hold magnitudes up
+    to m."""
+    w = 16
+    while m >> w - 1:
+        w *= 2
+    return w
+
+
+class _SubsetSums(dict):
+    """The sums of the subsets of up to eight vectors, keyed by the byte
+    whose set bits pick them (Four Russians), each made when first asked
+    for; a 0/1 row is summed from one per eight columns, indexed by its
+    bytes."""
+
+    __slots__ = ("vectors",)
+
+    def __init__(self, vectors):
+        super().__init__({0: 0})
+        self.vectors = vectors
+
+    def __missing__(self, b: int):
+        low = b & -b
+        s = self[b] = self[b ^ low] + self.vectors[low.bit_length() - 1]
+        return s
+
+
+def _subset_sums(vectors: list) -> list:
+    """The ``_SubsetSums`` of each eight consecutive vectors."""
+    return [_SubsetSums(vectors[k:k + 8]) for k in range(0, len(vectors), 8)]
 
 
 class _Quotient:
@@ -471,6 +502,12 @@ class _Quotient:
     restricted to Q are the rows of an echelon basis H (``h``, over the
     positions in Q).  So Z^n/L is Z^Q/L(H), column j going to ``images[j]``:
     -b_j on Q at a unit pivot j, and the unit vector at a column of Q.
+
+    ``_build`` carries on in this presentation once it is made: a row x
+    joins L by its image, the sum of x_j * images[j], joining L(H), so it
+    tests rows and folds images into ``h`` through ``tests``, presents the
+    quotient afresh with ``represent``, and gets the basis of L back from
+    ``echelon``.
     """
 
     __slots__ = ("q", "h", "images")
@@ -504,13 +541,14 @@ class _Quotient:
         h.add(y)
         return 0 if len(h) > rank else det // prod(h.pivots.values())
 
+    def _h_rows(self) -> list:
+        basis = self.h.unpacked()
+        return [basis[j] for j in sorted(basis)]
+
     def divisors(self) -> list:
         """The nonzero elementary divisors of L after its n - |Q| ones, one
         per unit pivot: those of H, from Smith rounds on H alone."""
-        if not self.h:
-            return []
-        basis = self.h.unpacked()
-        return _snf_divisors([basis[j] for j in sorted(basis)])
+        return _snf_divisors(self._h_rows()) if self.h else []
 
     def kernel_mod_p(self, p: int) -> list:
         """``kernel_basis_mod_p`` of H.  A kernel vector of e mod p is a map
@@ -518,118 +556,233 @@ class _Quotient:
         basis to e's, since each k and its image end at the same column."""
         if not self.q:
             return []
-        basis = self.h.unpacked()
-        rows = [basis[j] for j in sorted(basis)] or [(0,) * len(self.q)]
+        rows = self._h_rows() or [(0,) * len(self.q)]
         return kernel_basis_mod_p(IntMatrix(rows), p)
 
-    def test(self):
-        """A membership test of 0/1 rows (ints, bit j at column j) in L.
+    def _reduce(self):
+        """A function that reduces a list y, in place, modulo L(H): taking
+        y_i // p times the row of H off y at each pivot i of H, with pivot
+        p, in turn leaves y_i in [0, p).  The result is the unique such
+        representative of y modulo L(H), zero at each unit pivot of H."""
+        walk = []  # (position, pivot, its row's entries right of it)
+        for row in self._h_rows():
+            i = next(t for t, x in enumerate(row) if x)
+            walk.append((i, row[i], [(t, x) for t, x in enumerate(row)
+                                     if t > i and x]))
 
-        A row is in L exactly when the sum y of the images of its set bits
-        is in L(H): when taking y_i // p times the row of H off y at each
-        pivot i of H, with pivot p, in turn leaves each y_i divisible by p
-        and the other positions zero.  y is summed from one table per four
-        columns (Four Russians), looked up by the nibbles of the row's
-        bytes, of the packed sums of the images of all their subsets.
+        def reduce(y: list) -> list:
+            for i, p, r in walk:
+                c = y[i] // p
+                if c:
+                    y[i] -= c * p
+                    for t, x in r:
+                        y[t] -= c * x
+            return y
+
+        return reduce
+
+    def represent(self) -> None:
+        """Reduce every image modulo L(H), and take H's unit pivots out of
+        Q: there the images are zero now, and Z^Q/L(H) is Z^Q'/L(H') for
+        the ``_Quotient`` of H, with Q' and H' its columns and block."""
+        reduce, inner = self._reduce(), _Quotient(self.h)
+        self.images = [tuple([z[i] for i in inner.q])
+                       for z in map(reduce, map(list, self.images))]
+        self.q, self.h = [self.q[i] for i in inner.q], inner.h
+
+    def tests(self):
+        """(member, image, width) for 0/1 rows (ints, bit j at column j):
+        ``member(row)`` answers whether the row lies in L, ``image(row)`` is
+        its image in Z^Q as a list, and ``width`` is the widest field packed.
+
+        The test reads Smith coordinates (``_smith_coordinates``): with a
+        unimodular V on Q such that L(H)*V is spanned by the d_k * e_k, y is
+        in L(H) exactly when (yV)_k is 0 mod d_k where d_k > 1 and 0 where
+        d_k = 0; a column with d_k = 1 says nothing.  Each column's image
+        times V is packed with the coordinates where d_k > 1 first, then
+        those where d_k = 0, so a sum is a member when nothing is packed
+        above the first fields and these are 0 mod d_k.  A row of at most
+        two set bits adds the vectors of its columns, any other row the
+        subset sums of ``_subset_sums``, and so does ``image`` for the
+        images.
         """
-        n, basis = len(self.images), self.h.unpacked()
-        w = 16
-        while sum(max(map(abs, v), default=0) for v in self.images) >> w - 1:
-            w *= 2  # every field of every sum below 2^(w-1)
-        lay = _layout(len(self.q), w)
-        images = list(map(lay.pack, self.images))
-        tables = []  # per 4 columns, the sums of all subsets of their images
-        for k in range(0, n, 4):
-            t = [0]
-            for x in images[k:k + 4]:
-                t += [s + x for s in t]
-            tables.append(t)
-        low, high = tables[::2], tables[1::2]
-        pos = sorted(basis)
-        free = [i for i in range(len(self.q)) if i not in basis]
-        ps, walk = [basis[i][i] for i in pos], []
-        for i, p in zip(pos, ps):  # each row of H with entries right of i
-            r = [(t, x) for t, x in enumerate(basis[i]) if t > i and x]
-            if r:
-                walk.append((i, p, r))
-        nbytes = (n + 7) // 8
+        m, images, n = len(self.q), self.images, len(self.images)
+        d, vt = _smith_coordinates(self._h_rows(), m)
+        lay = _layout(m, _width(sum(max(map(abs, y), default=0)
+                                    for y in images)))
+        ys = list(map(lay.pack, images))
+        cols = [k for k in range(m) if d[k] > 1]
+        ds = [d[k] for k in cols]
+        cols += [k for k in range(m) if not d[k]]
+        if vt is None and cols == list(range(m)):  # it sums the images
+            lay_v, vs = lay, ys
+        else:  # y*V at the kept columns, read off the packed rows of V
+            vt = [vt[k] if vt else [int(i == k) for i in range(m)]
+                  for k in cols]
+            top = max((max(map(abs, v)) for v in vt), default=0)
+            lay_v = _layout(len(cols), _width(top * sum(
+                sum(map(abs, y)) for y in images)))
+            rows = list(map(lay_v.pack, zip(*vt)))
+            vs = [sum(map(mul, y, rows)) for y in images]
+        # the first fields of a sum are within half of 2^shift in magnitude
+        shift = lay_v.w * len(ds)
+        half, fields = 1 << shift >> 1, _layout(len(ds), lay_v.w).fields
+        tables, nbytes = _subset_sums(vs), (n + 7) // 8
+        sums = tables if vs is ys else _subset_sums(ys)
 
-        def test(row: int) -> bool:
-            b = row.to_bytes(nbytes, "little")
-            y = sum(map(list.__getitem__, high, b.translate(_HIGH)),
-                    sum(map(list.__getitem__, low, b.translate(_LOW))))
-            if not y:
-                return True
-            y = lay.fields(y)
-            if walk:
-                y = list(y)
-                for i, p, r in walk:
-                    x = y[i] // p
-                    if x:
-                        for t, v in r:
-                            y[t] -= x * v
-            return not (any(map(y.__getitem__, free))
-                        or any(map(int.__mod__, map(y.__getitem__, pos), ps)))
+        def member(row: int) -> bool:
+            lo = row & -row
+            rest = row ^ lo
+            if rest & (rest - 1) or not row:
+                y = sum(map(dict.__getitem__, tables,
+                            row.to_bytes(nbytes, "little")))
+            else:
+                y = vs[lo.bit_length() - 1]
+                if rest:
+                    y += vs[rest.bit_length() - 1]
+            return not y or not (y + half >> shift
+                                 or any(map(int.__mod__, fields(y), ds)))
 
-        return test
+        def image(row: int) -> list:
+            return list(lay.fields(sum(map(dict.__getitem__, sums,
+                                           row.to_bytes(nbytes, "little")))))
+
+        return member, image, max(lay.w, lay_v.w)
+
+    def echelon(self) -> _Echelon:
+        """The reduced echelon basis of L over the n columns, packed
+        directly: at each column j off Q, a unit pivot, the row e_j minus
+        images[j] reduced modulo L(H) (every image off Q is zero left of
+        its column), and H's rows on Q."""
+        q, n, reduce = self.q, len(self.images), self._reduce()
+        inq = set(q)
+        rows = {j: (1, 1, reduce([-x for x in y]))
+                for j, y in enumerate(self.images) if j not in inq}
+        for row in self._h_rows():  # (e_j's share, pivot, entries on Q)
+            i = next(t for t, x in enumerate(row) if x)
+            rows[q[i]] = 0, row[i], row
+        e = _Echelon(n)
+        bounds = {j: max(1, max(map(abs, z), default=0))
+                  for j, (_, _, z) in rows.items()}
+        e.layout = _layout(n, _width(max(bounds.values(), default=1)))
+        w = e.layout.w
+        for j, (x, p, z) in rows.items():
+            for t, v in enumerate(z):
+                if v:
+                    x += v << w * (q[t] - j)
+            e.rows[j], e.pivots[j] = x, p
+        e.bounds = bounds
+        return e
 
 
-def _build(rows, n: int) -> _Echelon:
+def _build(rows, n: int, stats: dict | None = None) -> _Echelon:
     """Packed Hermite basis of the lattice spanned by ``rows`` (integer
     sequences of length n, or ints read as 0/1 rows with bit j at column
     j), reducing above the pivots after each insert that changes it.
     Insertion stops early once the basis is the full standard lattice (all
     n pivots equal to 1): no further integer row can change it.
 
-    A 0/1 row is first put to the membership test of a ``_Quotient`` once
-    one is made.  A test made for an older basis is kept while it is stale: it
-    can only miss rows, since a member of a sublattice is a member of the
-    current lattice, and a missed row is folded in at full cost.  Such
-    rows are tallied by their set bits, and a test is made afresh (or the
-    first time) when the tally reaches ``_Q_WASTE`` times n.
+    0/1 rows are inserted over the n columns until those folded in for
+    nothing, tallied by their set bits, reach ``_Q_WASTE`` times n while at
+    most n/``_Q_SHARE`` columns are not unit pivots.  From there the build
+    stays in the ``_Quotient`` of that basis, and no row is inserted over
+    the n columns again: each row is put to the quotient's membership test,
+    and a row the test misses has its image folded into H, on the |Q|
+    columns.  A test made for an older H is kept while stale: it can only
+    miss rows, since a member of a sublattice is a member of the current
+    lattice.  Missed rows that leave H as it is are tallied the same way,
+    and at ``_Q_STALE`` times n the quotient is presented afresh, without
+    H's own unit pivots, and a new test is made.  The basis over the n
+    columns is assembled once, at the end.
+
+    ``stats``, when given, receives the counts of the build: ``rows_in``,
+    ``answered`` (rows the test found in the lattice), ``checked`` (rows
+    it missed, whose images went to H), ``absorbed`` (those that changed
+    H), ``remakes`` (presentations after the first), ``inserts`` (rows
+    inserted over the n columns), ``changes`` (those inserts that changed
+    the basis) and ``max_width``, the widest field packed, in bits.
     """
     e = _Echelon(n)
     pivots = e.pivots
-    units = waste = 0  # the unit pivots, and the bits folded in for nothing
-    test = None
-    for row in rows:
-        if test is not None and row.bit_count() > _Q_BITS and test(row):
-            continue
+    units = waste = changes = 0  # the unit pivots, and the bits for nothing
+    inserts = answered = checked = absorbed = remakes = 0
+    quot = None
+    rows = iter(rows)
+    for inserts, row in enumerate(rows, 1):
         touched = e.add(row)
         if touched:
+            changes += 1
             e.reduce(touched)
             for j in touched:  # a unit pivot is never replaced
                 if pivots[j] == 1:
                     units += 1
             if units == n:
                 break
-        elif (n >= _Q_WIDTH and isinstance(row, int)
-              and row.bit_count() > _Q_BITS):
+        elif n >= _Q_WIDTH and isinstance(row, int):
             waste += row.bit_count()
             if waste >= _Q_WASTE * n and n - units <= n // _Q_SHARE:
-                test = None  # one set of tables at a time
-                test, waste = _Quotient(e).test(), 0
+                quot = _Quotient(e)
+                break
+    width = e.layout.w
+    if quot is not None:
+        e = None  # the quotient holds all of it that is needed
+        h, waste = quot.h, 0
+        units = list(h.pivots.values()).count(1)
+        member, image, w = quot.tests()
+        for row in rows:
+            if member(row):
+                answered += 1
+                continue
+            checked += 1
+            touched = h.add(image(row))
+            if touched:
+                absorbed += 1
+                h.reduce(touched)
+                for j in touched:
+                    if h.pivots[j] == 1:
+                        units += 1
+                if units == len(quot.q):
+                    break
+                continue
+            waste += row.bit_count()
+            if waste >= _Q_STALE * n:
+                remakes += 1
+                width = max(width, w, h.layout.w)
+                member = image = None  # one set of tables at a time
+                quot.represent()
+                h, waste = quot.h, 0
+                units = list(h.pivots.values()).count(1)
+                member, image, w = quot.tests()
+        width = max(width, w, h.layout.w)
+        e = quot.echelon()
+    if stats is not None:
+        stats.update(
+            rows_in=inserts + answered + checked, answered=answered,
+            checked=checked, absorbed=absorbed, remakes=remakes,
+            inserts=inserts, changes=changes,
+            max_width=max(width, e.layout.w))
     return e
 
 
-# When ``_build`` uses the quotient test.  Each constant was timed against
-# the alternatives on the RA cores of Kn(7,2) to Kn(14,2), cube(5) to
-# cube(7), crown(20), construct_prescribed([60], 0) and the 8-vertex
-# corpus, in one process, best of several runs.
+# When ``_build`` moves to the quotient and presents it afresh.  _Q_SHARE,
+# _Q_WASTE and _Q_STALE were each timed against the alternatives on the RA
+# cores of Kn(9,3), Kn(10,3), Kn(12,3), Kn(12,4), Kn(12,2), Kn(14,2),
+# cube(7), cube(8), folded_cube(7), crown(40), the complement of Kn(9,2)
+# and construct_prescribed([60], 0): 10 to 12 runs of each side in one
+# process, alternating, ratios of medians.
 # - _Q_WIDTH: below 32 columns the test sped some cores up and slowed
 #   others (crown(20) 36% faster, Kn(7,2) 19% slower), and it slowed the
 #   corpus's cores, at most 8 columns wide, by 18-21%.
-# - _Q_SHARE: a test is made only when at most n/4 columns are not unit
-#   pivots.  At n/8, Kn(12,2) and Kn(14,2) lost 40-50% of their gain; at
-#   n/2, cube(7) was 20% and construct_prescribed([60], 0) 25% slower.
-# - _Q_WASTE: making a test costs about what folding in members with 2n
-#   to 9n set bits costs (Kn(12,3): 2 ms, against 70-110 us for a 22-bit
-#   row), so one is made after 4n; Kn(9,3) at 2n, and Kn(12,3) and
-#   cube(6) at 8n, were 13-54% slower than at 4n.
-# - _Q_BITS: a row of at most 2 set bits folds in about as fast as the test
-#   runs (cube(6): 2 us), so it skips the test; when such rows took it,
-#   cube(6) was 29% and cube(7) 15% slower than with full inserts only.
-_Q_WIDTH, _Q_SHARE, _Q_WASTE, _Q_BITS = 32, 4, 4, 2
+# - _Q_SHARE: the build moves when at most n/4 columns are not unit
+#   pivots.  At n/3, cube(8), Kn(10,3) and the complement of Kn(9,2) were
+#   16-22% slower; at n/6, cube(8) and Kn(12,2) 11-13% slower, while
+#   construct_prescribed([60], 0) was 11% faster.
+# - _Q_WASTE: moving after n wasted bits rather than 4n, Kn(9,3) was 15%
+#   and Kn(12,4) 8% faster, and no core more than 3% slower.
+# - _Q_STALE: at 2n, Kn(12,3) and construct_prescribed([60], 0) were
+#   13-14% slower; at 8n, Kn(12,3) was 8% faster but cube(7), cube(8),
+#   Kn(10,3) and folded_cube(7) 14-30% slower.
+_Q_WIDTH, _Q_SHARE, _Q_WASTE, _Q_STALE = 32, 4, 1, 4
 
 
 # Every Hermite build of a row lattice calls the engine by this name, which
@@ -681,6 +834,42 @@ def _snf_divisors(rows) -> list:
             g = gcd(d[i], d[j])
             d[i], d[j] = g, d[i] // g * d[j]
     return d
+
+
+def _smith_coordinates(rows, m: int):
+    """(d, vt) for the rows of an echelon basis over m columns: a unimodular
+    V, given as its transpose ``vt`` (None for the identity), and d such
+    that the row lattice of rows * V is spanned by the d[k] * e_k, so that
+    y is in the row lattice of the rows exactly when (yV)_k is 0 mod d[k]
+    for every k, d[k] = 0 asking (yV)_k = 0.
+
+    The rounds of ``_snf_divisors``, with the column operations kept: a
+    column round is the Hermite form of [rows^T | vt], a unimodular W times
+    it, so its right block is W * vt, the transpose of V * W^T, and its
+    left block the transpose of rows * V * W^T.  A row round is the
+    Hermite form of the rows, which leaves V and the row lattice as they
+    are.  The rounds end with one nonzero per row, d[k] in column k.
+    """
+    vt = None
+    while any(sum(1 for x in row if x) > 1 for row in rows):
+        r = len(rows)
+        if vt is None:
+            vt = [(0,) * k + (1,) + (0,) * (m - 1 - k) for k in range(m)]
+        basis = _build([c + v for c, v in zip(zip(*rows), vt)],
+                       r + m).unpacked()
+        aug = [basis[j] for j in sorted(basis)]
+        vt = [x[r:] for x in aug]
+        rows = list(zip(*[x[:r] for x in aug]))
+        if all(sum(1 for x in row if x) <= 1 for row in rows):
+            break
+        basis = _build(rows, m).unpacked()
+        rows = [basis[j] for j in sorted(basis)]
+    d = [0] * m
+    for row in rows:
+        for k, x in enumerate(row):
+            if x:
+                d[k] = abs(x)
+    return d, vt
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:

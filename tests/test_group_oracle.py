@@ -58,6 +58,15 @@ class TestConstructions:
         with pytest.raises(ValueError):
             dihedral(2)
 
+    def test_huge_heisenberg_prime_rejected_at_once(self):
+        # p is checked against the modulus bound before any trial division
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="int64"):
+            heisenberg(2**61 - 1)
+        assert time.perf_counter() - start < 1.0
+        with pytest.raises(ValueError, match="^4 is not prime$"):
+            heisenberg(4)
+
     def test_abelian_commutator_trivial(self):
         table = [[(i + j) % 5 for j in range(5)] for i in range(5)]
         c5 = FiniteGroup.from_table("C5", table, generators=(1,))

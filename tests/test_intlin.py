@@ -473,15 +473,52 @@ def unit_heavy_lattices(draw):
     return n, draw(st.permutations(units)), draw(st.permutations(rest))
 
 
+@st.composite
+def quotient_stacks(draw):
+    """(n, masks): 0/1 rows over n >= 32 columns that cross ``_build``'s
+    move to the quotient with a non-diagonal H short of full rank.
+
+    Each of the first n - k columns j gets the row {j} + A_j with A_j among
+    the last k >= 4 columns Q, so modulo the lattice e_j is minus the sum
+    of A_j.  Columns 0 and 1 have A = {a, b} and {a}, and columns 2 to 7
+    have A = {b}, for two columns a < b of Q.  Then {0, 1} has image
+    -(2e_a + e_b) and {2, ..., 7} has image -6e_b: H is [[2, 1], [0, 6]]
+    on a and b, and every other column of Q is free.  Column 8 may have
+    A = {c} for a third column c of Q, and the row {8, 9}, with A_9 empty,
+    then gives H a unit pivot at c, which the next presentation takes out
+    of Q.  The rows come first, then n repeats of them, members that move
+    the build to the quotient, then the rows for H among unions of
+    disjoint rows, members once H is in, in any order."""
+    n = draw(st.integers(32, 40))
+    k = draw(st.integers(4, 6))
+    tail = range(n - k, n)
+    a, b, c = sorted(draw(st.permutations(tail))[:3])
+    some = st.sets(st.sampled_from(tail))
+    unit = draw(st.booleans())
+    sets = [{a, b}, {a}] + [{b}] * 6 + [{c} if unit else draw(some), set()]
+    sets += [draw(some) for _ in range(10, n - k)]
+    rows = [1 << j | sum(1 << t for t in s) for j, s in enumerate(sets)]
+    extra = [0b11, 0b11111100] + [0b1100000000] * unit
+    pairs = st.tuples(st.sampled_from(rows + extra),
+                      st.sampled_from(rows + extra))
+    unions = [x | y for x, y in draw(st.lists(pairs, min_size=2 * n,
+                                              max_size=2 * n)) if not x & y]
+    repeats = draw(st.lists(st.sampled_from(rows), min_size=n, max_size=n))
+    return n, (draw(st.permutations(rows)) + repeats
+               + draw(st.permutations(extra + unions)))
+
+
 def hermite_of(e, n: int) -> tuple:
     h = intlin._form_of(e.unpacked(), n)
     return h.matrix.data, h.pivot_columns
 
 
 class TestUnitPivotQuotient:
-    """``_build`` on 0/1 masks skips rows that its unit-pivot quotient
-    test (``_Quotient.test``) finds in the lattice; its basis must be the one
-    the integer rows give, which never take that path."""
+    """``_build`` on 0/1 masks moves to its unit-pivot quotient: it skips
+    rows that the quotient's test (``_Quotient.tests``) finds in the
+    lattice, folds the images of the others into H, and assembles the basis
+    from the quotient at the end.  Its basis must be the one the integer
+    rows give, which never take that path."""
 
     @given(unit_heavy_stacks())
     @settings(max_examples=40, deadline=None)
@@ -493,40 +530,77 @@ class TestUnitPivotQuotient:
         assert hermite_of(e, n) == (basis or ((0,) * n,), pivots)
         assert e.unpacked() == intlin._build(rows, n).unpacked()
 
+    @given(quotient_stacks())
+    @settings(max_examples=40, deadline=None)
+    def test_free_columns_and_a_non_diagonal_block(self, stack):
+        n, masks = stack
+        stats = {}
+        e = intlin._build(masks, n, stats)
+        assert hermite_of(e, n) == ref_hermite([bits_of(m, n) for m in masks])
+        # the build moved to the quotient among the 2n - k rows and repeats,
+        # and the rows for H were folded into it there
+        assert stats["inserts"] < 2 * n and stats["rows_in"] == len(masks)
+        assert stats["absorbed"] >= 2
+
+    @given(wide_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_smith_coordinates_diagonalize_the_basis(self, m):
+        # the membership test's V: unimodular, and basis * V spans the
+        # lattice of the d[k] * e_k, which has the basis's divisors
+        basis, _ = ref_hermite(m)
+        n = len(m[0])
+        d, vt = intlin._smith_coordinates(basis, n)
+        eye = [[int(i == k) for i in range(n)] for k in range(n)]
+        assert ref_hermite(vt or eye) == (tuple(map(tuple, eye)),
+                                         tuple(range(1, n + 1)))
+        diagonal = [[x if i == k else 0 for i in range(n)]
+                    for k, x in enumerate(d) if x]
+        if basis:
+            got = mat_mul(basis, list(zip(*(vt or eye))))
+            assert ref_hermite(got) == ref_hermite(diagonal)
+            assert ref_smith_divisors(got) == ref_smith_divisors(basis)
+        else:
+            assert diagonal == []
+
     @given(unit_heavy_lattices(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_stale_table_answers_its_own_lattice(self, lattice, data):
         # a test made for the lattice of a prefix of the rows answers
         # membership in it exactly, so a row it lets through lies in the
-        # lattice of all the rows too: a stale test skips no row outside it
+        # lattice of all the rows too: a stale test skips no row outside
+        # it; the image of a row it misses is its class modulo that lattice
         n, units, rest = lattice
         rows = units + rest
         cut = data.draw(st.integers(len(units) - 2, len(rows)))
         e = intlin._build(rows[:cut], n)
-        test = intlin._Quotient(e).test()
+        quot = intlin._Quotient(e)
+        member, image, _ = quot.tests()
         # each lattice by its textbook basis, which a member leaves as it is
         old, now = ref_hermite(rows[:cut]), ref_hermite(rows)
-        # rows at random, and rows clear of the columns with no pivot
+        # rows at random, rows clear of the columns with no pivot, and rows
+        # of one or two set bits, which the test sums column by column
         pivots = sum(1 << j for j in e.pivots)
         probes = [m & pivots if i % 2 else m for i, m in enumerate(
             data.draw(st.lists(st.integers(0, (1 << n) - 1),
                                min_size=8, max_size=8)))]
+        probes += [sum(1 << j for j in c) for c in data.draw(st.lists(
+            st.sets(st.integers(0, n - 1), min_size=1, max_size=2),
+            min_size=8, max_size=8))]
         for m in probes:
             v = bits_of(m, n)
-            assert test(m) == (ref_hermite([*old[0], v]) == old)
-            assert not test(m) or ref_hermite([*now[0], v]) == now
+            assert member(m) == (ref_hermite([*old[0], v]) == old)
+            assert not member(m) or ref_hermite([*now[0], v]) == now
+            # v minus its image on Q lies in the lattice
+            w = list(v)
+            for c, x in zip(quot.q, image(m)):
+                w[c] -= x
+            assert ref_hermite([*old[0], w]) == old
+        # and the quotient gives back the basis it was made from
+        assert quot.echelon().unpacked() == e.unpacked()
 
-    def test_quotient_path_runs_and_agrees(self, monkeypatch):
-        made = []
-        real = intlin._Quotient
-
-        def counted(e):
-            made.append(dict(e.pivots))
-            return real(e)
-
-        monkeypatch.setattr(intlin, "_Quotient", counted)
+    def test_quotient_path_runs_and_agrees(self):
         rng = random.Random(15)
-        built = stale = 0
+        presented = 0
         for _ in range(20):
             n = rng.randint(32, 40)
             tail = range(n - 4, n)
@@ -542,14 +616,13 @@ class TestUnitPivotQuotient:
             unions = [x | y for x in rows + late for y in rows + late
                       if x < y and not x & y]
             masks = rows + unions[::2] + late + unions[1::2]
-            made.clear()
-            e = intlin._build(masks, n)
-            built += bool(made)
-            stale += bool(made) and made[0] != e.pivots
+            stats = {}
+            e = intlin._build(masks, n, stats)
+            presented += stats["absorbed"] > 0 and stats["remakes"] > 0
             rows = [bits_of(m, n) for m in masks]
             assert hermite_of(e, n) == ref_hermite(rows)
             assert e.unpacked() == intlin._build(rows, n).unpacked()
-        assert built > 5 and stale > 5, (built, stale)
+        assert presented >= 5, presented
 
 
 class TestKernelModP:

@@ -417,6 +417,33 @@ class TestQuotientBlock:
         assert c.divisors == (1,) * 210 + (3,) * 10
         assert calls == [{10}]
 
+    def test_build_stays_in_the_quotient(self, monkeypatch):
+        # once Kn(12,3)'s build moves to its quotient, no row is inserted
+        # over the core's 220 columns again
+        log, stats = [], {}
+        add, init = intlin._Echelon.add, intlin._Quotient.__init__
+
+        def logged_add(self, row):
+            log.append(self.n)
+            return add(self, row)
+
+        def logged_init(self, e):
+            log.append("moved")
+            init(self, e)
+
+        monkeypatch.setattr(intlin._Echelon, "add", logged_add)
+        monkeypatch.setattr(intlin._Quotient, "__init__", logged_init)
+        monkeypatch.setattr(intlin, "_echelon_basis",
+                            lambda rows, n: intlin._build(rows, n, stats))
+        ra_core._latest_lattice.cache_clear()
+        c = classify(kneser(12, 3))
+        assert c.divisors == (1,) * 210 + (3,) * 10
+        moved = log.index("moved")
+        assert log[:moved].count(220) == stats["inserts"] < 1000
+        assert 220 not in log[moved:]
+        assert stats["rows_in"] == 10747
+        assert stats["absorbed"] > 0 and stats["remakes"] > 0
+
 
 def assert_peel_matches_full_build(g):
     """The peeled lattice answers exactly like one echelon build over the
@@ -470,24 +497,33 @@ class TestPeel:
 # SHA-256 of to_text(), the pivot columns and the diagonal of the full
 # Hermite basis, for large lattices no benchmark workload builds
 LARGE_BASES = [
-    ("Kn(14,2)", lambda: kneser(14, 2),
+    ("Kn(14,2)", lambda: kneser(14, 2), True,
      "5b40b85a05cf0444646c609101d243ca2cb8cd8239b751580ef4a075771074ac"),
-    ("Kn(16,2)", lambda: kneser(16, 2),
+    ("Kn(16,2)", lambda: kneser(16, 2), True,
      "b84a92c1943ed2667e870d7bf9fd32f3e10a7fb2c9ccad9a2aabb248633c36e0"),
-    ("cube(7)", lambda: cube(7),
+    ("cube(7)", lambda: cube(7), True,
      "0810ba7a4c0c2668ece76080d212cca18e6881cfebb3bd64e380284098bea045"),
     ("construct_prescribed([60],0)", lambda: construct_prescribed([60], 0),
+     True,
      "9471fc2f44affab94fd420a7040ffbc38b6a0d4a64ae10b5e78a770aff360ce7"),
+    ("Kn(12,3)", lambda: kneser(12, 3), True,
+     "894164ebc392117f8b634caf8a0408d8ca40a1e64b33e1849de66d16f1ce1022"),
+    # the dense rows of Kn(12,4) take about a minute, so only its masks
+    ("Kn(12,4)", lambda: kneser(12, 4), False,
+     "c5ca659494891f7a5cc08f8bae82e5aabac58701a4da84d893bc364d038874bb"),
 ]
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("build, digest", [b[1:] for b in LARGE_BASES],
+@pytest.mark.parametrize("build, dense, digest", [b[1:] for b in LARGE_BASES],
                          ids=[b[0] for b in LARGE_BASES])
-def test_large_hermite_bases_are_pinned(build, digest):
+def test_large_hermite_bases_are_pinned(build, dense, digest):
     g = build()
     # through the peeled core's mask rows, then the dense integer rows
-    for h in (ra_lattice(g), hermite_normal_form(ra_matrix(g).matrix)):
+    forms = [ra_lattice(g)]
+    if dense:
+        forms.append(hermite_normal_form(ra_matrix(g).matrix))
+    for h in forms:
         text = "\n".join([h.matrix.to_text(), repr(h.pivot_columns),
                           repr(h.diagonal)])
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest

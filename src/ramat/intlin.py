@@ -51,9 +51,10 @@ pivots (Kn(12,3): 210 of 220).  Three parts of the engine rest on that:
   on the other columns Q, so Z^n/L is Z^Q/L(H), H the small echelon basis
   of the non-unit pivot rows restricted to Q (Kn(12,3): Z^220/L is
   (Z/3)^10, with 10 columns in Q).  The Smith rounds (Kannan and Bachem,
-  SIAM J. Comput. 1979) run on H alone, an axis multiple is the order of
-  the column's image modulo L(H), and the kernel mod p is H's, carried to
-  the n columns by the images.
+  SIAM J. Comput. 1979) run on H alone, once per presentation, and one
+  pair (d, V) answers the divisors, the order of any element (axis
+  multiples, pair signs) and the build's membership test.  The kernel mod
+  p is H's, carried to the n columns by the images.
 - The build finishes inside the presentation (Hermite forms taken modulo
   the lattice, Domich, Kannan and Trotter, Math. Oper. Res. 1987, carried
   over to the unit pivots).  Once few columns are left in Q, ``_build``
@@ -71,7 +72,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm
 from operator import index, mul
 
 __all__ = [
@@ -273,13 +274,6 @@ class _Echelon:
 
     def __len__(self) -> int:  # the rank
         return len(self.rows)
-
-    def copy(self) -> "_Echelon":
-        e = _Echelon.__new__(_Echelon)
-        e.n, e.layout = self.n, self.layout
-        e.rows, e.pivots, e.bounds = (
-            self.rows.copy(), self.pivots.copy(), self.bounds.copy())
-        return e
 
     def add(self, row) -> list:
         """Fold one row (an int read as a 0/1 row, or an integer sequence of
@@ -503,20 +497,23 @@ class _Quotient:
     positions in Q).  So Z^n/L is Z^Q/L(H), column j going to ``images[j]``:
     -b_j on Q at a unit pivot j, and the unit vector at a column of Q.
 
-    ``_build`` carries on in this presentation once it is made: a row x
-    joins L by its image, the sum of x_j * images[j], joining L(H), so it
-    tests rows and folds images into ``h`` through ``tests``, presents the
-    quotient afresh with ``represent``, and gets the basis of L back from
-    ``echelon``.
+    The divisors, the order of any vector and ``tests`` all read one Smith
+    pair (d, V) of H per presentation, from ``smith``.  ``_build`` carries
+    on in this presentation once it is made: a row x joins L by its image,
+    the sum of x_j * images[j], joining L(H), so it tests rows and folds
+    images into ``h`` through ``tests``, presents the quotient afresh with
+    ``represent``, and gets the basis of L back from ``echelon``.  Between
+    presentations the pair stays that of the H the test was made for,
+    which a stale test needs.
     """
 
-    __slots__ = ("q", "h", "images")
+    __slots__ = ("q", "h", "images", "_smith")
 
     def __init__(self, e: _Echelon):
         n, pivots, fields = e.n, e.pivots, e.layout.fields
         q = self.q = [c for c in range(n) if pivots.get(c) != 1]
         zero = (0,) * len(q)
-        self.h, self.images = _Echelon(len(q)), [zero] * n
+        self.h, self.images, self._smith = _Echelon(len(q)), [zero] * n, None
         for i, c in enumerate(q):
             self.images[c] = zero[:i] + (1,) + zero[i + 1:]
         for j, b in e.rows.items():
@@ -528,27 +525,44 @@ class _Quotient:
                 else:
                     self.h.add(row)  # reduced already, with a new pivot
 
+    def smith(self) -> tuple:
+        """(d, vt) of ``_smith_coordinates`` for H, made once per
+        presentation: L(H)*V is spanned by the d[k] * e_k."""
+        if self._smith is None:
+            self._smith = _smith_coordinates(self._h_rows(), len(self.q))
+        return self._smith
+
     def order(self, y) -> int:
-        """The least a > 0 with a*y in L(H), or 0 if none exists: the index
-        [L(H) + Z*y : L(H)], the ratio of the pivot products of the two
-        echelon bases, unless the rank grows."""
-        if not any(y):
-            return 1
-        if not self.h:
-            return 0
-        h = self.h.copy()
-        rank, det = len(h), prod(h.pivots.values())
-        h.add(y)
-        return 0 if len(h) > rank else det // prod(h.pivots.values())
+        """The least a > 0 with a*y in L(H), or 0 if none exists: a*y is in
+        L(H) exactly when a*(yV)_k is 0 mod d[k] for every k, so a is the
+        lcm of the d[k] / gcd(d[k], (yV)_k), and none exists when some
+        (yV)_k is not 0 where d[k] = 0."""
+        d, vt = self.smith()
+        if vt is not None:
+            y = [sum(map(mul, y, v)) for v in vt]
+        a = 1
+        for dk, x in zip(d, y):
+            if not dk:
+                if x:
+                    return 0
+            elif x % dk:
+                a = lcm(a, dk // gcd(dk, x))
+        return a
 
     def _h_rows(self) -> list:
         basis = self.h.unpacked()
         return [basis[j] for j in sorted(basis)]
 
     def divisors(self) -> list:
-        """The nonzero elementary divisors of L after its n - |Q| ones, one
-        per unit pivot: those of H, from Smith rounds on H alone."""
-        return _snf_divisors(self._h_rows()) if self.h else []
+        """The nonzero elementary divisors of L after its n - |Q| ones: the
+        nonzero d[k] of ``smith``, each pair (d_i, d_j), i < j, replaced by
+        (gcd, lcm), which sorts every prime's exponents into the chain."""
+        d = [x for x in self.smith()[0] if x]
+        for i in range(len(d)):
+            for j in range(i + 1, len(d)):
+                g = gcd(d[i], d[j])
+                d[i], d[j] = g, d[i] // g * d[j]
+        return d
 
     def kernel_mod_p(self, p: int) -> list:
         """``kernel_basis_mod_p`` of H.  A kernel vector of e mod p is a map
@@ -589,13 +603,14 @@ class _Quotient:
         self.images = [tuple([z[i] for i in inner.q])
                        for z in map(reduce, map(list, self.images))]
         self.q, self.h = [self.q[i] for i in inner.q], inner.h
+        self._smith = None
 
     def tests(self):
         """(member, image, width) for 0/1 rows (ints, bit j at column j):
         ``member(row)`` answers whether the row lies in L, ``image(row)`` is
         its image in Z^Q as a list, and ``width`` is the widest field packed.
 
-        The test reads Smith coordinates (``_smith_coordinates``): with a
+        The test reads the presentation's Smith pair (``smith``): with a
         unimodular V on Q such that L(H)*V is spanned by the d_k * e_k, y is
         in L(H) exactly when (yV)_k is 0 mod d_k where d_k > 1 and 0 where
         d_k = 0; a column with d_k = 1 says nothing.  Each column's image
@@ -607,7 +622,7 @@ class _Quotient:
         images.
         """
         m, images, n = len(self.q), self.images, len(self.images)
-        d, vt = _smith_coordinates(self._h_rows(), m)
+        d, vt = self.smith()
         lay = _layout(m, _width(sum(max(map(abs, y), default=0)
                                     for y in images)))
         ys = list(map(lay.pack, images))
@@ -695,6 +710,9 @@ def _build(rows, n: int, stats: dict | None = None) -> _Echelon:
     H's own unit pivots, and a new test is made.  The basis over the n
     columns is assembled once, at the end.
 
+    One loop does both: its echelon ``e`` is the basis over the n columns,
+    then H, and ``member`` is None until the first presentation.
+
     ``stats``, when given, receives the counts of the build: ``rows_in``,
     ``answered`` (rows the test found in the lattice), ``checked`` (rows
     it missed, whose images went to H), ``absorbed`` (those that changed
@@ -703,57 +721,50 @@ def _build(rows, n: int, stats: dict | None = None) -> _Echelon:
     the basis) and ``max_width``, the widest field packed, in bits.
     """
     e = _Echelon(n)
-    pivots = e.pivots
-    units = waste = changes = 0  # the unit pivots, and the bits for nothing
-    inserts = answered = checked = absorbed = remakes = 0
-    quot = None
-    rows = iter(rows)
-    for inserts, row in enumerate(rows, 1):
-        touched = e.add(row)
+    quot = member = image = None
+    units = waste = width = w = 0  # e's unit pivots, bits for nothing, widths
+    inserts = changes = answered = checked = absorbed = remakes = 0
+    for row in rows:
+        if member is None:
+            inserts += 1
+            touched = e.add(row)
+        elif member(row):
+            answered += 1
+            continue
+        else:
+            checked += 1
+            touched = e.add(image(row))
         if touched:
-            changes += 1
+            if quot is None:
+                changes += 1
+            else:
+                absorbed += 1
             e.reduce(touched)
             for j in touched:  # a unit pivot is never replaced
-                if pivots[j] == 1:
+                if e.pivots[j] == 1:
                     units += 1
-            if units == n:
+            if units == e.n:
                 break
-        elif n >= _Q_WIDTH and isinstance(row, int):
-            waste += row.bit_count()
-            if waste >= _Q_WASTE * n and n - units <= n // _Q_SHARE:
-                quot = _Quotient(e)
-                break
-    width = e.layout.w
-    if quot is not None:
-        e = None  # the quotient holds all of it that is needed
-        h, waste = quot.h, 0
-        units = list(h.pivots.values()).count(1)
+            continue
+        if n < _Q_WIDTH or not isinstance(row, int):
+            continue
+        waste += row.bit_count()
+        if quot is None:
+            if waste < _Q_WASTE * n or n - units > n // _Q_SHARE:
+                continue
+            quot = _Quotient(e)
+        elif waste < _Q_STALE * n:
+            continue
+        else:
+            remakes += 1
+            member = image = None  # one set of tables at a time
+            quot.represent()
+        width = max(width, w, e.layout.w)
+        e, waste = quot.h, 0
+        units = list(e.pivots.values()).count(1)
         member, image, w = quot.tests()
-        for row in rows:
-            if member(row):
-                answered += 1
-                continue
-            checked += 1
-            touched = h.add(image(row))
-            if touched:
-                absorbed += 1
-                h.reduce(touched)
-                for j in touched:
-                    if h.pivots[j] == 1:
-                        units += 1
-                if units == len(quot.q):
-                    break
-                continue
-            waste += row.bit_count()
-            if waste >= _Q_STALE * n:
-                remakes += 1
-                width = max(width, w, h.layout.w)
-                member = image = None  # one set of tables at a time
-                quot.represent()
-                h, waste = quot.h, 0
-                units = list(h.pivots.values()).count(1)
-                member, image, w = quot.tests()
-        width = max(width, w, h.layout.w)
+    width = max(width, w, e.layout.w)
+    if quot is not None:
         e = quot.echelon()
     if stats is not None:
         stats.update(
@@ -812,30 +823,6 @@ def hermite_normal_form(m: IntMatrix) -> HermiteForm:
     return _form_of(_echelon_basis(m.data, m.cols).unpacked(), m.cols)
 
 
-def _snf_divisors(rows) -> list:
-    """Nonzero elementary divisors of the matrix with these rows.
-
-    Alternates Hermite reductions of rows and columns (Kannan and Bachem,
-    SIAM J. Comput. 1979): while some row has two nonzeros, the columns are
-    folded into a fresh echelon basis, the Hermite form of the transpose.
-    Each round leaves the corner entry no larger, as it becomes the gcd of
-    its row.  It shrinks strictly until it divides its row, and after that
-    its row and column are cleared and stay clear, so the rounds end with
-    one nonzero per row.  Replacing each pair (d_i, d_j), i < j, of that
-    diagonal by (gcd, lcm) then sorts every prime's exponents into the
-    divisor chain.
-    """
-    while any(sum(1 for x in row if x) > 1 for row in rows):
-        basis = _build(list(zip(*rows)), len(rows)).unpacked()
-        rows = [basis[j] for j in sorted(basis)]
-    d = [x for row in rows for x in row if x]
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            g = gcd(d[i], d[j])
-            d[i], d[j] = g, d[i] // g * d[j]
-    return d
-
-
 def _smith_coordinates(rows, m: int):
     """(d, vt) for the rows of an echelon basis over m columns: a unimodular
     V, given as its transpose ``vt`` (None for the identity), and d such
@@ -843,12 +830,15 @@ def _smith_coordinates(rows, m: int):
     y is in the row lattice of the rows exactly when (yV)_k is 0 mod d[k]
     for every k, d[k] = 0 asking (yV)_k = 0.
 
-    The rounds of ``_snf_divisors``, with the column operations kept: a
-    column round is the Hermite form of [rows^T | vt], a unimodular W times
-    it, so its right block is W * vt, the transpose of V * W^T, and its
-    left block the transpose of rows * V * W^T.  A row round is the
-    Hermite form of the rows, which leaves V and the row lattice as they
-    are.  The rounds end with one nonzero per row, d[k] in column k.
+    Alternates Hermite reductions of rows and columns (Kannan and Bachem,
+    SIAM J. Comput. 1979), with the column operations kept: a column round
+    is the Hermite form of [rows^T | vt], a unimodular W times it, so its
+    right block is W * vt, the transpose of V * W^T, and its left block the
+    transpose of rows * V * W^T.  A row round is the Hermite form of the
+    rows, which leaves V and the row lattice as they are.  A round makes
+    the corner entry the gcd of its row, so it shrinks until it divides its
+    row, whose row and column then stay clear: the rounds end with one
+    nonzero per row, d[k] in column k.
     """
     vt = None
     while any(sum(1 for x in row if x) > 1 for row in rows):

@@ -22,9 +22,10 @@ width (``intlin._Quotient``): the core columns Q that are not unit pivots,
 the image in Z^Q of each column, 0 at a peeled one, and the echelon basis
 H of the non-unit pivot rows on Q.  The nonzero divisors are a 1 per peeled
 column and per unit pivot, then H's; an axis multiple is the order of the
-column's image modulo L(H), and e_u +- e_v is in the lattice when its
-image is in L(H); the graph is RA exactly when Q is empty; and a kernel
-vector k of H mod p gives the RA matrix's kernel vector images[v] . k.
+column's image, and e_u +- e_v is in the lattice when its image has order
+1, all read off one Smith pair of H; the graph is RA exactly when Q is
+empty; and a kernel vector k of H mod p gives the RA matrix's kernel
+vector images[v] . k.
 ``ra_lattice`` derives the full canonical Hermite basis on each call and
 does not keep it.  The latest graph's lattice is kept, so calls on one
 graph (``classify``, a neighborly predictor, ``pair_sign``,

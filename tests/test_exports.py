@@ -69,7 +69,7 @@ def test_no_module_queries_a_full_width_lattice():
     # lattice queries are gone
     assert _calls({"ra_lattice", "ra_matrix", "kronecker_product"}) == {}
     gone = {"lattice_smith_form", "lattice_contains", "minimal_axis_multiple",
-            "_packed", "kronecker_product", "_axis_multiple"}
+            "_packed", "kronecker_product", "_axis_multiple", "_snf_divisors"}
     for path in sorted(Path(ramat.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defined = {node.name for node in ast.walk(tree)
@@ -78,7 +78,8 @@ def test_no_module_queries_a_full_width_lattice():
 
 
 def test_smith_rounds_have_one_caller():
-    # every divisor chain, the public Smith form's included, is read off
-    # an ``intlin._Quotient``, whose Smith rounds run on its block H alone
-    assert {k: len(v) for k, v in _calls({"_snf_divisors"}).items()} == {
+    # every divisor chain, the public Smith form's included, every order
+    # and every membership test is read off the one Smith pair of an
+    # ``intlin._Quotient``, whose rounds run on its block H alone
+    assert {k: len(v) for k, v in _calls({"_smith_coordinates"}).items()} == {
         "intlin.py": 1}

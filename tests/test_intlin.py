@@ -36,9 +36,10 @@ def engine(rows):
 
 
 def contains(e, v) -> bool:
-    """Membership by the engine: folding v into a copy of the packed basis
-    e changes no pivot."""
-    return e.copy().add(list(v)) == []
+    """Membership by the engine: the build of e's rows plus v gives e's
+    basis back."""
+    basis = e.unpacked()
+    return intlin._build([*basis.values(), list(v)], e.n).unpacked() == basis
 
 
 def axis_multiple(e, i: int) -> int:
@@ -416,6 +417,48 @@ class TestAgainstTextbookHermite:
         basis, pivots = ref_hermite(m)
         assert (h.matrix.data, h.pivot_columns) == (basis, pivots)
 
+    @given(wide_matrices(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_order_of_any_vector(self, m, data):
+        n = len(m[0])
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(m),
+                                    max_size=len(m)))
+        other = data.draw(st.lists(st.one_of(st.just(0), ENTRIES),
+                                   min_size=n, max_size=n))
+        assert_order(m, [sum(c * r[j] for c, r in zip(coeffs, m)) + other[j]
+                         for j in range(n)])
+
+    def test_order_with_a_non_diagonal_block(self):
+        # H = [[2, 1], [0, 6]] has no unit pivot, so it is the whole basis,
+        # and its Smith pair needs a V that is not the identity
+        m = [[2, 1], [0, 6]]
+        quot = intlin._Quotient(engine(m))
+        d, vt = quot.smith()
+        assert quot.q == [0, 1] and sorted(d) == [1, 12] and vt is not None
+        for y in [(x, z) for x in range(-3, 13) for z in range(-3, 13)]:
+            assert_order(m, y)
+
+
+def assert_order(m, y):
+    """``_Quotient.order`` of the image of y against the textbook Hermite
+    bases: 1 exactly when y is in the lattice, 0 exactly when y raises its
+    rank, and otherwise a > 0 with a*y in the lattice while no proper
+    divisor of a works, so a is the index [L + Zy : L]."""
+    quot = intlin._Quotient(engine(m))
+    image = [sum(x * v[t] for x, v in zip(y, quot.images))
+             for t in range(len(quot.q))]
+    a = quot.order(image)
+    assert (a == 1) == ref_contains(m, y)
+    (old, pivots), (new, wider) = ref_hermite(m), ref_hermite([*m, list(y)])
+    assert (a == 0) == (len(wider) > len(pivots))
+    if a:
+        assert ref_contains(m, [a * x for x in y])
+        for d in range(2, min(a, 50) + 1):
+            if a % d == 0:
+                assert not ref_contains(m, [a // d * x for x in y])
+        det = prod(r[j - 1] for r, j in zip(old, pivots))
+        assert a == det // prod(r[j - 1] for r, j in zip(new, wider))
+
 
 def bits_of(mask: int, n: int) -> list:
     return [mask >> j & 1 for j in range(n)]
@@ -597,6 +640,15 @@ class TestUnitPivotQuotient:
             assert ref_hermite([*old[0], w]) == old
         # and the quotient gives back the basis it was made from
         assert quot.echelon().unpacked() == e.unpacked()
+
+    def test_represent_drops_the_smith_pair(self):
+        # the build folds images into H between presentations; the next
+        # presentation answers for the H it has then, not the one before
+        quot = intlin._Quotient(engine([[2, 1], [0, 6]]))
+        assert quot.divisors() == [1, 12] and quot.order([0, 1]) == 6
+        quot.h.reduce(quot.h.add([0, 2]))
+        quot.represent()
+        assert quot.divisors() == [1, 4] and quot.order([0, 1]) == 2
 
     def test_quotient_path_runs_and_agrees(self):
         rng = random.Random(15)

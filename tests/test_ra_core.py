@@ -403,19 +403,25 @@ class TestSaturatedCore:
 class TestQuotientBlock:
     def test_smith_rounds_run_on_the_block_alone(self, monkeypatch):
         # Z^220/L = (Z/3)^10 for Kn(12,3): the Smith rounds get the 10
-        # columns of the block H, never the 220-column core
+        # columns of the block H, never the 220-column core, and ra_core's
+        # presentation runs them once for its divisors and axis multiples
         calls = []
-        real = intlin._snf_divisors
+        real = intlin._smith_coordinates
 
-        def recorded(rows):
-            calls.append({len(r) for r in rows})
-            return real(rows)
+        def recorded(rows, m):
+            calls.append((m, {len(r) for r in rows}))
+            return real(rows, m)
 
-        monkeypatch.setattr(intlin, "_snf_divisors", recorded)
+        monkeypatch.setattr(intlin, "_smith_coordinates", recorded)
         ra_core._latest_lattice.cache_clear()
+        ra_core._latest_lattice(kneser(12, 3))
+        built = calls[:]
+        calls.clear()
         c = classify(kneser(12, 3))
         assert c.divisors == (1,) * 210 + (3,) * 10
-        assert calls == [{10}]
+        assert c.axis_multiples == (3,) * 220
+        assert calls == [(10, {10})]
+        assert built and all(m < 220 for m, _ in built)
 
     def test_build_stays_in_the_quotient(self, monkeypatch):
         # once Kn(12,3)'s build moves to its quotient, no row is inserted

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from functools import reduce
 
 from . import theorems, verify
@@ -22,6 +21,7 @@ from .graphs import (
     complement,
     complete,
     complete_bipartite,
+    connected_components,
     crown,
     cube,
     cycle,
@@ -30,13 +30,13 @@ from .graphs import (
     graph6_decode,
     graph6_encode,
     is_bipartite,
+    is_connected,
     is_neighborhood_distinguishable,
     kneser,
     path,
     read_graph6_lines,
     subgraph,
 )
-from .graphs import connected_components
 from .group_oracle import (
     BudgetExceededError,
     dihedral,
@@ -105,11 +105,11 @@ def _iter_graph6_inputs(args):
 
 
 def _records_for(g: Graph):
-    """Classification records, one per connected component.  The components
-    are searched once here; each part is connected, so its verdict and
-    record skip the search."""
-    comps = connected_components(g)
-    parts = [g] if len(comps) == 1 else [subgraph(g, comp) for comp in comps]
+    """Classification records, one per connected component.  Connectivity
+    is decided here, by one search unless the graph falls apart; each part
+    is connected, so its verdict and record skip the search."""
+    parts = ([g] if is_connected(g) else
+             [subgraph(g, comp) for comp in connected_components(g)])
     out = []
     for part in parts:
         rec = _record(part, _verdict(part), True)
@@ -246,6 +246,14 @@ def batch_category(g: Graph):
     if gi == 4:
         return ("4", "ra" if is_ra(g) else "not-ra")
     return ("5+", "all")
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A ``concurrent.futures`` process pool, imported on its first use:
+    only ``batch --workers N`` with N > 1 runs one, and the import (with
+    ``multiprocessing``) would otherwise add to every start of the CLI."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def _count_categories(graphs) -> Counter:

@@ -4,12 +4,15 @@ Vertices are numbered 1..n in every public API.  Adjacency is held as one
 bitmask per vertex (bit ``j`` set means adjacent to vertex ``j+1``), which
 makes closed-neighborhood intersections single AND operations.  The
 family builders write each vertex's mask from a formula, and the graph6
-codec reads and writes each column of the upper triangle as one mask; no
-library code goes through an edge list.  The structural queries run on
-masks too: one breadth-first search yields each distance layer as a vertex
-bitmask, and girth, bipartiteness, components and distances are read off
-those layers.  Vertex sets returned to callers are frozensets or sorted
-tuples of 1-based indices.
+codec holds the whole upper triangle as one int: decoding translates the
+body into one bit string and parses it once, encoding packs each column's
+mask into the int and formats it once, and the columns are read off the
+int as masks; no library code goes through an edge list.  The structural
+queries run on masks too: girth 3 is an edge whose ends share a
+neighbour, and otherwise one breadth-first search yields each distance
+layer as a vertex bitmask, and girth, bipartiteness, components and
+distances are read off those layers.  Vertex sets returned to callers are
+frozensets or sorted tuples of 1-based indices.
 
 Every graph built from parameters or graph6 has at most ``MAX_VERTICES``
 vertices: its builder checks the count after its own parameter checks and
@@ -19,6 +22,7 @@ raises ``ValueError`` past that budget before it builds anything.
 from __future__ import annotations
 
 import operator
+from binascii import b2a_base64
 from itertools import combinations
 from math import comb
 
@@ -146,12 +150,15 @@ def _bits(mask: int):
 def _layers(g: Graph, root: int):
     """Breadth-first search from the 0-based vertex ``root``: yield each
     distance layer as a vertex bitmask, the root's own layer first."""
+    adj = g.adj
     seen = layer = 1 << root
     while layer:
         yield layer
-        reach = 0
-        for v in _bits(layer):
-            reach |= g.adj[v]
+        reach, rest = 0, layer
+        while rest:
+            low = rest & -rest
+            reach |= adj[low.bit_length() - 1]
+            rest ^= low
         layer = reach & ~seen
         seen |= layer
 
@@ -273,26 +280,33 @@ def degree(g: Graph, v: int) -> int:
 def girth(g: Graph):
     """Length of a shortest cycle, or None for forests.
 
-    From each root, layer d closes a cycle of length at most 2d when one of
-    its vertices has two neighbours in layer d - 1, and of length at most
-    2d + 1 when it holds an edge; the root on a shortest cycle finds its
-    length exactly.
+    A triangle is an edge uv whose ends share a neighbour, so one pass over
+    the edges finds girth 3.  Past that, from each root, layer d closes a
+    cycle of length at most 2d when one of its vertices has two neighbours
+    in layer d - 1, and of length at most 2d + 1 when it holds an edge; the
+    root on a shortest cycle finds its length exactly.
     """
+    adj = g.adj
+    for u, a in enumerate(adj):
+        later = a & -(2 << u)  # the neighbours past u
+        while later:
+            low = later & -later
+            if adj[low.bit_length() - 1] & a:
+                return 3
+            later ^= low
     best = None
     for root in range(g.n):
         prev = 0
         for d, layer in enumerate(_layers(g, root)):
             if best is not None and 2 * d >= best:
                 break
-            if any((g.adj[v] & prev).bit_count() > 1 for v in _bits(layer)):
+            if any((adj[v] & prev).bit_count() > 1 for v in _bits(layer)):
                 best = 2 * d
                 break
-            if any(g.adj[v] & layer for v in _bits(layer)):
+            if any(adj[v] & layer for v in _bits(layer)):
                 best = 2 * d + 1
                 break
             prev = layer
-        if best == 3:
-            break
     return best
 
 
@@ -312,21 +326,27 @@ def is_bipartite(g: Graph):
     return tuple(tuple(v + 1 for v in _bits(part)) for part in parts)
 
 
+def _component(g: Graph, root: int) -> int:
+    """The vertex mask of the component of the 0-based vertex ``root``."""
+    comp = 0
+    for layer in _layers(g, root):
+        comp |= layer
+    return comp
+
+
 def connected_components(g: Graph) -> list:
     """Vertex tuples, each sorted, in the order of their smallest vertex."""
     comps = []
     rest = (1 << g.n) - 1
     while rest:
-        comp = 0
-        for layer in _layers(g, (rest & -rest).bit_length() - 1):
-            comp |= layer
+        comp = _component(g, (rest & -rest).bit_length() - 1)
         rest &= ~comp
         comps.append(tuple(v + 1 for v in _bits(comp)))
     return comps
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
+    return _component(g, 0) == (1 << g.n) - 1
 
 
 def distance(g: Graph, u: int, v: int):
@@ -340,8 +360,7 @@ def distance(g: Graph, u: int, v: int):
 
 def is_neighborhood_distinguishable(g: Graph) -> bool:
     """True when no two vertices share the same closed neighborhood."""
-    masks = {g.closed_mask(v) for v in g.vertices()}
-    return len(masks) == g.n
+    return len({a | 1 << v for v, a in enumerate(g.adj)}) == g.n
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +368,20 @@ def is_neighborhood_distinguishable(g: Graph) -> bool:
 
 _G6_HEADER = ">>graph6<<"
 _G6_MAX_N = 1 << 18
+_G6_PRINTABLE = bytes(range(63, 127))
+# each body character as its 6 bits, most significant first
+_G6_BITS = {63 + k: f"{k:06b}" for k in range(64)}
+# the base64 alphabet, whose k-th character stands for the 6 bits of k, onto
+# the graph6 characters 63 + k
+_BASE64_TO_G6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    _G6_PRINTABLE)
 
 
 def _check_printable(data: bytes) -> None:
-    for b in data:
-        if not 63 <= b <= 126:
-            raise ValueError(f"graph6 byte {b} outside printable range 63..126")
+    bad = data.translate(None, _G6_PRINTABLE)
+    if bad:
+        raise ValueError(f"graph6 byte {bad[0]} outside printable range 63..126")
 
 
 def graph6_decode(text: str) -> Graph:
@@ -371,18 +398,19 @@ def graph6_decode(text: str) -> Graph:
     _check_printable(data[:4 if data[0] == 126 else 1])
     if data[0] != 126:
         n = data[0] - 63
-        body = data[1:]
+        start = 1
     else:
         if len(data) < 4:
             raise ValueError("truncated graph6 size header")
         if data[1] == 126:
             raise ValueError("graph6 sizes beyond 2^18 vertices not supported")
         n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        body = data[4:]
+        start = 4
     if n < 1:
         raise ValueError(f"graph6 vertex count {n} out of supported range")
     _check_vertices(f"a graph6 input of {n} vertices", n)
-    _check_printable(body)
+    _check_printable(data[start:])
+    body = s[start:]
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(body) != nbytes:
@@ -390,15 +418,21 @@ def graph6_decode(text: str) -> Graph:
             f"graph6 body length {len(body)} does not match {nbytes} for n={n}"
         )
     # 6 bits per byte, most significant first, hold the upper triangle column
-    # by column; column j (rows 0..j-1) read in reverse is a mask
-    bits = "".join(f"{byte - 63:06b}" for byte in body)
+    # by column; read in reverse, bit i + j(j-1)/2 of one int is row i of
+    # column j, so each column is one mask
+    bits = body.translate(_G6_BITS)
     if "1" in bits[nbits:]:
         raise ValueError("nonzero trailing bits in graph6 body")
+    x = int(bits[nbits - 1::-1], 2) if nbits else 0
     adj = [0] * n
     for j in range(1, n):
-        adj[j] = col = int(bits[j * (j - 1) // 2:j * (j + 1) // 2][::-1], 2)
-        for i in _bits(col):
-            adj[i] |= 1 << j
+        adj[j] = col = x & (1 << j) - 1
+        x >>= j
+        bit = 1 << j
+        while col:
+            low = col & -col
+            adj[low.bit_length() - 1] |= bit
+            col ^= low
     return Graph._of_masks(n, adj)
 
 
@@ -411,10 +445,17 @@ def graph6_encode(g: Graph) -> str:
         head = bytes([n + 63])
     else:
         head = bytes([126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)])
-    bits = "".join(f"{g.adj[j] & (1 << j) - 1:0{j}b}"[::-1] for j in range(1, n))
-    bits += "0" * (-len(bits) % 6)
-    body = bytes(int(bits[p:p + 6], 2) + 63 for p in range(0, len(bits), 6))
-    return (head + body).decode("ascii")
+    # the upper triangle as one int, row i of column j at bit i + j(j-1)/2;
+    # its bits in reverse, padded to whole bytes of whole 6-bit groups, are
+    # the body's bits in order, which base64 cuts into characters
+    x = nbits = 0
+    for j, a in enumerate(g.adj):
+        x |= (a & (1 << j) - 1) << nbits
+        nbits += j
+    width = -(-nbits // 24) * 24
+    body = int(format(x, f"0{width}b")[::-1], 2).to_bytes(width // 8, "big")
+    body = b2a_base64(body, newline=False)[:-(-nbits // 6)]
+    return (head + body.translate(_BASE64_TO_G6)).decode("ascii")
 
 
 def read_graph6_lines(lines):

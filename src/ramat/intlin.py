@@ -527,9 +527,12 @@ class _Quotient:
 
     def smith(self) -> tuple:
         """(d, vt) of ``_smith_coordinates`` for H, made once per
-        presentation: L(H)*V is spanned by the d[k] * e_k."""
+        presentation: L(H)*V is spanned by the d[k] * e_k.  An empty H, the
+        H of all but one non-RA core of the 8-vertex corpus, gives
+        d = (0, ..., 0) and V = I with no rounds."""
         if self._smith is None:
-            self._smith = _smith_coordinates(self._h_rows(), len(self.q))
+            self._smith = (_smith_coordinates(self._h_rows(), len(self.q))
+                           if self.h.rows else ([0] * len(self.q), None))
         return self._smith
 
     def order(self, y) -> int:

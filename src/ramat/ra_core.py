@@ -24,8 +24,9 @@ H of the non-unit pivot rows on Q.  The nonzero divisors are a 1 per peeled
 column and per unit pivot, then H's; an axis multiple is the order of the
 column's image, and e_u +- e_v is in the lattice when its image has order
 1, all read off one Smith pair of H; the graph is RA exactly when Q is
-empty; and a kernel vector k of H mod p gives the RA matrix's kernel
-vector images[v] . k.
+empty, and then Z^n/L = 0 answers every question with no presentation;
+and a kernel vector k of H mod p gives the RA matrix's kernel vector
+images[v] . k.
 ``ra_lattice`` derives the full canonical Hermite basis on each call and
 does not keep it.  The latest graph's lattice is kept, so calls on one
 graph (``classify``, a neighborly predictor, ``pair_sign``,
@@ -37,7 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from itertools import chain, combinations, starmap
+from operator import and_, mul
 
 from .graphs import (
     Graph,
@@ -118,11 +120,9 @@ class RAClassification:
 def _ra_masks(g: Graph) -> list:
     """The RA rows as vertex masks: the distinct nonzero masks of N[v], then
     of N[u] & N[v] (u < v), in first-seen order."""
-    masks = [g.closed_mask(v) for v in g.vertices()]
-    rows = dict.fromkeys(masks)  # a dict keeps first-seen order
-    for u, x in enumerate(masks):
-        for y in masks[u + 1:]:
-            rows.setdefault(x & y)
+    masks = [a | 1 << v for v, a in enumerate(g.adj)]
+    # a dict keeps first-seen order
+    rows = dict.fromkeys(chain(masks, starmap(and_, combinations(masks, 2))))
     rows.pop(0, None)
     return list(rows)
 
@@ -144,11 +144,11 @@ def _peel(masks: list):
             if not m & (m - 1):
                 units |= m
         if not units:
-            return peeled, masks
+            break
         peeled |= units
-        rows = dict.fromkeys(m & ~units for m in masks)
-        rows.pop(0, None)
-        masks = list(rows)
+        masks = [r for m in masks if (r := m & ~units)]
+    # repeats are dropped once, at the end: they do not change the units
+    return peeled, list(dict.fromkeys(masks)) if peeled else masks
 
 
 def _squeeze(masks: list, peeled: int, n: int) -> list:
@@ -195,10 +195,11 @@ class _Lattice:
             self.ra = list(core.pivots.values()).count(1) == self.width
 
     def quotient(self) -> tuple:
-        """(the core's ``intlin._Quotient``, ``_TRIVIAL`` when RA, and the
-        image in Z^Q of each column, 0 at a peeled one), made once."""
+        """(the core's ``intlin._Quotient``, and the image in Z^Q of each
+        column, 0 at a peeled one), made once.  Only a lattice that is not
+        RA is presented: Z^n/L = 0 answers every question about an RA one."""
         if self._quotient is None:
-            q = _TRIVIAL if self.ra else intlin._Quotient(self.core)
+            q = intlin._Quotient(self.core)
             images = [(0,) * len(q.q)] * self.n
             for v, y in zip(_bits((1 << self.n) - 1 ^ self.peeled), q.images):
                 images[v] = y
@@ -208,7 +209,10 @@ class _Lattice:
     def smith_form(self) -> SmithForm:
         """A divisor 1 per peeled column and per unit pivot of the core,
         then the quotient's, padded with zeros to n."""
-        n, q = self.n, self.quotient()[0]
+        n = self.n
+        if self.ra:
+            return SmithForm((1,) * n, n, 0)
+        q = self.quotient()[0]
         nonzero = (1,) * (n - len(q.q)) + tuple(q.divisors())
         rank = len(nonzero)
         return SmithForm(nonzero + (0,) * (n - rank), rank, n - rank)
@@ -216,18 +220,19 @@ class _Lattice:
     def axis_multiples(self) -> tuple:
         """Least a > 0 with a*e_v in the lattice for each column v, or 0:
         the order of the image of e_v in the quotient."""
+        if self.ra:
+            return (1,) * self.n
         q, images = self.quotient()
         return tuple(map(q.order, images))
 
     def contains_pair(self, u: int, v: int, s: int) -> bool:
         """Whether e_u + s*e_v (0-based columns) is in the lattice, that is
         its image in the quotient is 0."""
+        if self.ra:
+            return True
         q, images = self.quotient()
         return q.order([a + s * b for a, b in zip(images[u], images[v])]) == 1
 
-
-# the quotient of every RA lattice, Z^n/L = 0, which no query changes
-_TRIVIAL = intlin._Quotient(intlin._Echelon(0))
 
 # exact: Graph compares by (n, adj), and the lattice is never changed
 _latest_lattice = lru_cache(maxsize=1)(_Lattice)
@@ -275,12 +280,13 @@ def classify(g: Graph):
 def _verdict(g: Graph) -> RAClassification:
     """``classify`` of a graph already known to be connected."""
     lat = _latest_lattice(g)
+    if lat.ra:
+        ones = (1,) * g.n
+        return RAClassification("RA", 1, ones, 0, ones)
     sf = lat.smith_form()
     divisors, axis = sf.divisors, lat.axis_multiples()
     status, mu, nonuniform = "general", None, False
-    if lat.ra:
-        status, mu = "RA", 1
-    elif sf.nullity == 0 and all(d == 1 for d in divisors[:-1]):
+    if sf.nullity == 0 and all(d == 1 for d in divisors[:-1]):
         k = divisors[-1]
         if all(a in (1, k) for a in axis):
             status, mu = f"1/{k}-RA", k
@@ -307,10 +313,13 @@ def classification_record(g: Graph, c: RAClassification | None = None) -> dict:
 
 def _record(g: Graph, c: RAClassification, connected: bool) -> dict:
     """``classification_record`` with the connectivity already known."""
+    gi = girth(g)
     return {
         "n": g.n,
-        "girth": girth(g),
-        "bipartite": is_bipartite(g) is not None,
+        "girth": gi,
+        # a forest is bipartite and an odd girth is an odd cycle: only an
+        # even girth leaves the question to a 2-colouring
+        "bipartite": gi is None or not gi & 1 and is_bipartite(g) is not None,
         "connected": connected,
         "divisors": list(c.divisors),
         "nullity": c.nullity,
@@ -347,7 +356,10 @@ def kernel_mod_p(g: Graph, p: int) -> list:
     v, for each kernel vector k of the quotient's H.  p is checked before
     any lattice work."""
     _check_modulus(p)
-    q, images = _latest_lattice(g).quotient()
+    lat = _latest_lattice(g)
+    if lat.ra:
+        return []
+    q, images = lat.quotient()
     return [tuple(sum(map(mul, y, k)) % p for y in images)
             for k in q.kernel_mod_p(p)]
 

@@ -2,6 +2,8 @@
 mirrors library serialization byte for byte."""
 
 import contextlib
+import gzip
+import hashlib
 import io
 import json
 import os
@@ -96,11 +98,42 @@ class TestAnalyze:
         assert err.startswith("ramat: ") and str(tmp_path) in err
         assert "Traceback" not in err
 
+    def test_long_size_header_is_encoded_afresh(self, capsys):
+        # '~??@' gives n = 1 in the four-byte header; the record carries the
+        # shortest encoding, not the input text
+        rc, out, _ = run_cli(capsys, "analyze", "~??@")
+        assert rc == 0
+        assert json.loads(out)["graph6"] == "@"
+
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("C~\n\nD?{\n"))
         rc, out, _ = run_cli(capsys, "analyze")
         assert rc == 0
         assert len(out.splitlines()) == 2
+
+
+CORPUS = Path(__file__).resolve().parent / "data" / "connected8.g6"
+CORPUS_REF = SRC.parent / "perfbench" / "ref" / "corpus8_analyze.jsonl.gz"
+CORPUS_JSON_SHA256 = "33220bd8e606422c3ccad06d441f9e967ce1e37445344cf1025a7af432aeb03e"
+CORPUS_TSV_AXIS_SHA256 = "4c12df9db6f43234cd1d40b282f4310fd3627b40f0d18232a58224ecee7be7f7"
+
+
+class TestCorpusStdout:
+    # the whole stdout of analyze over the 11 117 connected 8-vertex graphs,
+    # pinned byte for byte: records, field order and formatting
+    @pytest.mark.parametrize("flags, digest", [
+        ((), CORPUS_JSON_SHA256),
+        (("--tsv", "--axis"), CORPUS_TSV_AXIS_SHA256),
+    ])
+    def test_digest(self, capsys, flags, digest):
+        rc, out, err = run_cli(capsys, "analyze", *flags, str(CORPUS))
+        assert rc == 0 and err == ""
+        assert len(out.splitlines()) == 11117
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+    def test_json_digest_is_the_benchmark_reference(self):
+        with gzip.open(CORPUS_REF, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == CORPUS_JSON_SHA256
 
 
 class TestInputRobustness:
@@ -690,6 +723,19 @@ class TestVerify:
         for i, (g, w) in enumerate(zip(got, want)):
             assert g == w, f"line {i + 1}"
         assert len(got) == len(want)
+
+
+class TestImports:
+    def test_cli_leaves_the_process_pool_unimported(self):
+        # only batch --workers N with N > 1 imports the pool, at its first use
+        script = ("import sys, ramat.cli\n"
+                  "sys.exit('concurrent.futures.process' in sys.modules)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestStdlibOnly:

@@ -224,19 +224,28 @@ class TestGraph6:
         assert graph6_decode(graph6_encode(complete(3))) == complete(3)
 
     def test_against_networkx(self):
+        # every n up to 70, past the 62 vertices of the one-byte size header
         rng = random.Random(2)
-        for _ in range(120):
-            g = random_graph(rng, rng.randint(1, 30), rng.random())
+        for n in [*range(1, 71)] * 2:
+            g = random_graph(rng, n, rng.random())
             mine = graph6_encode(g)
             h = nx.Graph()
             h.add_nodes_from(range(g.n))
             h.add_edges_from((u - 1, v - 1) for u, v in g.edges())
             theirs = nx.to_graph6_bytes(h, header=False).decode().strip()
             assert mine == theirs
+            assert mine.startswith("~") == (n > 62)
+            assert graph6_decode(mine) == g
             back = nx.from_graph6_bytes(mine.encode())
             assert set(back.edges()) == {
                 (u - 1, v - 1) for u, v in g.edges()
             }
+
+    def test_one_vertex_round_trip(self):
+        g = Graph(1, [0])
+        assert graph6_encode(g) == "@"
+        assert graph6_decode("@") == g
+        assert graph6_decode("~??@") == g  # the long size header, n = 1
 
     def test_long_header(self):
         g = path(70)
@@ -261,6 +270,10 @@ class TestGraph6:
             graph6_decode("B\x1f")  # non-printable byte
         with pytest.raises(ValueError):
             graph6_decode("A ")  # byte 32 < 63
+        # the first byte outside the range is named, wherever it is
+        with pytest.raises(ValueError, match=r"^graph6 byte 32 outside "
+                           r"printable range 63\.\.126$"):
+            graph6_decode("D? ~\x7f")
         # nonzero trailing bits: n=2 needs 1 bit; 6-bit group 000001 is bad
         with pytest.raises(ValueError):
             graph6_decode("A@")

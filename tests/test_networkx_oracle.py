@@ -2,7 +2,8 @@
 against networkx, an independent implementation: every family over a range
 of parameters, the codec on random graphs past the 62-vertex short header,
 every labeled graph on at most 5 vertices, random graphs on at most 12, and
-random product pairs."""
+random product pairs.  The record's girth and bipartite fields (the second
+is read off the first) are checked with the structural queries."""
 
 import math
 import random
@@ -30,8 +31,13 @@ from ramat.graphs import (
     path,
 )
 from ramat.products import cartesian, strong, tensor
+from ramat.ra_core import RAClassification, _record
 
 from support import random_graph
+
+
+# the record's graph fields do not read the verdict
+NO_VERDICT = RAClassification("general", None, (), 0, ())
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -128,6 +134,9 @@ def check_structure(g: Graph) -> None:
     h = to_nx(g)
     theirs = nx.girth(h)
     assert girth(g) == (None if theirs == math.inf else theirs)
+    rec = _record(g, NO_VERDICT, True)  # bipartite is read off the girth
+    assert rec["girth"] == girth(g)
+    assert rec["bipartite"] == nx.is_bipartite(h)
     comps = sorted(tuple(sorted(c)) for c in nx.connected_components(h))
     assert connected_components(g) == comps
     assert is_connected(g) == nx.is_connected(h)
@@ -153,6 +162,16 @@ def test_structure_on_random_graphs():
     rng = random.Random(11)
     for _ in range(200):
         check_structure(random_graph(rng, rng.randint(1, 12), rng.random()))
+
+
+def test_triangle_away_from_vertex_1_and_odd_cycle_at_girth_4():
+    # a triangle on 4, 5, 6 at the end of a path from vertex 1, whose own
+    # edges close none; and girth 4 beside an odd 5-cycle, which only the
+    # 2-colouring sees
+    for g in (Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 4)]),
+              Graph.from_edges(7, [(1, 2), (2, 3), (3, 4), (4, 1), (4, 5),
+                                   (5, 6), (6, 7), (7, 3)])):
+        check_structure(g)
 
 
 def test_products_match_networkx():

@@ -423,6 +423,36 @@ class TestQuotientBlock:
         assert calls == [(10, {10})]
         assert built and all(m < 220 for m, _ in built)
 
+    def test_an_empty_block_runs_no_smith_round(self, monkeypatch):
+        # every non-RA connected graph on at most 6 vertices has a core whose
+        # pivots are all 1 with a column left over: H is empty and Z^Q is
+        # free, so its divisors and orders need no Smith round
+        def refused(rows, m):
+            raise AssertionError("Smith round on an empty block")
+
+        monkeypatch.setattr(intlin, "_smith_coordinates", refused)
+        seen = 0
+        for n in range(1, 7):
+            for g in connected_graphs_up_to_iso(n):
+                ra_core._latest_lattice.cache_clear()
+                lat = ra_core._latest_lattice(g)
+                if lat.ra:
+                    continue
+                seen += 1
+                q = lat.quotient()[0]
+                assert q.q and not q.h.rows
+                rows = ra_matrix(g).matrix.data
+                ref = ref_smith_divisors(rows)
+                c = classify(g)
+                assert list(c.divisors) == ref + [0] * (n - len(ref))
+                assert c.axis_multiples == tuple(
+                    ref_axis_multiple(rows, i) for i in range(1, n + 1))
+                for u, v in combinations(g.vertices(), 2):
+                    e = [0] * n
+                    e[u - 1] = e[v - 1] = 1
+                    assert lat.contains_pair(u - 1, v - 1, 1) == ref_contains(rows, e)
+        assert seen == 66
+
     def test_build_stays_in_the_quotient(self, monkeypatch):
         # once Kn(12,3)'s build moves to its quotient, no row is inserted
         # over the core's 220 columns again

@@ -41,8 +41,15 @@ the entries the insert can have moved out of range.
 
 A reduced basis is zero at every unit-pivot column except in the row of
 that pivot, and the RA lattices this library builds have mostly unit
-pivots (Kn(12,3): 210 of 220).  Three parts of the engine rest on that:
+pivots (Kn(12,3): 210 of 220).  Four parts of the engine rest on that:
 
+- The peel: a build of 0/1 rows first takes each column w of a singleton
+  row {w} as the unit-pivot row e_w, set directly, and clears bit w in
+  every row, until no singleton is left (the RA rows of a tree or a graph
+  of girth >= 5 peel every column).  Nothing is renumbered: the basis, its
+  quotient and every image stay over the n columns given, and a peeled
+  column is a unit pivot like any other, with image 0.  Integer rows are
+  never peeled.
 - The reduction runs bottom-up, from the highest pivot down, so each row
   subtracted is reduced already and moves no entry at a unit pivot: a row
   the insert left alone is read one field at a time, at the touched
@@ -528,7 +535,7 @@ class _Quotient:
     def smith(self) -> tuple:
         """(d, vt) of ``_smith_coordinates`` for H, made once per
         presentation: L(H)*V is spanned by the d[k] * e_k.  An empty H, the
-        H of all but one non-RA core of the 8-vertex corpus, gives
+        H of all but one non-RA lattice of the 8-vertex corpus, gives
         d = (0, ..., 0) and V = I with no rounds."""
         if self._smith is None:
             self._smith = (_smith_coordinates(self._h_rows(), len(self.q))
@@ -566,6 +573,15 @@ class _Quotient:
                 g = gcd(d[i], d[j])
                 d[i], d[j] = g, d[i] // g * d[j]
         return d
+
+    def smith_form(self, size: int, cols: int) -> SmithForm:
+        """The divisor chain of L: a 1 per column off Q, then
+        ``divisors``, padded with zeros to ``size``, with ``cols`` minus the
+        rank as the nullity."""
+        nonzero = ((1,) * (len(self.images) - len(self.q))
+                   + tuple(self.divisors()))
+        rank = len(nonzero)
+        return SmithForm(nonzero + (0,) * (size - rank), rank, cols - rank)
 
     def kernel_mod_p(self, p: int) -> list:
         """``kernel_basis_mod_p`` of H.  A kernel vector of e mod p is a map
@@ -693,6 +709,29 @@ class _Quotient:
         return e
 
 
+def _peel(masks: list):
+    """(peeled, rows): the mask of the columns peeled off 0/1 rows (ints,
+    bit j at column j) through singleton rows, and the distinct nonzero
+    rows left once no row is a singleton, in first-seen order.
+
+    A singleton row {w} puts e_w in the lattice L, so L = Z*e_w + pi(L),
+    where pi clears coordinate w: column w is a unit pivot whose row is
+    e_w, and bit w can be cleared in every row.  Rounds repeat until no
+    singleton is left."""
+    peeled = 0
+    while True:
+        units = 0
+        for m in masks:
+            if not m & (m - 1):
+                units |= m
+        if not units:
+            break
+        peeled |= units
+        masks = [r for m in masks if (r := m & ~units)]
+    # repeats are dropped once, at the end: they do not change the units
+    return peeled, list(dict.fromkeys(masks)) if peeled else masks
+
+
 def _build(rows, n: int, stats: dict | None = None) -> _Echelon:
     """Packed Hermite basis of the lattice spanned by ``rows`` (integer
     sequences of length n, or ints read as 0/1 rows with bit j at column
@@ -700,32 +739,49 @@ def _build(rows, n: int, stats: dict | None = None) -> _Echelon:
     Insertion stops early once the basis is the full standard lattice (all
     n pivots equal to 1): no further integer row can change it.
 
+    0/1 rows are peeled first (``_peel``): each peeled column w gets the
+    row e_w, and only the rows left are inserted, all zero at the peeled
+    columns, so the basis stays reduced.  Integer sequences are never
+    peeled.
+
     0/1 rows are inserted over the n columns until those folded in for
-    nothing, tallied by their set bits, reach ``_Q_WASTE`` times n while at
-    most n/``_Q_SHARE`` columns are not unit pivots.  From there the build
-    stays in the ``_Quotient`` of that basis, and no row is inserted over
-    the n columns again: each row is put to the quotient's membership test,
-    and a row the test misses has its image folded into H, on the |Q|
-    columns.  A test made for an older H is kept while stale: it can only
-    miss rows, since a member of a sublattice is a member of the current
-    lattice.  Missed rows that leave H as it is are tallied the same way,
-    and at ``_Q_STALE`` times n the quotient is presented afresh, without
-    H's own unit pivots, and a new test is made.  The basis over the n
-    columns is assembled once, at the end.
+    nothing, tallied by their set bits, reach ``_Q_WASTE`` times the
+    unpeeled width while at most that width over ``_Q_SHARE`` columns are
+    not unit pivots.  From there the build stays in the ``_Quotient`` of
+    that basis, and no row is inserted over the n columns again: each row
+    is put to the quotient's membership test, and a row the test misses
+    has its image folded into H, on the |Q| columns.  A test made for an
+    older H is kept while stale: it can only miss rows, since a member of
+    a sublattice is a member of the current lattice.  Missed rows that
+    leave H as it is are tallied the same way, and at ``_Q_STALE`` times
+    the unpeeled width the quotient is presented afresh, without H's own
+    unit pivots, and a new test is made.  The basis over the n columns is
+    assembled once, at the end.
 
     One loop does both: its echelon ``e`` is the basis over the n columns,
     then H, and ``member`` is None until the first presentation.
 
-    ``stats``, when given, receives the counts of the build: ``rows_in``,
-    ``answered`` (rows the test found in the lattice), ``checked`` (rows
-    it missed, whose images went to H), ``absorbed`` (those that changed
-    H), ``remakes`` (presentations after the first), ``inserts`` (rows
-    inserted over the n columns), ``changes`` (those inserts that changed
-    the basis) and ``max_width``, the widest field packed, in bits.
+    ``stats``, when given, receives the counts of the build: ``rows_in``
+    (the rows the peel took, then those the loop read), ``peeled`` (the
+    columns peeled), ``answered`` (rows the test found in the lattice),
+    ``checked`` (rows it missed, whose images went to H), ``absorbed``
+    (those that changed H), ``remakes`` (presentations after the first),
+    ``inserts`` (rows inserted over the n columns), ``changes`` (those
+    inserts that changed the basis) and ``max_width``, the widest field
+    packed, in bits.
     """
     e = _Echelon(n)
     quot = member = image = None
-    units = waste = width = w = 0  # e's unit pivots, bits for nothing, widths
+    units = taken = 0  # e's unit pivots, rows the peel took
+    if rows and isinstance(rows[0], int):
+        peeled, left = _peel(rows)
+        taken, rows, units = len(rows) - len(left), left, peeled.bit_count()
+        while peeled:
+            j = (peeled & -peeled).bit_length() - 1
+            e.rows[j] = e.pivots[j] = e.bounds[j] = 1
+            peeled &= peeled - 1
+    free = n - units  # the unpeeled width, which the path thresholds scale
+    waste = width = w = 0  # bits folded in for nothing, field widths
     inserts = changes = answered = checked = absorbed = remakes = 0
     for row in rows:
         if member is None:
@@ -749,14 +805,14 @@ def _build(rows, n: int, stats: dict | None = None) -> _Echelon:
             if units == e.n:
                 break
             continue
-        if n < _Q_WIDTH or not isinstance(row, int):
+        if free < _Q_WIDTH or not isinstance(row, int):
             continue
         waste += row.bit_count()
         if quot is None:
-            if waste < _Q_WASTE * n or n - units > n // _Q_SHARE:
+            if waste < _Q_WASTE * free or n - units > free // _Q_SHARE:
                 continue
             quot = _Quotient(e)
-        elif waste < _Q_STALE * n:
+        elif waste < _Q_STALE * free:
             continue
         else:
             remakes += 1
@@ -771,28 +827,29 @@ def _build(rows, n: int, stats: dict | None = None) -> _Echelon:
         e = quot.echelon()
     if stats is not None:
         stats.update(
-            rows_in=inserts + answered + checked, answered=answered,
-            checked=checked, absorbed=absorbed, remakes=remakes,
-            inserts=inserts, changes=changes,
+            rows_in=taken + inserts + answered + checked, peeled=n - free,
+            answered=answered, checked=checked, absorbed=absorbed,
+            remakes=remakes, inserts=inserts, changes=changes,
             max_width=max(width, e.layout.w))
     return e
 
 
-# When ``_build`` moves to the quotient and presents it afresh.  _Q_SHARE,
+# When ``_build`` moves to the quotient and presents it afresh, each
+# scaled by the unpeeled width n (the columns ``_peel`` leaves).  _Q_SHARE,
 # _Q_WASTE and _Q_STALE were each timed against the alternatives on the RA
-# cores of Kn(9,3), Kn(10,3), Kn(12,3), Kn(12,4), Kn(12,2), Kn(14,2),
+# lattices of Kn(9,3), Kn(10,3), Kn(12,3), Kn(12,4), Kn(12,2), Kn(14,2),
 # cube(7), cube(8), folded_cube(7), crown(40), the complement of Kn(9,2)
 # and construct_prescribed([60], 0): 10 to 12 runs of each side in one
 # process, alternating, ratios of medians.
-# - _Q_WIDTH: below 32 columns the test sped some cores up and slowed
-#   others (crown(20) 36% faster, Kn(7,2) 19% slower), and it slowed the
-#   corpus's cores, at most 8 columns wide, by 18-21%.
+# - _Q_WIDTH: below 32 unpeeled columns the test sped some builds up and
+#   slowed others (crown(20) 36% faster, Kn(7,2) 19% slower), and it slowed
+#   the corpus's, at most 8 unpeeled columns wide, by 18-21%.
 # - _Q_SHARE: the build moves when at most n/4 columns are not unit
 #   pivots.  At n/3, cube(8), Kn(10,3) and the complement of Kn(9,2) were
 #   16-22% slower; at n/6, cube(8) and Kn(12,2) 11-13% slower, while
 #   construct_prescribed([60], 0) was 11% faster.
 # - _Q_WASTE: moving after n wasted bits rather than 4n, Kn(9,3) was 15%
-#   and Kn(12,4) 8% faster, and no core more than 3% slower.
+#   and Kn(12,4) 8% faster, and no build more than 3% slower.
 # - _Q_STALE: at 2n, Kn(12,3) and construct_prescribed([60], 0) were
 #   13-14% slower; at 8n, Kn(12,3) was 8% faster but cube(7), cube(8),
 #   Kn(10,3) and folded_cube(7) 14-30% slower.
@@ -804,9 +861,9 @@ _Q_WIDTH, _Q_SHARE, _Q_WASTE, _Q_STALE = 32, 4, 1, 4
 _echelon_basis = _build
 
 
-def _form_of(basis: dict, n: int) -> HermiteForm:
-    """The ``HermiteForm`` of a reduced echelon basis keyed by 0-based pivot
-    column."""
+def _form_of(e: _Echelon) -> HermiteForm:
+    """The ``HermiteForm`` of a reduced echelon basis."""
+    n, basis = e.n, e.unpacked()
     pivots = sorted(basis)
     rows = [basis[j] for j in pivots]
     return HermiteForm(
@@ -823,7 +880,7 @@ def hermite_normal_form(m: IntMatrix) -> HermiteForm:
     increasing pivot columns, positive pivots, and reduced above-pivot
     entries.
     """
-    return _form_of(_echelon_basis(m.data, m.cols).unpacked(), m.cols)
+    return _form_of(_echelon_basis(m.data, m.cols))
 
 
 def _smith_coordinates(rows, m: int):
@@ -869,16 +926,13 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Smith normal form of ``m``: the chain of elementary divisors, padded
     with zeros to ``min(rows, cols)``.
 
-    The divisors are read off the ``_Quotient`` of the row lattice.
+    The divisors are read off the ``_Quotient`` of the row lattice of ``m``,
+    or of its transpose when that has fewer columns: the two have the same
+    divisors, and the presentation has at most ``min(rows, cols)`` columns.
     """
-    quot = _Quotient(_echelon_basis(m.data, m.cols))
-    nonzero = [1] * (m.cols - len(quot.q)) + quot.divisors()
-    rank = len(nonzero)
-    return SmithForm(
-        divisors=tuple(nonzero) + (0,) * (min(m.rows, m.cols) - rank),
-        rank=rank,
-        nullity=m.cols - rank,
-    )
+    t = m.transpose() if m.cols > m.rows else m
+    quot = _Quotient(_echelon_basis(t.data, t.cols))
+    return quot.smith_form(min(m.rows, m.cols), m.cols)
 
 
 def _is_prime(p: int) -> bool:

@@ -6,32 +6,26 @@ integer row lattice decides how freely single-vertex commutator placements
 can be achieved, so the classification below is all about the elementary
 divisors of that lattice.
 
-Before any integer work the lattice is peeled on the row masks: a singleton
-row {w} puts e_w in the lattice L, so L = Z*e_w + pi(L), where pi clears
-coordinate w.  Every singleton's column is peeled, its bit is cleared in
-every row, and zero rows and repeats are dropped, until no singleton is
-left; the columns that remain form the core, and only the core's rows reach
-the echelon engine.  (A tree on 3 or more vertices and a graph of girth
->= 5 peel every column, so they are RA on bitmasks alone.)  Each peeled
-column contributes one divisor 1 and axis multiple 1; the other divisors
-and axis multiples are the core's.
+A graph's lattice is one packed echelon basis over its n vertex columns,
+built by ``intlin._echelon_basis`` from the RA rows as vertex masks.  The
+engine peels the masks first: a singleton row {w} puts e_w in the lattice,
+so column w becomes a unit pivot and bit w is cleared in every row, until no
+singleton is left.  (A tree on 3 or more vertices and a graph of girth
+>= 5 peel every column, so they are RA with no row inserted.)
 
-A graph's lattice is the peel mask plus the core's packed echelon basis,
-and every answer is read off one presentation of Z^w modulo the core, w its
-width (``intlin._Quotient``): the core columns Q that are not unit pivots,
-the image in Z^Q of each column, 0 at a peeled one, and the echelon basis
-H of the non-unit pivot rows on Q.  The nonzero divisors are a 1 per peeled
-column and per unit pivot, then H's; an axis multiple is the order of the
-column's image, and e_u +- e_v is in the lattice when its image has order
-1, all read off one Smith pair of H; the graph is RA exactly when Q is
-empty, and then Z^n/L = 0 answers every question with no presentation;
-and a kernel vector k of H mod p gives the RA matrix's kernel vector
-images[v] . k.
-``ra_lattice`` derives the full canonical Hermite basis on each call and
-does not keep it.  The latest graph's lattice is kept, so calls on one
-graph (``classify``, a neighborly predictor, ``pair_sign``,
-``kernel_mod_p``) share one peel, at most one echelon build and one
-presentation.
+Every answer is read off one presentation of Z^n/L (``intlin._Quotient``),
+in the same n columns: the columns Q that are not unit pivots, the image
+in Z^Q of each column, and the echelon basis H of the non-unit pivot rows
+on Q.  The nonzero divisors are a 1 per column off Q, then H's; an axis
+multiple is the order of the column's image, and e_u +- e_v is in the
+lattice when its image has order 1, all read off one Smith pair of H; the
+graph is RA exactly when Q is empty, and then Z^n/L = 0 answers every
+question with no presentation; and a kernel vector k of H mod p gives the
+RA matrix's kernel vector images[v] . k.
+``ra_lattice`` derives the canonical Hermite basis on each call and does
+not keep it.  The latest graph's lattice is kept, so calls on one graph
+(``classify``, a neighborly predictor, ``pair_sign``, ``kernel_mod_p``)
+share one echelon build and at most one presentation.
 """
 
 from __future__ import annotations
@@ -43,7 +37,6 @@ from operator import and_, mul
 
 from .graphs import (
     Graph,
-    _bits,
     connected_components,
     girth,
     is_bipartite,
@@ -133,104 +126,56 @@ def ra_matrix(g: Graph) -> RAMatrix:
     return RAMatrix(matrix=IntMatrix(data))
 
 
-def _peel(masks: list):
-    """(peeled, core rows): the mask of the columns peeled off through
-    singleton rows, and the distinct nonzero rows left once no row is a
-    singleton, in first-seen order."""
-    peeled = 0
-    while True:
-        units = 0
-        for m in masks:
-            if not m & (m - 1):
-                units |= m
-        if not units:
-            break
-        peeled |= units
-        masks = [r for m in masks if (r := m & ~units)]
-    # repeats are dropped once, at the end: they do not change the units
-    return peeled, list(dict.fromkeys(masks)) if peeled else masks
-
-
-def _squeeze(masks: list, peeled: int, n: int) -> list:
-    """The masks with the peeled bits taken out, so that bit i is the i-th
-    unpeeled column: each run of unpeeled columns shifts down as one."""
-    if not peeled:
-        return masks
-    runs = []  # (lowest column, run mask, shift down)
-    j = k = 0
-    while j < n:
-        start = j
-        while j < n and not peeled >> j & 1:
-            j += 1
-        if j > start:
-            runs.append((start, (1 << (j - start)) - 1, start - k))
-            k += j - start
-        j += 1
-    return [sum((m & run << lo) >> down for lo, run, down in runs)
-            for m in masks]
-
-
 class _Lattice:
-    """One graph's RA row lattice, split by the peel.
-
-    ``peeled`` is the mask of the peeled columns and ``core`` the packed
-    Hermite basis (an ``intlin._Echelon``) over the other ``width`` columns
-    in increasing order, None when every column is peeled.  Every answer
-    but the full-width basis is read off ``quotient()``.
+    """One graph's RA row lattice: ``basis``, the packed Hermite basis (an
+    ``intlin._Echelon``) over the graph's n vertex columns, and ``ra``,
+    whether every pivot is 1.  Every answer but the Hermite basis is read
+    off ``quotient()``.
     """
 
-    __slots__ = ("n", "peeled", "width", "core", "ra", "_quotient")
+    __slots__ = ("n", "basis", "ra", "_quotient")
 
     def __init__(self, g: Graph):
         n = self.n = g.n
-        self.peeled, masks = _peel(_ra_masks(g))
-        self.width = n - self.peeled.bit_count()
-        self.core, self.ra, self._quotient = None, True, None
-        if masks:
-            # the Hermite form does not depend on row order, and sparse rows
-            # first keep the transient entries small
-            rows = sorted(_squeeze(masks, self.peeled, n), key=int.bit_count)
-            core = self.core = intlin._echelon_basis(rows, self.width)
-            # RA exactly when Q is empty: every core column is a unit pivot
-            self.ra = list(core.pivots.values()).count(1) == self.width
+        # the Hermite form does not depend on row order, and sparse rows
+        # first keep the transient entries small
+        basis = self.basis = intlin._echelon_basis(
+            sorted(_ra_masks(g), key=int.bit_count), n)
+        # RA exactly when Q is empty: every column is a unit pivot
+        self.ra = list(basis.pivots.values()).count(1) == n
+        self._quotient = None
 
-    def quotient(self) -> tuple:
-        """(the core's ``intlin._Quotient``, and the image in Z^Q of each
-        column, 0 at a peeled one), made once.  Only a lattice that is not
-        RA is presented: Z^n/L = 0 answers every question about an RA one."""
+    def quotient(self) -> intlin._Quotient:
+        """The ``intlin._Quotient`` of the basis, made once.  Only a lattice
+        that is not RA is presented: Z^n/L = 0 answers every question about
+        an RA one."""
         if self._quotient is None:
-            q = intlin._Quotient(self.core)
-            images = [(0,) * len(q.q)] * self.n
-            for v, y in zip(_bits((1 << self.n) - 1 ^ self.peeled), q.images):
-                images[v] = y
-            self._quotient = q, images
+            self._quotient = intlin._Quotient(self.basis)
         return self._quotient
 
     def smith_form(self) -> SmithForm:
-        """A divisor 1 per peeled column and per unit pivot of the core,
-        then the quotient's, padded with zeros to n."""
+        """A divisor 1 per unit pivot, then the quotient's, padded with
+        zeros to n."""
         n = self.n
         if self.ra:
             return SmithForm((1,) * n, n, 0)
-        q = self.quotient()[0]
-        nonzero = (1,) * (n - len(q.q)) + tuple(q.divisors())
-        rank = len(nonzero)
-        return SmithForm(nonzero + (0,) * (n - rank), rank, n - rank)
+        return self.quotient().smith_form(n, n)
 
     def axis_multiples(self) -> tuple:
         """Least a > 0 with a*e_v in the lattice for each column v, or 0:
         the order of the image of e_v in the quotient."""
         if self.ra:
             return (1,) * self.n
-        q, images = self.quotient()
-        return tuple(map(q.order, images))
+        q = self.quotient()
+        return tuple(map(q.order, q.images))
 
     def contains_pair(self, u: int, v: int, s: int) -> bool:
         """Whether e_u + s*e_v (0-based columns) is in the lattice, that is
         its image in the quotient is 0."""
         if self.ra:
             return True
-        q, images = self.quotient()
+        q = self.quotient()
+        images = q.images
         return q.order([a + s * b for a, b in zip(images[u], images[v])]) == 1
 
 
@@ -238,23 +183,10 @@ class _Lattice:
 _latest_lattice = lru_cache(maxsize=1)(_Lattice)
 
 
-def _full_basis(lat: _Lattice) -> HermiteForm:
-    """The full canonical basis: the core's rows widened with zeros, plus
-    e_w at each peeled w, reduced already since every peeled pivot is 1."""
-    n = lat.n
-    basis = {w: [0] * w + [1] + [0] * (n - 1 - w) for w in _bits(lat.peeled)}
-    columns = [j for j in range(n) if not lat.peeled >> j & 1]
-    for j, row in (lat.core.unpacked().items() if lat.core else ()):
-        basis[columns[j]] = full = [0] * n
-        for k, x in zip(columns, row):
-            full[k] = x
-    return _form_of(basis, n)
-
-
 def ra_lattice(g: Graph) -> HermiteForm:
     """Hermite basis of the integer row lattice of the RA matrix, derived
     from the graph's lattice on each call."""
-    return _full_basis(_latest_lattice(g))
+    return _form_of(_latest_lattice(g).basis)
 
 
 def elementary_divisors(g: Graph) -> SmithForm:
@@ -359,8 +291,8 @@ def kernel_mod_p(g: Graph, p: int) -> list:
     lat = _latest_lattice(g)
     if lat.ra:
         return []
-    q, images = lat.quotient()
-    return [tuple(sum(map(mul, y, k)) % p for y in images)
+    q = lat.quotient()
+    return [tuple(sum(map(mul, y, k)) % p for y in q.images)
             for k in q.kernel_mod_p(p)]
 
 

@@ -1,6 +1,6 @@
 """Finite-search facts over the exhaustive small-graph corpus."""
 
-from ramat import ra_core
+from ramat import intlin, ra_core
 from ramat.graphs import complete, crown, cube, girth, graph6_decode, kneser
 from ramat.ra_core import classify, elementary_divisors
 
@@ -46,7 +46,7 @@ def test_girth5_and_up_always_ra_on_corpus():
 
 
 def peeled_columns(g):
-    return ra_core._peel(ra_core._ra_masks(g))[0].bit_count()
+    return intlin._peel(ra_core._ra_masks(g))[0].bit_count()
 
 
 def test_girth5_and_trees_peel_to_an_empty_core():

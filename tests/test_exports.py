@@ -64,12 +64,13 @@ def test_no_module_builds_a_graph_from_an_edge_list():
 
 def test_no_module_queries_a_full_width_lattice():
     # every graph quantity, the mod-p kernel included, is read off the
-    # peeled core lattice; the full Hermite basis and the dense RA and
-    # Kronecker matrices are for callers and tests only, and the dense
-    # lattice queries are gone
+    # packed lattice and its quotient; the full Hermite basis and the dense
+    # RA and Kronecker matrices are for callers and tests only, and the
+    # dense lattice queries and the renumbering of unpeeled columns are gone
     assert _calls({"ra_lattice", "ra_matrix", "kronecker_product"}) == {}
     gone = {"lattice_smith_form", "lattice_contains", "minimal_axis_multiple",
-            "_packed", "kronecker_product", "_axis_multiple", "_snf_divisors"}
+            "_packed", "kronecker_product", "_axis_multiple", "_snf_divisors",
+            "_squeeze"}
     for path in sorted(Path(ramat.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defined = {node.name for node in ast.walk(tree)

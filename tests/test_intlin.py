@@ -76,8 +76,10 @@ class TestSmithForm:
             rows = rng.randint(1, 12)
             cols = rng.randint(1, 12)
             m = random_int_matrix(rng, rows, cols)
-            got = list(smith_normal_form(IntMatrix(m)).divisors)
-            assert got == ref_smith_divisors(m)
+            sf = smith_normal_form(IntMatrix(m))
+            assert list(sf.divisors) == ref_smith_divisors(m)
+            # a wide matrix is read off its transpose, whose nullity differs
+            assert sf.nullity == cols - sf.rank
 
     def test_matches_minor_gcd_oracle_randomized(self):
         rng = random.Random(0xBEE)
@@ -521,27 +523,29 @@ def quotient_stacks(draw):
     """(n, masks): 0/1 rows over n >= 32 columns that cross ``_build``'s
     move to the quotient with a non-diagonal H short of full rank.
 
-    Each of the first n - k columns j gets the row {j} + A_j with A_j among
-    the last k >= 4 columns Q, so modulo the lattice e_j is minus the sum
-    of A_j.  Columns 0 and 1 have A = {a, b} and {a}, and columns 2 to 7
-    have A = {b}, for two columns a < b of Q.  Then {0, 1} has image
+    Each of the first n - k columns j gets the row {j} + A_j with A_j a
+    nonempty set among the last k >= 4 columns Q, so modulo the lattice e_j
+    is minus the sum of A_j, and no row is a singleton: no column peels.
+    Columns 0 and 1 have A = {a, b} and {a}, and columns 2 to 7 have
+    A = {b}, for two columns a < b of Q.  Then {0, 1} has image
     -(2e_a + e_b) and {2, ..., 7} has image -6e_b: H is [[2, 1], [0, 6]]
-    on a and b, and every other column of Q is free.  Column 8 may have
-    A = {c} for a third column c of Q, and the row {8, 9}, with A_9 empty,
-    then gives H a unit pivot at c, which the next presentation takes out
-    of Q.  The rows come first, then n repeats of them, members that move
-    the build to the quotient, then the rows for H among unions of
-    disjoint rows, members once H is in, in any order."""
+    on a and b, and every other column of Q is free.  Columns 8 and 9 may
+    both have A = {c} for a third column c of Q, and the row {8, 9, c},
+    with image -e_c, then gives H a unit pivot at c, which the next
+    presentation takes out of Q.  The rows come first, then n repeats of
+    them, members that move the build to the quotient, then the rows for H
+    among unions of disjoint rows, members once H is in, in any order."""
     n = draw(st.integers(32, 40))
     k = draw(st.integers(4, 6))
     tail = range(n - k, n)
     a, b, c = sorted(draw(st.permutations(tail))[:3])
-    some = st.sets(st.sampled_from(tail))
+    some = st.sets(st.sampled_from(tail), min_size=1)
     unit = draw(st.booleans())
-    sets = [{a, b}, {a}] + [{b}] * 6 + [{c} if unit else draw(some), set()]
+    sets = [{a, b}, {a}] + [{b}] * 6
+    sets += [{c}] * 2 if unit else [draw(some) for _ in range(2)]
     sets += [draw(some) for _ in range(10, n - k)]
     rows = [1 << j | sum(1 << t for t in s) for j, s in enumerate(sets)]
-    extra = [0b11, 0b11111100] + [0b1100000000] * unit
+    extra = [0b11, 0b11111100] + [0b1100000000 | 1 << c] * unit
     pairs = st.tuples(st.sampled_from(rows + extra),
                       st.sampled_from(rows + extra))
     unions = [x | y for x, y in draw(st.lists(pairs, min_size=2 * n,
@@ -551,8 +555,43 @@ def quotient_stacks(draw):
                + draw(st.permutations(extra + unions)))
 
 
-def hermite_of(e, n: int) -> tuple:
-    h = intlin._form_of(e.unpacked(), n)
+@st.composite
+def singleton_chains(draw):
+    """(n, masks): the rows of ``quotient_stacks`` moved up past t <= 8
+    new columns, with a chain of singletons on them: {w_1}, then
+    {w_1, w_2}, ..., {w_(s-1), w_s}, which peel w_1 to w_s one round
+    each.  The chain may go on into up to 8 columns of the stack, which
+    then peel too, with what that frees in turn.  The new columns are also
+    set at random in the stack's rows, where the peel clears them; a new
+    column left out of the chain is not peeled.  With few columns peeled,
+    the build still moves to the quotient; with many, the unpeeled width
+    drops below 32 and it does not."""
+    m, stack = draw(quotient_stacks())
+    t = draw(st.integers(1, 8))
+    w = draw(st.permutations(range(t)))[:draw(st.integers(1, t))]
+    w += draw(st.lists(st.integers(t, t + m - 1), max_size=8, unique=True))
+    chain = [1 << w[0]] + [1 << x | 1 << y for x, y in zip(w, w[1:])]
+    noise = st.integers(0, (1 << t) - 1)
+    rows = [r << t | draw(noise) for r in stack]
+    return m + t, draw(st.permutations(chain + rows[:5])) + rows[5:]
+
+
+def plain_peel(masks) -> int:
+    """The columns a peel takes, one at a time: any column that is all
+    that is left of some row once the columns taken are cleared."""
+    peeled, grew = 0, True
+    while grew:
+        grew = False
+        for m in masks:
+            r = m & ~peeled
+            if r and not r & (r - 1):
+                peeled |= r
+                grew = True
+    return peeled
+
+
+def hermite_of(e) -> tuple:
+    h = intlin._form_of(e)
     return h.matrix.data, h.pivot_columns
 
 
@@ -570,8 +609,24 @@ class TestUnitPivotQuotient:
         rows = [bits_of(m, n) for m in masks]
         basis, pivots = ref_hermite(rows)
         e = intlin._build(masks, n)
-        assert hermite_of(e, n) == (basis or ((0,) * n,), pivots)
+        assert hermite_of(e) == (basis or ((0,) * n,), pivots)
         assert e.unpacked() == intlin._build(rows, n).unpacked()
+
+    @given(singleton_chains())
+    @settings(max_examples=40, deadline=None)
+    def test_peeled_masks_match_textbook_and_integer_rows(self, stack):
+        # the build peels the masks first, and integer rows never: the
+        # two give the textbook basis, and stats count the plain peel; the
+        # quotient's test runs only on an unpeeled width of _Q_WIDTH or more
+        n, masks = stack
+        rows = [bits_of(m, n) for m in masks]
+        stats = {}
+        e = intlin._build(masks, n, stats)
+        assert hermite_of(e) == ref_hermite(rows)
+        assert e.unpacked() == intlin._build(rows, n).unpacked()
+        assert stats["peeled"] == plain_peel(masks).bit_count() > 0
+        if n - stats["peeled"] < intlin._Q_WIDTH:
+            assert stats["answered"] == stats["checked"] == 0
 
     @given(quotient_stacks())
     @settings(max_examples=40, deadline=None)
@@ -579,7 +634,7 @@ class TestUnitPivotQuotient:
         n, masks = stack
         stats = {}
         e = intlin._build(masks, n, stats)
-        assert hermite_of(e, n) == ref_hermite([bits_of(m, n) for m in masks])
+        assert hermite_of(e) == ref_hermite([bits_of(m, n) for m in masks])
         # the build moved to the quotient among the 2n - k rows and repeats,
         # and the rows for H were folded into it there
         assert stats["inserts"] < 2 * n and stats["rows_in"] == len(masks)
@@ -672,7 +727,7 @@ class TestUnitPivotQuotient:
             e = intlin._build(masks, n, stats)
             presented += stats["absorbed"] > 0 and stats["remakes"] > 0
             rows = [bits_of(m, n) for m in masks]
-            assert hermite_of(e, n) == ref_hermite(rows)
+            assert hermite_of(e) == ref_hermite(rows)
             assert e.unpacked() == intlin._build(rows, n).unpacked()
         assert presented >= 5, presented
 

@@ -258,24 +258,37 @@ def _count_builds(monkeypatch) -> list:
     return builds
 
 
-def core_width(g) -> int:
-    """Columns the peel leaves to the echelon engine."""
-    return g.n - ra_core._peel(ra_core._ra_masks(g))[0].bit_count()
+def peeled(g) -> int:
+    """Columns the echelon engine peels off the RA rows of g, read off the
+    ``stats`` of a build of its masks."""
+    stats = {}
+    intlin._build(ra_core._ra_masks(g), g.n, stats)
+    return stats["peeled"]
 
 
 class TestOneLatticePerGraph:
     def test_one_echelon_build_per_connected_graph(self, monkeypatch):
-        # the one build runs over the core's columns only; a graph that
-        # peels every column (path(4)) makes none
-        builds = _count_builds(monkeypatch)
-        assert core_width(path(4)) == 0
-        for g in (path(4), cube(3), crown(10), kneser(6, 2), complete(5)):
-            width = core_width(g)
+        # the one build runs over all n columns and peels inside: every
+        # column of path(4), so it inserts no row, the apex of the pyramid,
+        # and none of the others; it takes in every row it is given
+        builds = []
+
+        def counted(rows, n):
+            stats = {}
+            e = intlin._build(rows, n, stats)
+            assert stats["rows_in"] == len(rows)
+            builds.append((n, stats["peeled"], stats["inserts"] == 0))
+            return e
+
+        monkeypatch.setattr(intlin, "_echelon_basis", counted)
+        for g, k in ((path(4), 4), (pyramid(crown(8)), 1), (cube(3), 0),
+                     (crown(10), 0), (kneser(6, 2), 0), (complete(5), 0)):
+            assert peeled(g) == k
             for fn in (classify, elementary_divisors):
                 ra_core._latest_lattice.cache_clear()
                 builds.clear()
                 fn(g)
-                assert builds == ([width] if width else []), (fn.__name__, g)
+                assert builds == [(g.n, k, k == g.n)], (fn.__name__, g)
 
     def test_consumers_of_one_graph_share_one_build(self, monkeypatch):
         builds = _count_builds(monkeypatch)
@@ -312,13 +325,13 @@ def _count_full_bases(monkeypatch) -> list:
     """Record every full-width basis ``ra_lattice`` derives from now on,
     starting from an empty lattice memo."""
     made = []
-    real = ra_core._full_basis
+    real = ra_core._form_of
 
-    def counted(lat):
-        made.append(lat.n)
-        return real(lat)
+    def counted(e):
+        made.append(e.n)
+        return real(e)
 
-    monkeypatch.setattr(ra_core, "_full_basis", counted)
+    monkeypatch.setattr(ra_core, "_form_of", counted)
     ra_core._latest_lattice.cache_clear()
     return made
 
@@ -336,7 +349,7 @@ class TestFullBasisOnDemand:
         assert made == []
 
     def test_sign_queries_on_one_graph_build_one(self, monkeypatch):
-        # sign queries fold into the core and derive no full basis; each
+        # sign queries read the quotient and derive no full basis; each
         # ra_lattice call derives exactly one and keeps none
         for g in self.GRAPHS:
             made = _count_full_bases(monkeypatch)
@@ -366,9 +379,10 @@ def old_batch_category(g):
 
 class TestSaturatedCore:
     def test_shortcut_matches_the_smith_and_axis_path(self):
-        # a core whose pivots are all 1 has an empty block H in its
-        # quotient, and one with another pivot does not; both kinds of core
-        # must answer like the full build
+        # a lattice whose pivots are all 1 has an empty block H in its
+        # quotient, and one with another pivot does not; both kinds, on
+        # graphs that do not peel every column, must answer like the full
+        # build
         rng = random.Random(23)
         cases = [graph6_decode("G?zTb_"), cube(3), kneser(6, 2), path(4)]
         while len(cases) < 60:
@@ -390,8 +404,8 @@ class TestSaturatedCore:
                 ref_axis_multiple(rows, i) for i in range(1, n + 1))
             assert is_ra(g) == all(d == 1 for d in ref)
             lat = ra_core._latest_lattice(g)
-            if lat.core is not None:
-                kinds.add(set(lat.core.pivots.values()) == {1})
+            if peeled(g) < n:
+                kinds.add(set(lat.basis.pivots.values()) == {1})
         assert kinds == {True, False}
 
     def test_batch_ra_question_matches_the_divisors(self):
@@ -403,7 +417,7 @@ class TestSaturatedCore:
 class TestQuotientBlock:
     def test_smith_rounds_run_on_the_block_alone(self, monkeypatch):
         # Z^220/L = (Z/3)^10 for Kn(12,3): the Smith rounds get the 10
-        # columns of the block H, never the 220-column core, and ra_core's
+        # columns of the block H, never the 220-column lattice, and ra_core's
         # presentation runs them once for its divisors and axis multiples
         calls = []
         real = intlin._smith_coordinates
@@ -424,9 +438,10 @@ class TestQuotientBlock:
         assert built and all(m < 220 for m, _ in built)
 
     def test_an_empty_block_runs_no_smith_round(self, monkeypatch):
-        # every non-RA connected graph on at most 6 vertices has a core whose
-        # pivots are all 1 with a column left over: H is empty and Z^Q is
-        # free, so its divisors and orders need no Smith round
+        # every non-RA connected graph on at most 6 vertices has a lattice
+        # whose pivots are all 1 with an unpeeled column left over: H is
+        # empty and Z^Q is free, so its divisors and orders need no Smith
+        # round
         def refused(rows, m):
             raise AssertionError("Smith round on an empty block")
 
@@ -439,8 +454,8 @@ class TestQuotientBlock:
                 if lat.ra:
                     continue
                 seen += 1
-                q = lat.quotient()[0]
-                assert q.q and not q.h.rows
+                q = lat.quotient()
+                assert q.q and not q.h.rows and len(q.q) <= n - peeled(g)
                 rows = ra_matrix(g).matrix.data
                 ref = ref_smith_divisors(rows)
                 c = classify(g)
@@ -455,7 +470,7 @@ class TestQuotientBlock:
 
     def test_build_stays_in_the_quotient(self, monkeypatch):
         # once Kn(12,3)'s build moves to its quotient, no row is inserted
-        # over the core's 220 columns again
+        # over the 220 columns again
         log, stats = [], {}
         add, init = intlin._Echelon.add, intlin._Quotient.__init__
 
@@ -555,7 +570,8 @@ LARGE_BASES = [
                          ids=[b[0] for b in LARGE_BASES])
 def test_large_hermite_bases_are_pinned(build, dense, digest):
     g = build()
-    # through the peeled core's mask rows, then the dense integer rows
+    # through the mask rows, which the engine peels, then the dense
+    # integer rows, which it does not
     forms = [ra_lattice(g)]
     if dense:
         forms.append(hermite_normal_form(ra_matrix(g).matrix))
@@ -656,9 +672,9 @@ class TestPairSignsAndNeighborliness:
                 pair_sign(g, u, v)
 
     def test_every_pair_matches_the_full_basis(self):
-        # the core fold answers like membership in the full Hermite basis,
-        # on graphs with a peel and a core, one that peels every column and
-        # one that peels none
+        # the quotient answers like membership in the full Hermite basis,
+        # on graphs that peel some columns but not all, one that peels
+        # every column and one that peels none
         rng = random.Random(31)
         mixed = [pyramid(crown(8)), construct_prescribed([2, 4], 1)]
         while len(mixed) < 12:
@@ -666,13 +682,12 @@ class TestPairSignsAndNeighborliness:
             n = g.n
             tails = [(rng.randint(1, n), n + k) for k in range(1, rng.randint(2, 4))]
             g = Graph.from_edges(tails[-1][1], g.edges() + tails)
-            if ra_core._latest_lattice(g).core is not None:  # not all peeled
+            if peeled(g) < g.n:
                 mixed.append(g)
         for g in mixed:
-            lat = ra_core._latest_lattice(g)
-            assert lat.peeled and lat.core is not None, graph6_encode(g)
-        assert ra_core._latest_lattice(path(5)).core is None
-        assert ra_core._latest_lattice(crown(10)).peeled == 0
+            assert 0 < peeled(g) < g.n, graph6_encode(g)
+        assert peeled(path(5)) == 5
+        assert peeled(crown(10)) == 0
         for g in mixed + [path(5), crown(10)]:
             h = hermite_normal_form(ra_matrix(g).matrix).matrix.data
             for u, v in combinations(g.vertices(), 2):
@@ -686,7 +701,7 @@ class TestPairSignsAndNeighborliness:
 
 
 def assert_kernel_matches_dense(g, p):
-    """The kernel read off the core is the one of the whole RA matrix."""
+    """The kernel read off the quotient is the one of the whole RA matrix."""
     want = kernel_basis_mod_p(ra_matrix(g).matrix, p)
     assert kernel_mod_p(g, p) == want, (graph6_encode(g), p)
     return want
@@ -705,14 +720,13 @@ class TestKernelModP:
 
     def test_every_column_peeled(self):
         g = path(6)
-        assert ra_core._latest_lattice(g).core is None
+        assert peeled(g) == g.n
         for p in (2, 3, 5, 7):
             assert assert_kernel_matches_dense(g, p) == []
 
     def test_disconnected_graph(self):
         g = disjoint_union([kneser(6, 2), path(4), complete(3), complete(1)])
-        lat = ra_core._latest_lattice(g)
-        assert lat.peeled and lat.core is not None
+        assert peeled(g) == 5
         for p in (2, 3):
             assert assert_kernel_matches_dense(g, p)
 

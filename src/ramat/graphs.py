@@ -301,6 +301,8 @@ def girth(g: Graph):
             if best is not None and 2 * d >= best:
                 break
             if any((adj[v] & prev).bit_count() > 1 for v in _bits(layer)):
+                if d == 2:  # with no triangle, no cycle is shorter than 4
+                    return 4
                 best = 2 * d
                 break
             if any(adj[v] & layer for v in _bits(layer)):
@@ -458,16 +460,22 @@ def graph6_encode(g: Graph) -> str:
     return (head + body.translate(_BASE64_TO_G6)).decode("ascii")
 
 
+def _graph6_lines(lines):
+    """Yield (line_number, text) for each graph6 line of an iterable of text
+    lines, stripped; blank lines and '>>graph6<<' headers are skipped."""
+    for lineno, raw in enumerate(lines, start=1):
+        s = raw.strip()
+        if s and s != _G6_HEADER:
+            yield lineno, s
+
+
 def read_graph6_lines(lines):
     """Yield (line_number, Graph or error) from an iterable of text lines.
 
     Blank lines and '>>graph6<<' headers are skipped; parse failures are
     yielded as (line_number, ValueError) so callers can keep going.
     """
-    for lineno, raw in enumerate(lines, start=1):
-        s = raw.strip()
-        if not s or s == _G6_HEADER:
-            continue
+    for lineno, s in _graph6_lines(lines):
         try:
             yield lineno, graph6_decode(s)
         except ValueError as exc:

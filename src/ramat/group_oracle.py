@@ -199,12 +199,17 @@ def _tuple_closure(g: FiniteGroup, gens, n: int) -> frozenset:
     table = g.table
     ident = (g.identity,) * n
     gens = sorted(set(gens))
+    # column b of the table maps a to a * b: each generator becomes one
+    # column per coordinate, and a product is one lookup in each
+    columns = {b: tuple(row[b] for row in table) for b in set().union(*gens)}
+    steps = [tuple(columns[b] for b in t) for t in gens]
     seen = {ident}
     queue = deque([ident])
+    getitem = operator.getitem
     while queue:
         x = queue.popleft()
-        for t in gens:
-            y = tuple(table[a][b] for a, b in zip(x, t))
+        for cols in steps:
+            y = tuple(map(getitem, cols, x))
             if y not in seen:
                 seen.add(y)
                 queue.append(y)

@@ -740,9 +740,9 @@ def _build(rows, n: int, stats: dict | None = None) -> _Echelon:
     n pivots equal to 1): no further integer row can change it.
 
     0/1 rows are peeled first (``_peel``): each peeled column w gets the
-    row e_w, and only the rows left are inserted, all zero at the peeled
-    columns, so the basis stays reduced.  Integer sequences are never
-    peeled.
+    row e_w, and only the rows left are inserted, fewest set bits first,
+    all zero at the peeled columns, so the basis stays reduced.  Integer
+    sequences are never peeled or sorted.
 
     0/1 rows are inserted over the n columns until those folded in for
     nothing, tallied by their set bits, reach ``_Q_WASTE`` times the
@@ -775,7 +775,10 @@ def _build(rows, n: int, stats: dict | None = None) -> _Echelon:
     units = taken = 0  # e's unit pivots, rows the peel took
     if rows and isinstance(rows[0], int):
         peeled, left = _peel(rows)
-        taken, rows, units = len(rows) - len(left), left, peeled.bit_count()
+        taken, units = len(rows) - len(left), peeled.bit_count()
+        # the Hermite form does not depend on row order, and sparse rows
+        # first keep the transient entries small
+        rows = sorted(left, key=int.bit_count)
         while peeled:
             j = (peeled & -peeled).bit_length() - 1
             e.rows[j] = e.pivots[j] = e.bounds[j] = 1

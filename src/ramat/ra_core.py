@@ -137,10 +137,7 @@ class _Lattice:
 
     def __init__(self, g: Graph):
         n = self.n = g.n
-        # the Hermite form does not depend on row order, and sparse rows
-        # first keep the transient entries small
-        basis = self.basis = intlin._echelon_basis(
-            sorted(_ra_masks(g), key=int.bit_count), n)
+        basis = self.basis = intlin._echelon_basis(_ra_masks(g), n)
         # RA exactly when Q is empty: every column is a unit pivot
         self.ra = list(basis.pivots.values()).count(1) == n
         self._quotient = None

@@ -6,6 +6,7 @@ import gzip
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -134,6 +135,26 @@ class TestCorpusStdout:
     def test_json_digest_is_the_benchmark_reference(self):
         with gzip.open(CORPUS_REF, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == CORPUS_JSON_SHA256
+
+
+class TestRecordFormat:
+    # analyze writes each JSON line out by hand: it must be json.dumps of
+    # the record byte for byte
+    @staticmethod
+    def check(line):
+        for rec in cli._records_for(graph6_decode(line)):
+            assert cli._format_record(rec, False, False) == json.dumps(rec) + "\n"
+        return rec
+
+    def test_every_corpus_record_matches_json_dumps(self):
+        for line in CORPUS.read_text(encoding="ascii").split():
+            self.check(line)
+
+    def test_null_fields_and_a_backslash(self):
+        assert self.check(graph6_encode(path(4)))["girth"] is None  # a tree
+        assert self.check(KNESER_6_2)["mu"] is None  # general
+        # byte 92 is a graph6 character, and JSON escapes it
+        assert self.check("C\\")["graph6"] == "C\\"
 
 
 class TestInputRobustness:
@@ -342,34 +363,166 @@ class TestBatch:
         assert "line 2" in err
         assert out.splitlines()[-1] == "total\t\t1"
 
-    def test_workers_capped_at_cpu_count(self, capsys, tmp_path, monkeypatch):
-        # a fork pool starts max_workers processes at its first submit; this
-        # fake records the count and runs the chunks in this process
-        pools = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, chunks):
-                return map(fn, chunks)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    def test_workers_capped_at_cpu_count(self, capsys, tmp_path, monkeypatch, pools):
+        # a fork pool starts max_workers processes at its first submit; the
+        # fake pool records that count and runs the chunks in this process
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(cli, "_CHUNK", 8)
         lines = [graph6_encode(crown(8)), "C~", graph6_encode(kneser(5, 2))] * 40
         f = tmp_path / "many.g6"
         f.write_text("\n".join(lines) + "\n", encoding="ascii")
-        rc, out, _ = run_cli(capsys, "batch", str(f), "--workers", "100000")
-        assert rc == 0
-        assert pools == [3]
-        rc, serial, _ = run_cli(capsys, "batch", str(f), "--workers", "1")
-        assert out == serial
+        _, serial, _ = run_cli(capsys, "batch", str(f), "--workers", "1")
+        assert pools == []
+        for argv, workers in ((["--workers", "100000"], 3), ([], 3),
+                              (["--workers", "2"], 2)):
+            pools.clear()
+            rc, out, _ = run_cli(capsys, "batch", str(f), *argv)
+            assert rc == 0 and out == serial
+            assert [p.workers for p in pools] == [workers], argv
+            assert pools[0].peak == 2 * workers  # 15 chunks, at most 2 a worker
+        _, serial, _ = run_cli(capsys, "analyze", "--tsv", str(f))
+        pools.clear()
+        monkeypatch.setattr(cli, "_CHUNK", 64)  # two chunks: a pool of two
+        rc, out, _ = run_cli(capsys, "analyze", "--tsv", str(f))
+        assert rc == 0 and out == serial
+        assert [p.workers for p in pools] == [2]
+
+    def test_cpu_count_is_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert cli._cpu_count() == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli._cpu_count() == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._cpu_count() == 1
+
+
+class InlinePool:
+    """Stands in for the process pool: runs a chunk in this process when its
+    result is read, and records the pool size and the most chunks in flight."""
+
+    def __init__(self, workers):
+        self.workers, self.pending, self.peak = workers, 0, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        self.pending += 1
+        self.peak = max(self.peak, self.pending)
+        return InlineFuture(self, fn, args)
+
+
+class InlineFuture:
+    def __init__(self, pool, fn, args):
+        self.pool, self.fn, self.args = pool, fn, args
+
+    def done(self):
+        return False
+
+    def result(self):
+        self.pool.pending -= 1
+        return self.fn(*self.args)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every ``InlinePool`` the CLI makes, in place of a process pool."""
+    made = []
+
+    def make(workers):
+        made.append(InlinePool(workers))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "_pool", make)
+    return made
+
+
+REAL_POOL = cli._pool
+
+
+class TestPipeline:
+    # every kind of line an input can hold, with chunks of 4 lines, so that
+    # each kind lands on both sides of a chunk boundary across three copies
+    OVER_BUDGET = graph6_encode(Graph(1100, [0] * 1100))[:8]
+    LINES = [">>graph6<<", "C~", "", "not-a-graph!!", graph6_encode(crown(8)),
+             "\xe9", OVER_BUDGET, graph6_encode(disjoint_union([complete(3), path(3)])),
+             "A_", graph6_encode(kneser(5, 2))]
+    DATA = "\n".join(LINES * 3).encode("latin-1") + b"\n"
+
+    def run(self, capsys, monkeypatch, mode, argv):
+        """(exit code, stdout, stderr) of one command: 'one chunk' runs the
+        whole input as one chunk; 'serial' chunks of 4 lines in this process,
+        'inline' through ``InlinePool`` and 'pool' through a real pool of
+        two workers."""
+        monkeypatch.setattr(cli, "_CHUNK", 512 if mode == "one chunk" else 4)
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 1 if mode == "serial" else 2)
+        made = []
+
+        def make(workers):
+            made.append(InlinePool(workers) if mode == "inline" else REAL_POOL(workers))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "_pool", make)
+        stdin = io.TextIOWrapper(io.BytesIO(self.DATA), encoding="ascii")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        result = run_cli(capsys, *argv)
+        assert multiprocessing.active_children() == []
+        kinds = {"inline": ["InlinePool"], "pool": ["ProcessPoolExecutor"]}
+        assert [type(p).__name__ for p in made] == kinds.get(mode, []), mode
+        if mode == "inline":
+            assert made[0].peak == 4  # at most two chunks a worker in flight
+        return result
+
+    @pytest.mark.parametrize("command", ["analyze", "analyze-stdin", "analyze-tsv", "batch"])
+    def test_every_mode_gives_the_same_output(self, capsys, monkeypatch, tmp_path, command):
+        f = tmp_path / "mixed.g6"
+        f.write_bytes(self.DATA)
+        argv = {"analyze": ["analyze", str(f)],
+                "analyze-stdin": ["analyze", str(f), "-", "C~", str(tmp_path)],
+                "analyze-tsv": ["analyze", "--tsv", "--axis", "-"],
+                "batch": ["batch", str(f)]}[command]
+        want = self.run(capsys, monkeypatch, "one chunk", argv)
+        rc, out, err = want
+        assert rc == 2
+        bad = [i + 1 for i, line in enumerate(self.LINES * 3)
+               if line in ("not-a-graph!!", "\xe9", self.OVER_BUDGET)]
+        source = "stdin" if command == "analyze-tsv" else str(f)
+        assert [line.split(": ")[1] for line in err.splitlines()[:9]] == [
+            f"{source} line {i}" for i in bad]
+        assert "budget" in err
+        if command == "batch":
+            assert out.splitlines()[-1] == "total\t\t15"
+        elif command == "analyze-stdin":
+            assert len(out.splitlines()) == 2 * 18 + 1
+            assert str(tmp_path) in err.splitlines()[-1]
+        else:
+            assert len(out.splitlines()) == 18  # 15 graphs, 3 of them in two parts
+        for mode in ("serial", "inline", "pool"):
+            assert self.run(capsys, monkeypatch, mode, argv) == want, mode
+
+    def test_stdin_output_arrives_a_chunk_at_a_time(self, monkeypatch):
+        read, written = [0], []
+
+        class Stdin:  # a text stream, counting the lines read
+            def __iter__(self):
+                for _ in range(12):
+                    read[0] += 1
+                    yield "C~\n"
+
+        class Stdout:
+            def write(self, text):
+                written.append((read[0], text.count("\n")))
+
+        monkeypatch.setattr(cli, "_CHUNK", 4)
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(sys, "stdin", Stdin())
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        assert main(["analyze"]) == 0
+        assert written == [(4, 4), (8, 4), (12, 4)]
 
 
 class TestPredictKernelOracle:
@@ -727,7 +880,7 @@ class TestVerify:
 
 class TestImports:
     def test_cli_leaves_the_process_pool_unimported(self):
-        # only batch --workers N with N > 1 imports the pool, at its first use
+        # only input of more than one chunk imports the pool, at its first use
         script = ("import sys, ramat.cli\n"
                   "sys.exit('concurrent.futures.process' in sys.modules)\n")
         proc = subprocess.run(
@@ -736,6 +889,32 @@ class TestImports:
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("command, lines, one_cpu", [
+        ("analyze", 3, False), ("batch", 3, False),
+        ("analyze", 600, True), ("batch", 600, True),
+    ])
+    def test_one_chunk_or_one_cpu_runs_in_this_process(self, tmp_path, command,
+                                                        lines, one_cpu):
+        # one chunk of input, or a process pinned to one CPU (taskset -c 0),
+        # classifies here without importing the pool
+        if one_cpu and not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no CPU affinity call on this platform")
+        f = tmp_path / "input.g6"
+        f.write_text("C~\n" * lines, encoding="ascii")
+        script = (
+            "import os, sys, ramat.cli\n"
+            + ("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n" if one_cpu else "")
+            + f"rc = ramat.cli.main([{command!r}, {str(f)!r}])\n"
+            "sys.exit(rc or 3 * ('concurrent.futures.process' in sys.modules))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == (lines if command == "analyze" else 8)
 
 
 class TestStdlibOnly:

@@ -1,6 +1,7 @@
 """Finite-group engine: group constructions, closures, and the divisor
 criterion checked against direct enumeration."""
 
+import random
 import time
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from ramat.graphs import complete, cycle, path
 from ramat.group_oracle import (
     BudgetExceededError,
+    _tuple_closure,
     FiniteGroup,
     comm_b,
     commutator_subgroup,
@@ -140,7 +142,33 @@ class TestConstructions:
                 FiniteGroup.from_table("bad", table, (1,))
 
 
+def textbook_closure(g, gens, n):
+    """Every product of the generator tuples, by coordinatewise lookup in
+    the multiplication table until no new tuple appears."""
+    seen = {(g.identity,) * n}
+    frontier = list(seen)
+    while frontier:
+        found = []
+        for x in frontier:
+            for t in gens:
+                y = tuple(g.table[a][b] for a, b in zip(x, t))
+                if y not in seen:
+                    seen.add(y)
+                    found.append(y)
+        frontier = found
+    return seen
+
+
 class TestGraphPower:
+    @pytest.mark.parametrize("group", [dihedral(8), dihedral(12), heisenberg(2), heisenberg(3)])
+    def test_closure_matches_the_table_products(self, group):
+        rng = random.Random(group.order)
+        for n in (1, 2, 3):
+            for _ in range(10):
+                gens = [tuple(rng.randrange(group.order) for _ in range(n))
+                        for _ in range(rng.randint(1, 3))]
+                assert _tuple_closure(group, gens, n) == textbook_closure(group, gens, n)
+
     def test_complete_graph_is_diagonal(self):
         h2 = heisenberg(2)
         for n in (2, 3, 4):

@@ -469,14 +469,14 @@ def bits_of(mask: int, n: int) -> list:
 @st.composite
 def unit_heavy_stacks(draw):
     """(n, masks): 0/1 rows over n >= 32 columns whose lattice has unit
-    pivots at all but the last k <= 6 columns, so that ``_build`` answers
-    rows through the unit-pivot quotient.  Each other column j gets the row
-    {j} + A_j with A_j among the last columns; a few extra rows over a
-    handful of columns then often leave non-unit pivots in the quotient,
-    or leave it short of full rank.  Unions of
-    disjoint rows, which lie in the lattice, come last, so that a quotient
-    test is made; the extra rows (and up to two unit rows) held back to
-    mix with them make it stale."""
+    pivots at all but the last k <= 6 columns, so that ``_build`` may
+    answer rows through the unit-pivot quotient.  Each other column j gets
+    the row {j} + A_j with A_j among the last columns; a few extra rows
+    over a handful of columns then often leave non-unit pivots in the
+    quotient, or leave it short of full rank.  Unions of disjoint rows,
+    which lie in the lattice, are mixed with the extra rows and up to two
+    unit rows held back; the build takes all of them by their set bits,
+    fewest first."""
     n = draw(st.integers(32, 40))
     k = draw(st.integers(1, 6))
     tail = st.sets(st.integers(n - k, n - 1))
@@ -523,29 +523,30 @@ def quotient_stacks(draw):
     """(n, masks): 0/1 rows over n >= 32 columns that cross ``_build``'s
     move to the quotient with a non-diagonal H short of full rank.
 
-    Each of the first n - k columns j gets the row {j} + A_j with A_j a
-    nonempty set among the last k >= 4 columns Q, so modulo the lattice e_j
-    is minus the sum of A_j, and no row is a singleton: no column peels.
-    Columns 0 and 1 have A = {a, b} and {a}, and columns 2 to 7 have
-    A = {b}, for two columns a < b of Q.  Then {0, 1} has image
-    -(2e_a + e_b) and {2, ..., 7} has image -6e_b: H is [[2, 1], [0, 6]]
-    on a and b, and every other column of Q is free.  Columns 8 and 9 may
-    both have A = {c} for a third column c of Q, and the row {8, 9, c},
-    with image -e_c, then gives H a unit pivot at c, which the next
-    presentation takes out of Q.  The rows come first, then n repeats of
-    them, members that move the build to the quotient, then the rows for H
-    among unions of disjoint rows, members once H is in, in any order."""
+    Each of the first n - k columns j gets the row {j, t_j} with t_j one of
+    the last k >= 4 columns Q, so modulo the lattice e_j is -e_(t_j), and
+    no row is a singleton: no column peels.  Columns 0 and 1 have t = a and
+    columns 2 to 8 have t = b, for two columns a < b of Q.  Then {0, 1, 2} has image -(2e_a + e_b) and {3, ..., 8} has
+    image -6e_b: H is [[2, 1], [0, 6]] on a and b, and every other column
+    of Q is free.  Columns 9 and 10 may both have t = c for a third column
+    c of Q, and the row {9, 10, c}, with image -e_c, then gives H a unit
+    pivot at c, which the next presentation takes out of Q.
+
+    The build inserts rows by their set bits, fewest first, in the given
+    order among equals.  The rows of two bits come first, then n repeats
+    of them, members that move the build to the quotient; the rows for H
+    and the unions of disjoint rows, members once H is in, have three or
+    more, so they come last, in any order."""
     n = draw(st.integers(32, 40))
     k = draw(st.integers(4, 6))
     tail = range(n - k, n)
     a, b, c = sorted(draw(st.permutations(tail))[:3])
-    some = st.sets(st.sampled_from(tail), min_size=1)
     unit = draw(st.booleans())
-    sets = [{a, b}, {a}] + [{b}] * 6
-    sets += [{c}] * 2 if unit else [draw(some) for _ in range(2)]
-    sets += [draw(some) for _ in range(10, n - k)]
-    rows = [1 << j | sum(1 << t for t in s) for j, s in enumerate(sets)]
-    extra = [0b11, 0b11111100] + [0b1100000000 | 1 << c] * unit
+    ts = [a, a] + [b] * 7
+    ts += [c] * 2 if unit else [draw(st.sampled_from(tail)) for _ in range(2)]
+    ts += [draw(st.sampled_from(tail)) for _ in range(11, n - k)]
+    rows = [1 << j | 1 << t for j, t in enumerate(ts)]
+    extra = [0b111, 0b111111000] + [0b11000000000 | 1 << c] * unit
     pairs = st.tuples(st.sampled_from(rows + extra),
                       st.sampled_from(rows + extra))
     unions = [x | y for x, y in draw(st.lists(pairs, min_size=2 * n,
@@ -711,10 +712,12 @@ class TestUnitPivotQuotient:
         for _ in range(20):
             n = rng.randint(32, 40)
             tail = range(n - 4, n)
-            rows = [1 << j | sum(1 << c for c in tail if rng.random() < 0.5)
-                    for j in range(n - 4)]
-            # e_a + e_c, e_b + e_c, e_a + e_b: 2*e_c is in the lattice; they
-            # come after a first run of unions, which are members already
+            rows = [1 << j | 1 << rng.choice(tail) for j in range(n - 4)]
+            # e_a + e_c, e_b + e_c, e_a + e_b: 2*e_c is in the lattice.  The
+            # build takes rows by their set bits, and in the given order
+            # among equals: these come after the rows and a run of repeats,
+            # which move the build to the quotient, and before the unions,
+            # which the test made before them misses
             late = []
             for _ in range(3):
                 a, b = rng.sample(range(n - 4), 2)
@@ -722,7 +725,7 @@ class TestUnitPivotQuotient:
                 late += [1 << a | 1 << c, 1 << b | 1 << c, 1 << a | 1 << b]
             unions = [x | y for x in rows + late for y in rows + late
                       if x < y and not x & y]
-            masks = rows + unions[::2] + late + unions[1::2]
+            masks = rows + rng.choices(rows, k=n) + late + unions
             stats = {}
             e = intlin._build(masks, n, stats)
             presented += stats["absorbed"] > 0 and stats["remakes"] > 0

@@ -164,6 +164,26 @@ def test_structure_on_random_graphs():
         check_structure(random_graph(rng, rng.randint(1, 12), rng.random()))
 
 
+def test_structure_on_random_triangle_free_graphs():
+    # girth 4 ends the search at the first root that closes a 4-cycle; past
+    # it the roots must still find longer cycles, or none
+    rng = random.Random(13)
+    girths = set()
+    for _ in range(300):
+        n = rng.randint(4, 16)
+        pairs = list(combinations(range(n), 2))
+        rng.shuffle(pairs)
+        adj = [0] * n
+        for u, v in pairs[:rng.randint(0, 2 * n)]:
+            if not adj[u] & adj[v]:  # the edge closes no triangle
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        g = Graph(n, adj)
+        check_structure(g)
+        girths.add(girth(g))
+    assert {None, 4, 5, 6} <= girths
+
+
 def test_triangle_away_from_vertex_1_and_odd_cycle_at_girth_4():
     # a triangle on 4, 5, 6 at the end of a path from vertex 1, whose own
     # edges close none; and girth 4 beside an odd 5-cycle, which only the

@@ -45,11 +45,14 @@ pivots (Kn(12,3): 210 of 220).  Four parts of the engine rest on that:
 
 - The peel: a build of 0/1 rows first takes each column w of a singleton
   row {w} as the unit-pivot row e_w, set directly, and clears bit w in
-  every row, until no singleton is left (the RA rows of a tree or a graph
-  of girth >= 5 peel every column).  Nothing is renumbered: the basis, its
-  quotient and every image stay over the n columns given, and a peeled
-  column is a unit pivot like any other, with image 0.  Integer rows are
-  never peeled.
+  every row, until no singleton is left; then each column w in which two
+  rows s and s - e_w differ, since e_w = s - (s - e_w), and back to the
+  singletons, until neither finds a column.  The RA rows of a tree or a
+  graph of girth >= 5 peel every column by singletons, and those of every
+  connected RA graph on 3 to 8 vertices with the differences.  Nothing is
+  renumbered: the basis, its quotient and every image stay over the n
+  columns given, and a peeled column is a unit pivot like any other, with
+  image 0.  Integer rows are never peeled.
 - The reduction runs bottom-up, from the highest pivot down, so each row
   subtracted is reduced already and moves no entry at a unit pivot: a row
   the insert left alone is read one field at a time, at the touched
@@ -514,13 +517,14 @@ class _Quotient:
     which a stale test needs.
     """
 
-    __slots__ = ("q", "h", "images", "_smith")
+    __slots__ = ("q", "h", "images", "rounds", "_smith")
 
     def __init__(self, e: _Echelon):
         n, pivots, fields = e.n, e.pivots, e.layout.fields
         q = self.q = [c for c in range(n) if pivots.get(c) != 1]
         zero = (0,) * len(q)
         self.h, self.images, self._smith = _Echelon(len(q)), [zero] * n, None
+        self.rounds = 0  # Smith rounds run so far, over all presentations
         for i, c in enumerate(q):
             self.images[c] = zero[:i] + (1,) + zero[i + 1:]
         for j, b in e.rows.items():
@@ -538,8 +542,12 @@ class _Quotient:
         H of all but one non-RA lattice of the 8-vertex corpus, gives
         d = (0, ..., 0) and V = I with no rounds."""
         if self._smith is None:
-            self._smith = (_smith_coordinates(self._h_rows(), len(self.q))
-                           if self.h.rows else ([0] * len(self.q), None))
+            if self.h.rows:
+                d, vt, k = _smith_coordinates(self._h_rows(), len(self.q))
+                self._smith = d, vt
+                self.rounds += k
+            else:
+                self._smith = [0] * len(self.q), None
         return self._smith
 
     def order(self, y) -> int:
@@ -710,26 +718,57 @@ class _Quotient:
 
 
 def _peel(masks: list):
-    """(peeled, rows): the mask of the columns peeled off 0/1 rows (ints,
-    bit j at column j) through singleton rows, and the distinct nonzero
-    rows left once no row is a singleton, in first-seen order.
+    """(peeled, rows, paired): the mask of the columns peeled off 0/1 rows
+    (ints, bit j at column j), the distinct nonzero rows left once neither
+    rule below finds a column, in first-seen order, all zero at the peeled
+    columns, and the mask of the peeled columns the difference rule took.
 
     A singleton row {w} puts e_w in the lattice L, so L = Z*e_w + pi(L),
     where pi clears coordinate w: column w is a unit pivot whose row is
-    e_w, and bit w can be cleared in every row.  Rounds repeat until no
-    singleton is left."""
-    peeled = 0
-    while True:
+    e_w, and bit w can be cleared in every row.  Once the columns P are
+    peeled, the rows left generate pi(L), pi clearing P, and pi(L) lies in
+    L.  So when two rows left are s and s - e_w, e_w = s - (s - e_w) is in
+    L as well (the difference rule; a singleton is the case s - e_w = 0),
+    and column w peels the same way.  Singleton rounds repeat, and when
+    none finds a column one difference round runs, until neither does."""
+    peeled = paired = 0
+    while masks:
         units = 0
         for m in masks:
             if not m & (m - 1):
                 units |= m
         if not units:
-            break
+            units = _differences(masks)
+            if not units:
+                break
+            paired |= units
         peeled |= units
         masks = [r for m in masks if (r := m & ~units)]
     # repeats are dropped once, at the end: they do not change the units
-    return peeled, list(dict.fromkeys(masks)) if peeled else masks
+    return peeled, list(dict.fromkeys(masks)) if peeled else masks, paired
+
+
+def _differences(masks: list) -> int:
+    """The mask of the columns w with rows s and s - e_w both in ``masks``.
+    Only a row one bit longer than some other row can be such an s, so the
+    set of rows is built only when one exists, and each such row's set
+    bits are read once: Kn(12,3)'s rows have 22, 35, 56 or 85 bits, and
+    its check ends at the bit counts."""
+    counts = list(map(int.bit_count, masks))
+    sizes = set(counts)
+    longer = sizes.intersection([c + 1 for c in sizes])
+    if not longer:
+        return 0
+    rows, found = set(masks), 0
+    for s, c in zip(masks, counts):
+        if c in longer:
+            b = s & ~found  # a column found once is not looked up again
+            while b:
+                low = b & -b
+                b ^= low
+                if s ^ low in rows:
+                    found |= low
+    return found
 
 
 def _build(rows, n: int, stats: dict | None = None) -> _Echelon:
@@ -739,10 +778,12 @@ def _build(rows, n: int, stats: dict | None = None) -> _Echelon:
     Insertion stops early once the basis is the full standard lattice (all
     n pivots equal to 1): no further integer row can change it.
 
-    0/1 rows are peeled first (``_peel``): each peeled column w gets the
-    row e_w, and only the rows left are inserted, fewest set bits first,
-    all zero at the peeled columns, so the basis stays reduced.  Integer
-    sequences are never peeled or sorted.
+    0/1 rows are peeled first (``_peel``, by singletons and by rows one
+    column apart): each peeled column w gets the row e_w, and only the
+    rows left are inserted, fewest set bits first, all zero at the peeled
+    columns, so the basis stays reduced.  Every RA lattice of the 8-vertex
+    corpus peels every column and inserts no row.  Integer sequences are
+    never peeled or sorted.
 
     0/1 rows are inserted over the n columns until those folded in for
     nothing, tallied by their set bits, reach ``_Q_WASTE`` times the
@@ -761,20 +802,24 @@ def _build(rows, n: int, stats: dict | None = None) -> _Echelon:
     One loop does both: its echelon ``e`` is the basis over the n columns,
     then H, and ``member`` is None until the first presentation.
 
-    ``stats``, when given, receives the counts of the build: ``rows_in``
-    (the rows the peel took, then those the loop read), ``peeled`` (the
-    columns peeled), ``answered`` (rows the test found in the lattice),
-    ``checked`` (rows it missed, whose images went to H), ``absorbed``
-    (those that changed H), ``remakes`` (presentations after the first),
-    ``inserts`` (rows inserted over the n columns), ``changes`` (those
-    inserts that changed the basis) and ``max_width``, the widest field
-    packed, in bits.
+    ``stats``, when given, receives the counts of the build: ``path``
+    ("peeled" when the peel took every column, "quotient" when the build
+    moved to the quotient, else "inserts"), ``rows_in`` (the rows the peel
+    took, then those the loop read), ``peeled`` (the columns peeled),
+    ``paired`` (those the difference rule took), ``answered`` (rows the
+    test found in the lattice), ``checked`` (rows it missed, whose images
+    went to H), ``absorbed`` (those that changed H), ``remakes``
+    (presentations after the first), ``inserts`` (rows inserted over the n
+    columns), ``changes`` (those inserts that changed the basis),
+    ``smith_rounds`` (the Smith rounds run for the quotient's tests) and
+    ``max_width``, the widest field packed, in bits.
     """
     e = _Echelon(n)
     quot = member = image = None
-    units = taken = 0  # e's unit pivots, rows the peel took
+    # e's unit pivots, rows the peel took, columns its difference rule took
+    units = taken = paired = 0
     if rows and isinstance(rows[0], int):
-        peeled, left = _peel(rows)
+        peeled, left, paired = _peel(rows)
         taken, units = len(rows) - len(left), peeled.bit_count()
         # the Hermite form does not depend on row order, and sparse rows
         # first keep the transient entries small
@@ -830,9 +875,13 @@ def _build(rows, n: int, stats: dict | None = None) -> _Echelon:
         e = quot.echelon()
     if stats is not None:
         stats.update(
+            path=("peeled" if not free else "inserts" if quot is None
+                  else "quotient"),
             rows_in=taken + inserts + answered + checked, peeled=n - free,
-            answered=answered, checked=checked, absorbed=absorbed,
-            remakes=remakes, inserts=inserts, changes=changes,
+            paired=paired.bit_count(), answered=answered, checked=checked,
+            absorbed=absorbed, remakes=remakes, inserts=inserts,
+            changes=changes,
+            smith_rounds=0 if quot is None else quot.rounds,
             max_width=max(width, e.layout.w))
     return e
 
@@ -843,7 +892,11 @@ def _build(rows, n: int, stats: dict | None = None) -> _Echelon:
 # lattices of Kn(9,3), Kn(10,3), Kn(12,3), Kn(12,4), Kn(12,2), Kn(14,2),
 # cube(7), cube(8), folded_cube(7), crown(40), the complement of Kn(9,2)
 # and construct_prescribed([60], 0): 10 to 12 runs of each side in one
-# process, alternating, ratios of medians.
+# process, alternating, ratios of medians.  None of them peels a column by
+# the difference rule, and its check adds at most about 0.5 ms to their
+# builds (counting the bits of Kn(12,3)'s 10 747 rows; only Kn(9,3), whose
+# rows have 3 and 4 bits, builds and searches a set, about 0.25 ms), so
+# these timings still hold.
 # - _Q_WIDTH: below 32 unpeeled columns the test sped some builds up and
 #   slowed others (crown(20) 36% faster, Kn(7,2) 19% slower), and it slowed
 #   the corpus's, at most 8 unpeeled columns wide, by 18-21%.
@@ -887,11 +940,12 @@ def hermite_normal_form(m: IntMatrix) -> HermiteForm:
 
 
 def _smith_coordinates(rows, m: int):
-    """(d, vt) for the rows of an echelon basis over m columns: a unimodular
-    V, given as its transpose ``vt`` (None for the identity), and d such
-    that the row lattice of rows * V is spanned by the d[k] * e_k, so that
-    y is in the row lattice of the rows exactly when (yV)_k is 0 mod d[k]
-    for every k, d[k] = 0 asking (yV)_k = 0.
+    """(d, vt, rounds) for the rows of an echelon basis over m columns: a
+    unimodular V, given as its transpose ``vt`` (None for the identity), and
+    d such that the row lattice of rows * V is spanned by the d[k] * e_k, so
+    that y is in the row lattice of the rows exactly when (yV)_k is 0 mod
+    d[k] for every k, d[k] = 0 asking (yV)_k = 0; ``rounds`` counts the
+    Hermite builds, row and column rounds alike.
 
     Alternates Hermite reductions of rows and columns (Kannan and Bachem,
     SIAM J. Comput. 1979), with the column operations kept: a column round
@@ -903,9 +957,10 @@ def _smith_coordinates(rows, m: int):
     row, whose row and column then stay clear: the rounds end with one
     nonzero per row, d[k] in column k.
     """
-    vt = None
+    vt, rounds = None, 0
     while any(sum(1 for x in row if x) > 1 for row in rows):
         r = len(rows)
+        rounds += 1
         if vt is None:
             vt = [(0,) * k + (1,) + (0,) * (m - 1 - k) for k in range(m)]
         basis = _build([c + v for c, v in zip(zip(*rows), vt)],
@@ -915,6 +970,7 @@ def _smith_coordinates(rows, m: int):
         rows = list(zip(*[x[:r] for x in aug]))
         if all(sum(1 for x in row if x) <= 1 for row in rows):
             break
+        rounds += 1
         basis = _build(rows, m).unpacked()
         rows = [basis[j] for j in sorted(basis)]
     d = [0] * m
@@ -922,7 +978,7 @@ def _smith_coordinates(rows, m: int):
         for k, x in enumerate(row):
             if x:
                 d[k] = abs(x)
-    return d, vt
+    return d, vt, rounds
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:

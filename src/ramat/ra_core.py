@@ -10,8 +10,11 @@ A graph's lattice is one packed echelon basis over its n vertex columns,
 built by ``intlin._echelon_basis`` from the RA rows as vertex masks.  The
 engine peels the masks first: a singleton row {w} puts e_w in the lattice,
 so column w becomes a unit pivot and bit w is cleared in every row, until no
-singleton is left.  (A tree on 3 or more vertices and a graph of girth
->= 5 peel every column, so they are RA with no row inserted.)
+singleton is left; then two rows s and s - e_w put e_w in it too, and the
+singletons go on, until neither rule finds a column.  (A tree on 3 or more
+vertices and a graph of girth >= 5 peel every column by singletons alone,
+and every connected RA graph on 3 to 8 vertices peels every column, so
+each is RA with no row inserted.)
 
 Every answer is read off one presentation of Z^n/L (``intlin._Quotient``),
 in the same n columns: the columns Q that are not unit pivots, the image

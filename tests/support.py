@@ -2,8 +2,9 @@
 
 The normal-form oracles here deliberately share no code with the library:
 a first-nonzero-pivot textbook Smith reduction, a textbook Hermite form
-with the lattice membership and axis multiples read off it, and, for small
-matrices, divisor chains obtained from gcds of k x k minors.
+with the lattice membership and axis multiples read off it, for small
+matrices divisor chains obtained from gcds of k x k minors, and a peel of
+0/1 rows that compares every pair of rows.
 Disagreement with the library on any input is a test failure.
 """
 
@@ -183,6 +184,34 @@ def ref_axis_multiple(rows, i: int) -> int:
     order = [j for j in range(n) if j != i - 1] + [i - 1]
     basis, pivots = ref_hermite([[r[j] for j in order] for r in rows])
     return basis[-1][-1] if pivots and pivots[-1] == n else 0
+
+
+def plain_peel(masks, pairs: bool = True) -> int:
+    """The columns a peel takes off 0/1 rows (ints, bit j at column j), as
+    a mask.  With the columns taken so far cleared in every row, a column
+    w is taken when some row is {w}, or, with ``pairs``, when two rows
+    differ in w alone; every pair of rows is compared, until a full scan
+    takes nothing.  Clearing more columns keeps every such row or pair, so
+    the columns taken do not depend on the order."""
+    peeled, grew = 0, True
+    while grew:
+        grew = False
+        rows = {m & ~peeled for m in masks} | {0}
+        for s in rows:
+            for r in rows if pairs else (0,):
+                d = s ^ r
+                if d and not d & (d - 1):
+                    peeled |= d
+                    grew = True
+    return peeled
+
+
+def ra_row_masks(g: Graph) -> list:
+    """The distinct nonzero RA rows of g as vertex masks: each N[v] and
+    each N[u] & N[v], in no particular order."""
+    closed = [g.closed_mask(v) for v in g.vertices()]
+    return [m for m in {*closed, *(a & b for a, b in combinations(closed, 2))}
+            if m]
 
 
 def ref_kronecker(a, b) -> list:

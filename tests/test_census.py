@@ -2,7 +2,7 @@
 
 from ramat import intlin, ra_core
 from ramat.graphs import complete, crown, cube, girth, graph6_decode, kneser
-from ramat.ra_core import classify, elementary_divisors
+from ramat.ra_core import classify, elementary_divisors, is_ra
 
 from support import are_isomorphic, connected_8_vertex_file, connected_graphs_up_to_iso
 
@@ -65,6 +65,22 @@ def test_girth5_and_trees_peel_to_an_empty_core():
     assert checked == 80  # 47 of them on 8 vertices
     assert peeled_columns(complete(1)) == 1
     assert peeled_columns(complete(2)) == 0
+
+
+def test_ra_graphs_peel_every_column_up_to_8_vertices():
+    # singletons and rows one column apart peel every column of every RA
+    # connected graph on 3 to 8 vertices; a graph that peels every column
+    # is RA, as e_w is in the lattice for each column w
+    for n in range(3, 8):
+        for g in connected_graphs_up_to_iso(n):
+            assert (peeled_columns(g) == g.n) == is_ra(g), g.adj
+    full = 0
+    for line in connected_8_vertex_file().read_text().split():
+        g = graph6_decode(line)
+        ra = is_ra(g)
+        assert (peeled_columns(g) == g.n) == ra, line
+        full += ra
+    assert full == 7441
 
 
 def test_vertex_transitive_families_peel_no_column():

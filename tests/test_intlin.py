@@ -20,6 +20,7 @@ from ramat.intlin import (
 from support import (
     determinantal_divisors,
     mat_mul,
+    plain_peel,
     random_int_matrix,
     random_permutation_matrix,
     ref_axis_multiple,
@@ -524,29 +525,34 @@ def quotient_stacks(draw):
     move to the quotient with a non-diagonal H short of full rank.
 
     Each of the first n - k columns j gets the row {j, t_j} with t_j one of
-    the last k >= 4 columns Q, so modulo the lattice e_j is -e_(t_j), and
-    no row is a singleton: no column peels.  Columns 0 and 1 have t = a and
-    columns 2 to 8 have t = b, for two columns a < b of Q.  Then {0, 1, 2} has image -(2e_a + e_b) and {3, ..., 8} has
-    image -6e_b: H is [[2, 1], [0, 6]] on a and b, and every other column
-    of Q is free.  Columns 9 and 10 may both have t = c for a third column
-    c of Q, and the row {9, 10, c}, with image -e_c, then gives H a unit
-    pivot at c, which the next presentation takes out of Q.
+    the last k >= 4 columns Q, so modulo the lattice e_j is -e_(t_j).
+    Columns 0 and 1 have t = a and columns 2 to 8 have t = b, for two
+    columns a < b of Q.  Then {0, 1, 2} has image -(2e_a + e_b) and
+    {3, ..., 8} has image -6e_b: H is [[2, 1], [0, 6]] on a and b, and
+    every other column of Q is free.  Columns 9 to 13 may all have t = c
+    for a third column c of Q, and the rows {9, 10} and {11, 12, 13}, with
+    images -2e_c and -3e_c, then give H a unit pivot at c, which the next
+    presentation takes out of Q.
+
+    No column peels: no row is a singleton, and no two rows, unions of
+    disjoint rows included, lie one column apart.  (A row {9, 10, c} would
+    give the unit pivot in one row, but it is {9, c} plus column 10.)
 
     The build inserts rows by their set bits, fewest first, in the given
-    order among equals.  The rows of two bits come first, then n repeats
-    of them, members that move the build to the quotient; the rows for H
-    and the unions of disjoint rows, members once H is in, have three or
-    more, so they come last, in any order."""
+    order among equals.  The rows {j, t_j} come first, then n repeats of
+    them, members that move the build to the quotient; the rows for H and
+    the unions of disjoint rows, members once H is in, come last, in any
+    order."""
     n = draw(st.integers(32, 40))
     k = draw(st.integers(4, 6))
     tail = range(n - k, n)
     a, b, c = sorted(draw(st.permutations(tail))[:3])
     unit = draw(st.booleans())
     ts = [a, a] + [b] * 7
-    ts += [c] * 2 if unit else [draw(st.sampled_from(tail)) for _ in range(2)]
-    ts += [draw(st.sampled_from(tail)) for _ in range(11, n - k)]
+    ts += [c] * 5 if unit else [draw(st.sampled_from(tail)) for _ in range(5)]
+    ts += [draw(st.sampled_from(tail)) for _ in range(14, n - k)]
     rows = [1 << j | 1 << t for j, t in enumerate(ts)]
-    extra = [0b111, 0b111111000] + [0b11000000000 | 1 << c] * unit
+    extra = [0b111, 0b111111000] + [0b11 << 9, 0b111 << 11] * unit
     pairs = st.tuples(st.sampled_from(rows + extra),
                       st.sampled_from(rows + extra))
     unions = [x | y for x, y in draw(st.lists(pairs, min_size=2 * n,
@@ -563,32 +569,59 @@ def singleton_chains(draw):
     {w_1, w_2}, ..., {w_(s-1), w_s}, which peel w_1 to w_s one round
     each.  The chain may go on into up to 8 columns of the stack, which
     then peel too, with what that frees in turn.  The new columns are also
-    set at random in the stack's rows, where the peel clears them; a new
-    column left out of the chain is not peeled.  With few columns peeled,
-    the build still moves to the quotient; with many, the unpeeled width
-    drops below 32 and it does not."""
+    set at random in the stack's rows, where the peel clears them, the
+    same ones in every copy of a row: so two rows lie one column apart
+    only once the chain has peeled into the stack, and a new column left
+    out of the chain is peeled only if the columns the chain frees clear
+    the rest of some row.  With few columns peeled, the build still moves
+    to the quotient; with many, the unpeeled width drops below 32 and it
+    does not."""
     m, stack = draw(quotient_stacks())
     t = draw(st.integers(1, 8))
     w = draw(st.permutations(range(t)))[:draw(st.integers(1, t))]
     w += draw(st.lists(st.integers(t, t + m - 1), max_size=8, unique=True))
     chain = [1 << w[0]] + [1 << x | 1 << y for x, y in zip(w, w[1:])]
-    noise = st.integers(0, (1 << t) - 1)
-    rows = [r << t | draw(noise) for r in stack]
+    distinct = list(dict.fromkeys(stack))
+    noise = dict(zip(distinct, draw(st.lists(
+        st.integers(0, (1 << t) - 1), min_size=len(distinct),
+        max_size=len(distinct)))))
+    rows = [r << t | noise[r] for r in stack]
     return m + t, draw(st.permutations(chain + rows[:5])) + rows[5:]
 
 
-def plain_peel(masks) -> int:
-    """The columns a peel takes, one at a time: any column that is all
-    that is left of some row once the columns taken are cleared."""
-    peeled, grew = 0, True
-    while grew:
-        grew = False
-        for m in masks:
-            r = m & ~peeled
-            if r and not r & (r - 1):
-                peeled |= r
-                grew = True
-    return peeled
+@st.composite
+def difference_pairs(draw):
+    """(n, masks): 0/1 rows over 8 to 40 columns in which some columns w
+    peel only by the difference rule, through planted rows s and s - e_w.
+
+    A chain of singletons {c_1}, {c_1, c_2}, ... peels the chain columns
+    C.  Each planted column w gets the rows A + e_w + X and A + Y, with A
+    at least two columns outside C and w, and X and Y inside C: the two
+    lie one column apart as given when X = Y, and only behind the chain
+    otherwise.  Every other row has at least two columns outside C, so
+    singletons alone peel C and no more, and the difference rule takes
+    every planted column, and what that frees in turn."""
+    n = draw(st.integers(8, 40))
+    cols = draw(st.permutations(range(n)))
+    chain = cols[:draw(st.integers(0, 3))]
+    free = cols[len(chain):]
+    planted = free[:draw(st.integers(1, 3))]
+    outside = st.sets(st.sampled_from(free), min_size=2, max_size=6)
+    inside = st.sets(st.sampled_from(chain)) if chain else st.just(set())
+
+    def mask(cs):
+        return sum(1 << c for c in cs)
+
+    rows = [mask(chain[:1])] * bool(chain)
+    rows += [mask(chain[i:i + 2]) for i in range(len(chain) - 1)]
+    for w in planted:
+        a = draw(outside) - {w}
+        if len(a) < 2:
+            a |= set(free[-3:]) - {w}
+        rows += [mask(a | {w} | draw(inside)), mask(a | draw(inside))]
+    rows += [mask(draw(outside) | draw(inside))
+             for _ in range(draw(st.integers(0, 2 * n)))]
+    return n, draw(st.permutations(rows))
 
 
 def hermite_of(e) -> tuple:
@@ -629,6 +662,28 @@ class TestUnitPivotQuotient:
         if n - stats["peeled"] < intlin._Q_WIDTH:
             assert stats["answered"] == stats["checked"] == 0
 
+    @given(difference_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_planted_pairs_peel_by_the_difference_rule(self, stack):
+        # singletons alone stop short of the planted columns, so the build
+        # must take some column by the difference rule, and it peels what
+        # the pairwise oracle peels; the basis is still the textbook one
+        n, masks = stack
+        rows = [bits_of(m, n) for m in masks]
+        stats = {}
+        e = intlin._build(masks, n, stats)
+        assert hermite_of(e) == ref_hermite(rows)
+        assert e.unpacked() == intlin._build(rows, n).unpacked()
+        peeled = plain_peel(masks)
+        assert plain_peel(masks, pairs=False) != peeled
+        assert stats["peeled"] == peeled.bit_count()
+        assert 0 < stats["paired"] <= stats["peeled"]
+        assert (stats["path"] == "peeled") == (stats["peeled"] == n)
+        got, left, paired = intlin._peel(masks)
+        assert got == peeled and paired & ~got == 0
+        assert all(r and not r & got for r in left)
+        assert len(set(left)) == len(left)
+
     @given(quotient_stacks())
     @settings(max_examples=40, deadline=None)
     def test_free_columns_and_a_non_diagonal_block(self, stack):
@@ -636,8 +691,10 @@ class TestUnitPivotQuotient:
         stats = {}
         e = intlin._build(masks, n, stats)
         assert hermite_of(e) == ref_hermite([bits_of(m, n) for m in masks])
-        # the build moved to the quotient among the 2n - k rows and repeats,
-        # and the rows for H were folded into it there
+        # nothing peels; the build moved to the quotient among the 2n - k
+        # rows and repeats, and the rows for H were folded into it there
+        assert stats["peeled"] == plain_peel(masks) == 0
+        assert stats["path"] == "quotient"
         assert stats["inserts"] < 2 * n and stats["rows_in"] == len(masks)
         assert stats["absorbed"] >= 2
 
@@ -648,7 +705,7 @@ class TestUnitPivotQuotient:
         # lattice of the d[k] * e_k, which has the basis's divisors
         basis, _ = ref_hermite(m)
         n = len(m[0])
-        d, vt = intlin._smith_coordinates(basis, n)
+        d, vt, _ = intlin._smith_coordinates(basis, n)
         eye = [[int(i == k) for i in range(n)] for k in range(n)]
         assert ref_hermite(vt or eye) == (tuple(map(tuple, eye)),
                                          tuple(range(1, n + 1)))

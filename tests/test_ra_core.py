@@ -53,6 +53,8 @@ from support import (
     activation_rows,
     connected_8_vertex_file,
     connected_graphs_up_to_iso,
+    plain_peel,
+    ra_row_masks,
     random_graph,
     ref_axis_multiple,
     ref_contains,
@@ -266,6 +268,11 @@ def peeled(g) -> int:
     return stats["peeled"]
 
 
+def oracle_peeled(g) -> int:
+    """Columns the pairwise peel oracle takes off the RA rows of g."""
+    return plain_peel(ra_row_masks(g)).bit_count()
+
+
 class TestOneLatticePerGraph:
     def test_one_echelon_build_per_connected_graph(self, monkeypatch):
         # the one build runs over all n columns and peels inside: every
@@ -283,7 +290,7 @@ class TestOneLatticePerGraph:
         monkeypatch.setattr(intlin, "_echelon_basis", counted)
         for g, k in ((path(4), 4), (pyramid(crown(8)), 1), (cube(3), 0),
                      (crown(10), 0), (kneser(6, 2), 0), (complete(5), 0)):
-            assert peeled(g) == k
+            assert peeled(g) == k == oracle_peeled(g)
             for fn in (classify, elementary_divisors):
                 ra_core._latest_lattice.cache_clear()
                 builds.clear()
@@ -319,6 +326,41 @@ class TestOneLatticePerGraph:
             want = hermite_normal_form(ra_matrix(g).matrix)
             assert ra_lattice(g) == want  # builds the graph's lattice
             assert ra_lattice(g) == want  # derives again from the kept one
+
+
+class TestBuildStats:
+    """The counts ``intlin._build`` reports for an RA lattice, one graph
+    per path: path(4) peels by singletons, G??F~w (one of the 1 196 RA
+    corpus graphs that singletons alone do not peel) by the difference
+    rule alone, cube(3) is inserted, and Kn(12,3) finishes in its
+    quotient, with the counts it had before the difference rule."""
+
+    def stats(self, g) -> dict:
+        stats = {}
+        intlin._build(ra_core._ra_masks(g), g.n, stats)
+        return stats
+
+    def test_small_graphs(self):
+        zero = dict(answered=0, checked=0, absorbed=0, remakes=0,
+                    smith_rounds=0, max_width=16)
+        assert self.stats(path(4)) == dict(
+            zero, path="peeled", rows_in=7, peeled=4, paired=0, inserts=0,
+            changes=0)
+        g = graph6_decode("G??F~w")
+        assert oracle_peeled(g) == 8 and plain_peel(ra_row_masks(g),
+                                                    pairs=False) == 0
+        assert self.stats(g) == dict(
+            zero, path="peeled", rows_in=22, peeled=8, paired=8, inserts=0,
+            changes=0)
+        assert self.stats(cube(3)) == dict(
+            zero, path="inserts", rows_in=32, peeled=0, paired=0, inserts=32,
+            changes=8)
+
+    def test_kneser_12_3(self):
+        assert self.stats(kneser(12, 3)) == dict(
+            path="quotient", rows_in=10747, peeled=0, paired=0,
+            answered=9464, checked=490, absorbed=52, remakes=12, inserts=793,
+            changes=186, smith_rounds=22, max_width=64)
 
 
 def _count_full_bases(monkeypatch) -> list:
@@ -685,9 +727,9 @@ class TestPairSignsAndNeighborliness:
             if peeled(g) < g.n:
                 mixed.append(g)
         for g in mixed:
-            assert 0 < peeled(g) < g.n, graph6_encode(g)
-        assert peeled(path(5)) == 5
-        assert peeled(crown(10)) == 0
+            assert 0 < peeled(g) == oracle_peeled(g) < g.n, graph6_encode(g)
+        assert peeled(path(5)) == 5 == oracle_peeled(path(5))
+        assert peeled(crown(10)) == 0 == oracle_peeled(crown(10))
         for g in mixed + [path(5), crown(10)]:
             h = hermite_normal_form(ra_matrix(g).matrix).matrix.data
             for u, v in combinations(g.vertices(), 2):
@@ -720,13 +762,13 @@ class TestKernelModP:
 
     def test_every_column_peeled(self):
         g = path(6)
-        assert peeled(g) == g.n
+        assert peeled(g) == g.n == oracle_peeled(g)
         for p in (2, 3, 5, 7):
             assert assert_kernel_matches_dense(g, p) == []
 
     def test_disconnected_graph(self):
         g = disjoint_union([kneser(6, 2), path(4), complete(3), complete(1)])
-        assert peeled(g) == 5
+        assert peeled(g) == 5 == oracle_peeled(g)
         for p in (2, 3):
             assert assert_kernel_matches_dense(g, p)
 

@@ -421,7 +421,7 @@ def _run_predictor(tid: str, ns):
         if ns.parts:
             sides = ns.parts.split("/")
             if len(sides) != 2:
-                raise ValueError("--parts wants 'v1,v2/<v3,v4' with two sides")
+                raise ValueError("--parts wants 'v1,v2/v3,v4' with two sides")
             parts = tuple(
                 tuple(int(v) for v in side.split(",") if v) for side in sides
             )

@@ -180,10 +180,14 @@ def dihedral(order: int) -> FiniteGroup:
     return FiniteGroup.from_table(f"dihedral({order})", table, generators=(1, n))
 
 
+def _commutators(g: FiniteGroup) -> set:
+    """Every commutator [a, b] of G, over all order**2 pairs."""
+    return {g.commutator(a, b) for a in range(g.order) for b in range(g.order)}
+
+
 def commutator_subgroup(g: FiniteGroup) -> frozenset:
     """Element set of [G,G], generated by all commutators."""
-    comms = {g.commutator(a, b) for a in range(g.order) for b in range(g.order)}
-    return g.closure(comms)
+    return g.closure(_commutators(g))
 
 
 def _check_budget(order: int, n: int, cap: int) -> None:
@@ -271,18 +275,19 @@ def _placements_in(g: FiniteGroup, power, comm, n: int) -> bool:
 def comm_b(g: FiniteGroup, graph: Graph, cap: int = DEFAULT_CAP) -> frozenset:
     """Subgroup generated by all bracket clicks [g^v, h^w]; such a bracket
     places the commutator [g,h] on N[v] & N[w]."""
+    _check_budget(g.order, graph.n, cap)
+    return _bracket_closure(g, graph, _commutators(g))
+
+
+def _bracket_closure(g: FiniteGroup, graph: Graph, comms) -> frozenset:
+    """``comm_b`` from the commutators of G."""
     n = graph.n
-    _check_budget(g.order, n, cap)
-    comms = {
-        g.commutator(a, b) for a in range(g.order) for b in range(g.order)
-    }
-    comms.discard(g.identity)
     masks = set()
     for v in graph.vertices():
         for w in graph.vertices():
             masks.add(graph.closed_mask(v) & graph.closed_mask(w))
     gens = []
-    for c in comms:
+    for c in comms - {g.identity}:
         for mask in masks:
             gens.append(
                 tuple(c if mask >> j & 1 else g.identity for j in range(n))
@@ -334,10 +339,11 @@ def oracle_record(
 ) -> dict:
     """Full verdict for one (group, graph) pair, JSON-ready."""
     power = graph_power(g, graph, cap)
-    comm = commutator_subgroup(g)
+    comms = _commutators(g)  # O(order**2): made once for both subgroups
+    comm = g.closure(comms)
     n = graph.n
     inter = sum(1 for t in power if all(a in comm for a in t))
-    bracket = comm_b(g, graph, cap)
+    bracket = _bracket_closure(g, graph, comms)
     return {
         "group": g.name,
         "graph": descriptor,

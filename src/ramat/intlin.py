@@ -4,7 +4,8 @@ A row lattice L in Z^n is built as a packed echelon basis, an
 ``_Echelon``, and handed out as its canonical Hermite basis, a
 ``HermiteForm`` with ``matrix.cols`` = n and rank ``len(pivot_columns)``.
 Every other answer (elementary divisors, membership, axis multiples, the
-kernel mod p) is read off one presentation of Z^n/L, a ``_Quotient``.
+kernel mod p) is read off one presentation of Z^n/L, a ``_Quotient``, and
+only its own methods read that presentation.
 
 The one echelon engine packs each row of Z^n into a single Python int of
 signed w-bit fields, x = sum of x_j * 2^(w*j), so that a row update
@@ -64,7 +65,9 @@ pivots (Kn(12,3): 210 of 220).  Four parts of the engine rest on that:
   SIAM J. Comput. 1979) run on H alone, once per presentation, and one
   pair (d, V) answers the divisors, the order of any element (axis
   multiples, pair signs) and the build's membership test.  The kernel mod
-  p is H's, carried to the n columns by the images.
+  p is H's, carried to the n columns by the images.  An empty Q (an RA
+  lattice) or an empty H needs no special case: no Smith round runs, and
+  the answers fall out of the same code.
 - The build finishes inside the presentation (Hermite forms taken modulo
   the lattice, Domich, Kannan and Trotter, Math. Oper. Res. 1987, carried
   over to the unit pivots).  Once few columns are left in Q, ``_build``
@@ -542,12 +545,9 @@ class _Quotient:
         H of all but one non-RA lattice of the 8-vertex corpus, gives
         d = (0, ..., 0) and V = I with no rounds."""
         if self._smith is None:
-            if self.h.rows:
-                d, vt, k = _smith_coordinates(self._h_rows(), len(self.q))
-                self._smith = d, vt
-                self.rounds += k
-            else:
-                self._smith = [0] * len(self.q), None
+            d, vt, k = _smith_coordinates(self._h_rows(), len(self.q))
+            self._smith = d, vt
+            self.rounds += k
         return self._smith
 
     def order(self, y) -> int:
@@ -566,6 +566,18 @@ class _Quotient:
             elif x % dk:
                 a = lcm(a, dk // gcd(dk, x))
         return a
+
+    def axis_multiples(self) -> tuple:
+        """Least a > 0 with a*e_j in L for each column j, or 0: the order of
+        the image of e_j."""
+        return tuple(map(self.order, self.images))
+
+    def contains(self, u: int, v: int, s: int) -> bool:
+        """Whether e_u + s*e_v (0-based columns) is in L: its image has
+        order 1."""
+        images = self.images
+        return self.order([a + s * b
+                           for a, b in zip(images[u], images[v])]) == 1
 
     def _h_rows(self) -> list:
         basis = self.h.unpacked()
@@ -592,13 +604,14 @@ class _Quotient:
         return SmithForm(nonzero + (0,) * (size - rank), rank, cols - rank)
 
     def kernel_mod_p(self, p: int) -> list:
-        """``kernel_basis_mod_p`` of H.  A kernel vector of e mod p is a map
-        Z^n/L -> Z/p, k o images for such a k, and the images carry this
-        basis to e's, since each k and its image end at the same column."""
-        if not self.q:
-            return []
-        rows = self._h_rows() or [(0,) * len(self.q)]
-        return kernel_basis_mod_p(IntMatrix(rows), p)
+        """``kernel_basis_mod_p`` of e, p prime: images[j] . k mod p at each
+        column j, for each vector k of the kernel basis of H mod p.  A
+        kernel vector of e mod p is a map Z^n/L -> Z/p, k o images for such
+        a k, and the images carry H's basis to e's, since each k and its
+        image end at the same column."""
+        images = self.images
+        return [tuple(sum(map(mul, y, k)) % p for y in images)
+                for k in _kernel_mod_p(self._h_rows(), len(self.q), p)]
 
     def _reduce(self):
         """A function that reduces a list y, in place, modulo L(H): taking
@@ -1032,12 +1045,16 @@ def kernel_basis_mod_p(m: IntMatrix, p: int) -> list:
     unique.  p is checked first (``_check_modulus``).
     """
     _check_modulus(p)
-    n = m.cols
+    return _kernel_mod_p(m.data, m.cols, p)
+
+
+def _kernel_mod_p(rows, n: int, p: int) -> list:
+    """``kernel_basis_mod_p`` of the rows over n columns, p prime."""
     # Echelon rows are 1 at their pivot and 0 at the other pivots, so only
     # their free entries are kept: free column f -> entry of each pivot row.
     pivots = []
     free = {f: [] for f in range(n)}
-    for row in m.data:
+    for row in rows:
         coef = [row[j] for j in pivots]
         # the row reduced by the echelon rows, in the free columns
         rest = {f: (row[f] - sum(map(mul, coef, col))) % p

@@ -16,15 +16,14 @@ vertices and a graph of girth >= 5 peel every column by singletons alone,
 and every connected RA graph on 3 to 8 vertices peels every column, so
 each is RA with no row inserted.)
 
-Every answer is read off one presentation of Z^n/L (``intlin._Quotient``),
-in the same n columns: the columns Q that are not unit pivots, the image
-in Z^Q of each column, and the echelon basis H of the non-unit pivot rows
-on Q.  The nonzero divisors are a 1 per column off Q, then H's; an axis
-multiple is the order of the column's image, and e_u +- e_v is in the
-lattice when its image has order 1, all read off one Smith pair of H; the
-graph is RA exactly when Q is empty, and then Z^n/L = 0 answers every
-question with no presentation; and a kernel vector k of H mod p gives the
-RA matrix's kernel vector images[v] . k.
+Every answer but the Hermite basis is read off one presentation of Z^n/L,
+an ``intlin._Quotient`` in the same n columns, through its methods alone:
+the divisor chain (``smith_form``), the axis multiples, whether e_u +- e_v
+lies in the lattice (``contains``) and the kernel mod p.  The graph is RA
+exactly when every column is a unit pivot; ``is_ra``, ``classify`` and
+``pair_sign`` read that off the pivots and make no presentation, while
+``elementary_divisors`` and ``kernel_mod_p`` read the empty presentation
+of an RA lattice, which answers (1, ..., 1) and [].
 ``ra_lattice`` derives the canonical Hermite basis on each call and does
 not keep it.  The latest graph's lattice is kept, so calls on one graph
 (``classify``, a neighborly predictor, ``pair_sign``, ``kernel_mod_p``)
@@ -36,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, starmap
-from operator import and_, mul
+from operator import and_
 
 from .graphs import (
     Graph,
@@ -136,47 +135,21 @@ class _Lattice:
     off ``quotient()``.
     """
 
-    __slots__ = ("n", "basis", "ra", "_quotient")
+    __slots__ = ("basis", "ra", "_quotient")
 
     def __init__(self, g: Graph):
-        n = self.n = g.n
+        n = g.n
         basis = self.basis = intlin._echelon_basis(_ra_masks(g), n)
         # RA exactly when Q is empty: every column is a unit pivot
         self.ra = list(basis.pivots.values()).count(1) == n
         self._quotient = None
 
     def quotient(self) -> intlin._Quotient:
-        """The ``intlin._Quotient`` of the basis, made once.  Only a lattice
-        that is not RA is presented: Z^n/L = 0 answers every question about
-        an RA one."""
+        """The ``intlin._Quotient`` of the basis, made once.  An RA
+        lattice's is empty (Z^n/L = 0), and answers like any other."""
         if self._quotient is None:
             self._quotient = intlin._Quotient(self.basis)
         return self._quotient
-
-    def smith_form(self) -> SmithForm:
-        """A divisor 1 per unit pivot, then the quotient's, padded with
-        zeros to n."""
-        n = self.n
-        if self.ra:
-            return SmithForm((1,) * n, n, 0)
-        return self.quotient().smith_form(n, n)
-
-    def axis_multiples(self) -> tuple:
-        """Least a > 0 with a*e_v in the lattice for each column v, or 0:
-        the order of the image of e_v in the quotient."""
-        if self.ra:
-            return (1,) * self.n
-        q = self.quotient()
-        return tuple(map(q.order, q.images))
-
-    def contains_pair(self, u: int, v: int, s: int) -> bool:
-        """Whether e_u + s*e_v (0-based columns) is in the lattice, that is
-        its image in the quotient is 0."""
-        if self.ra:
-            return True
-        q = self.quotient()
-        images = q.images
-        return q.order([a + s * b for a, b in zip(images[u], images[v])]) == 1
 
 
 # exact: Graph compares by (n, adj), and the lattice is never changed
@@ -191,7 +164,7 @@ def ra_lattice(g: Graph) -> HermiteForm:
 
 def elementary_divisors(g: Graph) -> SmithForm:
     """Smith divisors of the RA matrix, padded with zeros to length n."""
-    return _latest_lattice(g).smith_form()
+    return _latest_lattice(g).quotient().smith_form(g.n, g.n)
 
 
 def is_ra(g: Graph) -> bool:
@@ -215,8 +188,9 @@ def _verdict(g: Graph) -> RAClassification:
     if lat.ra:
         ones = (1,) * g.n
         return RAClassification("RA", 1, ones, 0, ones)
-    sf = lat.smith_form()
-    divisors, axis = sf.divisors, lat.axis_multiples()
+    q = lat.quotient()
+    sf = q.smith_form(g.n, g.n)
+    divisors, axis = sf.divisors, q.axis_multiples()
     status, mu, nonuniform = "general", None, False
     if sf.nullity == 0 and all(d == 1 for d in divisors[:-1]):
         k = divisors[-1]
@@ -271,8 +245,11 @@ def pair_sign(g: Graph, u: int, v: int) -> str:
         if not 1 <= w <= n:
             raise IndexError(f"vertex {w} out of range 1..{n}")
     lat = _latest_lattice(g)
-    pos = lat.contains_pair(u - 1, v - 1, 1)
-    neg = lat.contains_pair(u - 1, v - 1, -1)
+    if lat.ra:
+        return "both"
+    q = lat.quotient()
+    pos = q.contains(u - 1, v - 1, 1)
+    neg = q.contains(u - 1, v - 1, -1)
     if pos and neg:
         return "both"
     if pos:
@@ -284,16 +261,10 @@ def pair_sign(g: Graph, u: int, v: int) -> str:
 
 def kernel_mod_p(g: Graph, p: int) -> list:
     """Basis of the right kernel of the RA matrix over Z/pZ, the vectors
-    ``kernel_basis_mod_p`` gives for it: images[v] . k mod p at each column
-    v, for each kernel vector k of the quotient's H.  p is checked before
-    any lattice work."""
+    ``kernel_basis_mod_p`` gives for it, read off the quotient.  p is
+    checked before any lattice work."""
     _check_modulus(p)
-    lat = _latest_lattice(g)
-    if lat.ra:
-        return []
-    q = lat.quotient()
-    return [tuple(sum(map(mul, y, k)) % p for y in q.images)
-            for k in q.kernel_mod_p(p)]
+    return _latest_lattice(g).quotient().kernel_mod_p(p)
 
 
 def is_neighborly(g: Graph) -> bool:

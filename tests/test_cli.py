@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from ramat import cli, graphs, verify
 
 from ramat.cli import main
-from ramat.graphs import Graph, graph6_decode, graph6_encode, complete, crown, cycle, kneser, path
+from ramat.graphs import Graph, graph6_decode, graph6_encode, complete, crown, cube, cycle, kneser, path
 from ramat.graphs import connected_components
 from ramat.products import disjoint_union
 from ramat.ra_core import classification_record, classify, ra_matrix
@@ -558,6 +558,56 @@ class TestPredictKernelOracle:
         assert rec["applicable"] is False
         assert "girth" in rec["reason"]
 
+    @pytest.mark.parametrize("argv, rc, want", [
+        (["prism", "K3"], 0, {
+            "theorem_id": "prism", "applicable": True, "mu": 1,
+            "ingredients": {"delta": 2, "kappa": 3},
+            "computed_mu": 1, "computed_status": "RA"}),
+        (["negatively-neighborly", "K3"], 1, {
+            "theorem_id": "negatively-neighborly", "applicable": False,
+            "mu": None, "ingredients": {},
+            "reason": "edge (1,2) is not negative",
+            "computed_mu": None, "computed_status": "general"}),
+        (["neighborly", "Q3"], 0, {
+            "theorem_id": "neighborly", "applicable": True, "mu": 2,
+            "ingredients": {"delta": 2, "kappa": 2},
+            "computed_mu": 2, "computed_status": "1/2-RA"}),
+        (["neighborly", "K3"], 1, {
+            "theorem_id": "neighborly", "applicable": False, "mu": None,
+            "ingredients": {}, "reason": "pair (1,2) is none, needs negative",
+            "computed_mu": None, "computed_status": "general"}),
+        (["neighborly", "C4", "--parts", "1,3/2,4"], 0, {
+            "theorem_id": "neighborly", "applicable": True, "mu": 1,
+            "ingredients": {"delta": 1, "kappa": 2},
+            "computed_mu": 1, "computed_status": "RA"}),
+        (["cartesian", "C5", "P3"], 0, {
+            "theorem_id": "cartesian", "applicable": True, "mu": 1,
+            "ingredients": {"delta": 1, "kappa1": 1, "kappa2": 1},
+            "computed_mu": 1, "computed_status": "RA"}),
+        (["tensor-scaled", "crown8", "1"], 0, {
+            "theorem_id": "tensor-scaled", "applicable": True, "mu": 1,
+            "ingredients": {"base_mu": 2, "nu": 1},
+            "computed_mu": 1, "computed_status": "RA"}),
+    ])
+    def test_predict_check_of_each_theorem(self, capsys, argv, rc, want):
+        # the graph names stand for their graph6 strings; an inapplicable
+        # or mismatched prediction fails the check with exit 1
+        names = {"K3": complete(3), "Q3": cube(3), "C4": cycle(4),
+                 "C5": cycle(5), "P3": path(3), "crown8": crown(8)}
+        argv = [graph6_encode(names[a]) if a in names else a for a in argv]
+        got, out, _ = run_cli(capsys, "predict", *argv, "--check")
+        assert (got, json.loads(out)) == (rc, want)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["tensor-scaled", "G?]uf?"], "tensor-scaled wants a graph6 and nu"),
+        (["neighborly", "Cl", "--parts", "1,2,3"],
+         "--parts wants 'v1,v2/v3,v4' with two sides"),
+        (["nosuch", "Bw"], "unknown theorem id 'nosuch'"),
+    ])
+    def test_predict_refuses_bad_arguments(self, capsys, argv, message):
+        rc, out, err = run_cli(capsys, "predict", *argv)
+        assert (rc, out, err) == (2, "", f"ramat: {message}\n")
+
     def test_predict_kneser_prism(self, capsys):
         rc, out, _ = run_cli(capsys, "predict", "kneser-prism", "0", "0")
         rec = json.loads(out)
@@ -857,6 +907,21 @@ class TestVerify:
         lines = out.splitlines()
         assert all(line.endswith("pass") for line in lines[:-1])
         assert "0 failures" in lines[-1]
+
+    def test_a_failing_row_fails_the_run(self, capsys, monkeypatch):
+        # the suite table looks each suite_* function up at call time
+        def planted():
+            yield verify._row("hermite-pivots", "kept", "[2, 2]", "[2, 2]")
+            yield verify._row("hermite-pivots", "planted", "[1, 4]", "[2, 2]")
+
+        monkeypatch.setattr(verify, "suite_hermite", planted)
+        rc, out, _ = run_cli(capsys, "verify", "--suite", "hermite")
+        assert rc == 1
+        assert out.splitlines() == [
+            "hermite-pivots\tkept\t[2, 2]\t[2, 2]\tpass",
+            "hermite-pivots\tplanted\t[1, 4]\t[2, 2]\tfail",
+            "# 2 checks, 1 failures",
+        ]
 
     def test_girth3_suite(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--suite", "girth3-minimal")

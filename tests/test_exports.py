@@ -7,6 +7,7 @@ import pkgutil
 from pathlib import Path
 
 import ramat
+from ramat import intlin
 
 
 def test_all_names_exist_and_star_import_works():
@@ -84,3 +85,25 @@ def test_smith_rounds_have_one_caller():
     # ``intlin._Quotient``, whose rounds run on its block H alone
     assert {k: len(v) for k, v in _calls({"_smith_coordinates"}).items()} == {
         "intlin.py": 1}
+
+
+def test_only_the_quotient_reads_its_presentation():
+    # Z^n/L is read through the methods of ``intlin._Quotient`` alone: no
+    # other module reads its images or asks the order of an image, and the
+    # quotient hands its block H to the kernel as rows, not as a matrix
+    for path in sorted(Path(ramat.__file__).parent.glob("*.py")):
+        if path.name == "intlin.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "images"]
+        assert reads == [], path.name
+    assert set(_calls({"order"})) <= {"intlin.py"}
+    tree = ast.parse(Path(intlin.__file__).read_text(encoding="utf-8"))
+    quot = next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "_Quotient")
+    built = [node.lineno for node in ast.walk(quot)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             in {"IntMatrix", "kernel_basis_mod_p"}]
+    assert built == []

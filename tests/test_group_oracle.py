@@ -286,6 +286,29 @@ class TestCommB:
 
 
 class TestOracleRecord:
+    def test_one_commutator_set_per_record(self, monkeypatch):
+        # [G,G] and comm_b are built from one pass over the order**2 pairs
+        g, graph = dihedral(12), path(3)
+        assert (len(commutator_subgroup(g)), len(comm_b(g, graph))) == (3, 27)
+        calls = []
+        real = FiniteGroup.commutator
+
+        def counted(self, a, b):
+            calls.append(1)
+            return real(self, a, b)
+
+        monkeypatch.setattr(FiniteGroup, "commutator", counted)
+        rec = oracle_record(g, graph)
+        assert len(calls) == g.order ** 2
+        assert rec == {
+            "group": "dihedral(12)",
+            "graph": "",
+            "order_G_Gamma": 1728,
+            "is_G_RA": True,
+            "intersection_order": 27,
+            "comm_b_order": 27,
+        }
+
     def test_k3_record(self):
         rec = oracle_record(heisenberg(2), complete(3), descriptor="K3")
         assert rec == {

@@ -46,8 +46,7 @@ def contains(e, v) -> bool:
 def axis_multiple(e, i: int) -> int:
     """The engine's smallest a > 0 with a*e_i in the lattice of e (i
     1-based), or 0: the order of the image of e_i in its quotient."""
-    quot = intlin._Quotient(e)
-    return quot.order(quot.images[i - 1])
+    return intlin._Quotient(e).axis_multiples()[i - 1]
 
 
 class TestSmithForm:
@@ -847,9 +846,7 @@ class TestKernelModP:
             _, units, rest = m
             m = units + rest
         quot = intlin._Quotient(engine(m))
-        got = [tuple(sum(a * b for a, b in zip(y, k)) % p for y in quot.images)
-               for k in quot.kernel_mod_p(p)]
-        assert got == kernel_basis_mod_p(IntMatrix(m), p)
+        assert quot.kernel_mod_p(p) == kernel_basis_mod_p(IntMatrix(m), p)
 
 
 class TestKronecker:

@@ -195,6 +195,21 @@ class TestClassify:
         assert c.axis_multiples[0] == 1
         assert set(c.axis_multiples[1:]) == {3}
 
+    def test_a_proper_divisor_as_axis_multiple_is_general(self, monkeypatch):
+        # crown(12) has divisors 1,...,1,4 and nullity 0, with every axis
+        # multiple 4; no known graph has a multiple 1 < a < k, so one is
+        # planted: the definition rejects it, and so does the verdict
+        real = intlin._Quotient.axis_multiples
+
+        def planted(self):
+            return (2,) + real(self)[1:]
+
+        monkeypatch.setattr(intlin._Quotient, "axis_multiples", planted)
+        c = classify(crown(12))
+        assert c.divisors == (1,) * 11 + (4,) and c.nullity == 0
+        assert (c.status, c.mu, c.nonuniform_axis) == ("general", None, True)
+        assert c.axis_multiples == (2,) + (4,) * 11
+
     def test_ra_iff_all_divisors_one(self):
         rng = random.Random(6)
         for _ in range(40):
@@ -484,10 +499,14 @@ class TestQuotientBlock:
         # whose pivots are all 1 with an unpeeled column left over: H is
         # empty and Z^Q is free, so its divisors and orders need no Smith
         # round
-        def refused(rows, m):
-            raise AssertionError("Smith round on an empty block")
+        real = intlin._smith_coordinates
 
-        monkeypatch.setattr(intlin, "_smith_coordinates", refused)
+        def no_round(rows, m):
+            d, vt, rounds = real(rows, m)
+            assert not rows and rounds == 0, "Smith round on an empty block"
+            return d, vt, rounds
+
+        monkeypatch.setattr(intlin, "_smith_coordinates", no_round)
         seen = 0
         for n in range(1, 7):
             for g in connected_graphs_up_to_iso(n):
@@ -507,7 +526,7 @@ class TestQuotientBlock:
                 for u, v in combinations(g.vertices(), 2):
                     e = [0] * n
                     e[u - 1] = e[v - 1] = 1
-                    assert lat.contains_pair(u - 1, v - 1, 1) == ref_contains(rows, e)
+                    assert q.contains(u - 1, v - 1, 1) == ref_contains(rows, e)
         assert seen == 66
 
     def test_build_stays_in_the_quotient(self, monkeypatch):

@@ -192,7 +192,8 @@ def _cpu_count() -> int:
 
 
 def _pool(workers: int):
-    """A process pool of ``workers`` workers, imported on its first use: the
+    """A process pool of ``workers`` workers, the one pool of ``analyze``,
+    ``batch`` and ``verify --suite all``, imported on its first use: the
     import (with ``multiprocessing``) would otherwise add to every start of
     the CLI.
 
@@ -507,10 +508,45 @@ def cmd_oracle(ns) -> int:
     return EXIT_OK
 
 
+def _suite_rows(name: str, slow: bool):
+    """The rows of one suite, and the input error that ended it early or
+    None, so that the rows before an error are printed as in one process."""
+    rows = []
+    try:
+        for row in verify.run_suite(name, slow=slow):
+            rows.append(row)
+    except (ValueError, BudgetExceededError) as exc:
+        return rows, exc
+    return rows, None
+
+
+def _pooled_suite_rows(slow: bool, workers: int):
+    """Yield the rows of every suite in ``verify.SUITES`` order, each suite
+    run by a pool of ``workers`` processes.  All suites are handed over at
+    once, longest first, and a suite's rows are yielded as soon as it and
+    every suite before it are done; an input error of a suite is raised
+    after its rows before it, and the suites still waiting are dropped."""
+    pool = _pool(workers)
+    try:
+        futures = {s: pool.submit(_suite_rows, s, slow) for s in verify.LONGEST_FIRST}
+        for name in verify.SUITES:
+            rows, error = futures[name].result()
+            yield from rows
+            if error is not None:
+                raise error
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def cmd_verify(ns) -> int:
+    workers = min(_cpu_count(), len(verify.SUITES)) if ns.suite == "all" else 1
+    if workers > 1:
+        suite_rows = _pooled_suite_rows(ns.slow, workers)
+    else:
+        suite_rows = verify.run_suite(ns.suite, slow=ns.slow)
     failures = 0
     rows = 0
-    for row in verify.run_suite(ns.suite, slow=ns.slow):
+    for row in suite_rows:
         rows += 1
         print("\t".join(str(x) for x in row))
         if row[-1] != "pass":

@@ -8,10 +8,12 @@ from disk.
 
 from __future__ import annotations
 
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from functools import partial, reduce
+from itertools import combinations, permutations, repeat
 
 from . import theorems
 from .graphs import (
@@ -54,6 +56,15 @@ _SUITE_ROWS = {
     "group-oracle": lambda slow: suite_group_oracle(),
 }
 SUITES = tuple(_SUITE_ROWS)
+# the suites in the order ``verify --suite all`` hands them to its workers,
+# longest first; cold, each in a fresh process, they took (ms) predictors
+# 190-250, kneser-table 124-179, group-oracle 59-104, z 52-60, kneser-kernel
+# 48-51, and every other suite under 20
+LONGEST_FIRST = (
+    "predictors", "kneser-table", "group-oracle", "z", "kneser-kernel",
+    "hermite", "cubes", "crowns", "kernel-graphs", "girth3-minimal",
+    "prescribed", "strong-product",
+)
 
 KNESER_TABLE = {
     (6, 2): {2: 4},
@@ -174,11 +185,14 @@ def suite_kneser_kernel():
             vec = theorems.kneser_kernel_vector(n, p, x)
             # C*vec mod p off the RA masks: a row's product is the sum,
             # over each nonzero entry k, of k times the row's bits where
-            # vec is k
-            where = [sum(1 << j for j, c in enumerate(vec) if c == k)
-                     for k in range(1, p)]
-            if any(sum(k * (m & b).bit_count() for k, b in enumerate(where, 1))
-                   % p for m in masks):
+            # vec is k, summed for all rows at once in C
+            terms = []
+            for k in range(1, p):
+                b = sum(1 << j for j, c in enumerate(vec) if c == k)
+                bits = map(int.bit_count, map(b.__and__, masks))
+                terms.append(bits if k == 1 else map(operator.mul, repeat(k), bits))
+            products = reduce(partial(map, operator.add), terms)
+            if any(map(operator.mod, products, repeat(p))):
                 bad += 1
         yield _row(
             "kneser-kernel", f"C_Kn({n},{p}) * x = 0 mod {p}", "0 failures",

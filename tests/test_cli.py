@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramat import cli, graphs, verify
+from ramat import cli, graphs, theorems, verify
 
 from ramat.cli import main
 from ramat.graphs import Graph, graph6_decode, graph6_encode, complete, crown, cube, cycle, kneser, path
@@ -398,11 +398,13 @@ class TestBatch:
 
 
 class InlinePool:
-    """Stands in for the process pool: runs a chunk in this process when its
-    result is read, and records the pool size and the most chunks in flight."""
+    """Stands in for the process pool: runs a task in this process when its
+    result is read, and records the pool size, the arguments of each task
+    in submission order and the most tasks in flight."""
 
     def __init__(self, workers):
         self.workers, self.pending, self.peak = workers, 0, 0
+        self.submitted = []
 
     def __enter__(self):
         return self
@@ -410,9 +412,13 @@ class InlinePool:
     def __exit__(self, *exc_info):
         return False
 
+    def shutdown(self, cancel_futures=False):
+        pass
+
     def submit(self, fn, *args):
         self.pending += 1
         self.peak = max(self.peak, self.pending)
+        self.submitted.append(args)
         return InlineFuture(self, fn, args)
 
 
@@ -923,6 +929,23 @@ class TestVerify:
             "# 2 checks, 1 failures",
         ]
 
+    def test_kneser_kernel_counts_every_wrong_vector(self, capsys, monkeypatch):
+        # a first entry off by one adds column 0 of C, nonzero mod p, to the
+        # product, so every such vector leaves the kernel
+        right = theorems.kneser_kernel_vector
+
+        def wrong(n, p, x):
+            vec = right(n, p, x)
+            return ((vec[0] + 1) % p,) + vec[1:]
+
+        monkeypatch.setattr(theorems, "kneser_kernel_vector", wrong)
+        rc, out, _ = run_cli(capsys, "verify", "--suite", "kneser-kernel")
+        assert rc == 1
+        assert out.splitlines()[:2] == [
+            "kneser-kernel\tC_Kn(6,2) * x = 0 mod 2\t0 failures\t15 failures\tfail",
+            "kneser-kernel\tC_Kn(9,3) * x = 0 mod 3\t0 failures\t84 failures\tfail",
+        ]
+
     def test_girth3_suite(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--suite", "girth3-minimal")
         assert rc == 0
@@ -941,6 +964,72 @@ class TestVerify:
         for i, (g, w) in enumerate(zip(got, want)):
             assert g == w, f"line {i + 1}"
         assert len(got) == len(want)
+
+
+class TestPooledVerify:
+    """``verify --suite all`` with one suite a task of a real pool of two
+    workers, against the same run in this process."""
+
+    REF = SRC.parent / "perfbench" / "ref" / "verify_all.tsv"
+
+    def run(self, capsys, monkeypatch, cpus):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+        made = []
+
+        def make(workers):
+            made.append(REAL_POOL(workers))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "_pool", make)
+        result = run_cli(capsys, "verify", "--suite", "all")
+        assert multiprocessing.active_children() == []
+        assert [type(p).__name__ for p in made] == ["ProcessPoolExecutor"] * (cpus > 1)
+        return result
+
+    def test_pool_and_one_process_print_the_reference(self, capsys, monkeypatch):
+        pooled = self.run(capsys, monkeypatch, 2)
+        assert pooled == self.run(capsys, monkeypatch, 1)
+        assert pooled == (0, self.REF.read_text(encoding="ascii"), "")
+
+    def test_a_failing_row_in_a_worker_fails_the_run(self, capsys, monkeypatch):
+        # the suite table looks each suite_* function up at call time, and a
+        # forked worker sees the rebound name
+        planted = verify._row("kneser-table", "planted", "{2: 4}", "{2: 5}")
+        monkeypatch.setattr(verify, "suite_kneser_table", lambda slow=False: iter([planted]))
+        ref = self.REF.read_text(encoding="ascii").splitlines()[:-1]
+        table = [i for i, line in enumerate(ref) if line.startswith("kneser-table\t")]
+        want = ref[:table[0]] + ["\t".join(planted)] + ref[table[-1] + 1:]
+        want.append(f"# {len(want)} checks, 1 failures")
+        rc, out, err = self.run(capsys, monkeypatch, 2)
+        assert (rc, out.splitlines(), err) == (1, want, "")
+
+    def test_an_input_error_in_a_worker_is_exit_2(self, capsys, monkeypatch):
+        def broken():
+            yield verify._row("z-forms", "kept", "[]", "[]")
+            raise ValueError("planted input error")
+
+        monkeypatch.setattr(verify, "suite_z", broken)
+        serial = self.run(capsys, monkeypatch, 1)
+        assert serial[0] == 2 and serial[2] == "ramat: planted input error\n"
+        ref = self.REF.read_text(encoding="ascii").splitlines()
+        z = next(i for i, line in enumerate(ref) if line.startswith("z-"))
+        assert serial[1].splitlines() == ref[:z] + ["z-forms\tkept\t[]\t[]\tpass"]
+        assert self.run(capsys, monkeypatch, 2) == serial
+
+    def test_every_suite_is_one_task_submitted_at_once_longest_first(
+            self, capsys, monkeypatch, pools):
+        assert sorted(verify.LONGEST_FIRST) == sorted(verify.SUITES)
+        for cpus, workers in ((2, 2), (64, len(verify.SUITES))):
+            monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+            pools.clear()
+            rc, out, _ = run_cli(capsys, "verify", "--suite", "all")
+            assert rc == 0 and out == self.REF.read_text(encoding="ascii")
+            assert [p.workers for p in pools] == [workers]
+            assert [args[0] for args in pools[0].submitted] == list(verify.LONGEST_FIRST)
+            assert pools[0].peak == len(verify.SUITES)
+        pools.clear()
+        rc, _, _ = run_cli(capsys, "verify", "--suite", "hermite")
+        assert rc == 0 and pools == []
 
 
 class TestImports:
@@ -980,6 +1069,26 @@ class TestImports:
         )
         assert proc.returncode == 0, proc.stderr
         assert len(proc.stdout.splitlines()) == (lines if command == "analyze" else 8)
+
+    @pytest.mark.parametrize("suite, one_cpu", [("hermite", False), ("all", True)])
+    def test_one_suite_or_one_cpu_verifies_in_this_process(self, suite, one_cpu):
+        # one suite, or all of them in a process pinned to one CPU
+        # (taskset -c 0), runs here without importing the pool
+        if one_cpu and not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no CPU affinity call on this platform")
+        script = (
+            "import os, sys, ramat.cli\n"
+            + ("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n" if one_cpu else "")
+            + f"rc = ramat.cli.main(['verify', '--suite', {suite!r}])\n"
+            "sys.exit(rc or 3 * ('concurrent.futures.process' in sys.modules))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith(" checks, 0 failures\n")
 
 
 class TestStdlibOnly:

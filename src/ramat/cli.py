@@ -107,8 +107,9 @@ def _iter_graph6_inputs(args):
 
 
 def _graphs_of(chunk, errors: list):
-    """Decode the (source, line_number, text) items of a chunk, appending
-    the message of each item that is no graph to ``errors``."""
+    """Decode the (source, line_number, text) items of a chunk into (graph,
+    text) pairs, appending the message of each item that is no graph to
+    ``errors``."""
     for source, lineno, text in chunk:
         if lineno is None:  # the source itself could not be read
             errors.append(text)
@@ -118,17 +119,27 @@ def _graphs_of(chunk, errors: list):
         except ValueError as exc:
             errors.append(f"{source} line {lineno}: {exc}")
             continue
-        yield g
+        yield g, text
 
 
-def _records_for(g: Graph):
+def _records_for(g: Graph, text: str | None = None):
     """Classification records, one per connected component.  Connectivity
     is decided here, by one search unless the graph falls apart; each part
-    is connected, so its verdict and record skip the search."""
-    parts = ([g] if is_connected(g) else
-             [subgraph(g, comp) for comp in connected_components(g)])
+    is connected, so its verdict and record skip the search.
+
+    ``text``, the stripped graph6 line g was decoded from, is a connected
+    g's graph6 as it stands when it is the canonical encoding: no
+    '>>graph6<<' prefix, and the one-byte size header when n <= 62.  The
+    decoder refuses a wrong body length and nonzero padding bits, so the
+    body is the only one for g."""
+    if is_connected(g):
+        rec = _record(g, _verdict(g), True)
+        canonical = text and text[0] != ">" and (g.n > 62 or text[0] != "~")
+        rec["graph6"] = text if canonical else graph6_encode(g)
+        return [rec]
     out = []
-    for part in parts:
+    for comp in connected_components(g):
+        part = subgraph(g, comp)
         rec = _record(part, _verdict(part), True)
         rec["graph6"] = graph6_encode(part)
         out.append(rec)
@@ -172,7 +183,8 @@ def _analyze_chunk(chunk, tsv: bool, axis: bool):
     """The stdout text of a chunk of ``analyze`` and its error messages."""
     errors: list = []
     text = "".join(_format_record(rec, tsv, axis)
-                   for g in _graphs_of(chunk, errors) for rec in _records_for(g))
+                   for g, line in _graphs_of(chunk, errors)
+                   for rec in _records_for(g, line))
     return text, errors
 
 
@@ -326,7 +338,9 @@ BATCH_CATEGORIES = (
 
 
 def batch_category(g: Graph):
-    """Table bucket for one graph: girth band, distinguishability, RA status."""
+    """Table bucket for one graph: girth band, distinguishability, RA status.
+    A graph with closed twins is never RA (its RA matrix has two equal
+    columns), so its row, nbhd-indistinguishable, asks no lattice."""
     gi = girth(g)
     if gi == 3:
         if not is_neighborhood_distinguishable(g):
@@ -342,7 +356,7 @@ def _batch_chunk(chunk):
     """The category ``Counter`` of a chunk of ``batch`` and its error
     messages."""
     errors: list = []
-    return Counter(map(batch_category, _graphs_of(chunk, errors))), errors
+    return Counter(batch_category(g) for g, _ in _graphs_of(chunk, errors)), errors
 
 
 def cmd_batch(ns) -> int:

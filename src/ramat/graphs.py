@@ -360,9 +360,23 @@ def distance(g: Graph, u: int, v: int):
     return None
 
 
+def _closed_classes(g: Graph) -> dict:
+    """The classes of closed twins, vertices with the same closed
+    neighbourhood: each distinct N[v], as a vertex mask, maps to the mask
+    of the vertices whose closed neighbourhood it is, in order of their
+    first member.  A twin-free graph has n classes, keyed by N[1], ...,
+    N[n] in turn."""
+    classes = {}
+    for v, a in enumerate(g.adj):
+        m = a | 1 << v
+        classes[m] = classes.get(m, 0) | 1 << v
+    return classes
+
+
 def is_neighborhood_distinguishable(g: Graph) -> bool:
-    """True when no two vertices share the same closed neighborhood."""
-    return len({a | 1 << v for v, a in enumerate(g.adj)}) == g.n
+    """True when no two vertices share the same closed neighborhood: the
+    graph has no closed twins."""
+    return len(_closed_classes(g)) == g.n
 
 
 # ---------------------------------------------------------------------------

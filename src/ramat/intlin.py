@@ -278,12 +278,16 @@ class _Echelon:
 
     __slots__ = ("n", "layout", "rows", "pivots", "bounds")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, units: int = 0):
+        """The basis of the e_j for the columns j set in the mask
+        ``units``, each a unit pivot: empty by default."""
         self.n = n
         self.layout = _layout(n, 16)
-        self.rows = {}
-        self.pivots = {}
-        self.bounds = {}
+        rows, pivots, bounds = self.rows, self.pivots, self.bounds = {}, {}, {}
+        while units:
+            j = (units & -units).bit_length() - 1
+            rows[j] = pivots[j] = bounds[j] = 1
+            units &= units - 1
 
     def __len__(self) -> int:  # the rank
         return len(self.rows)
@@ -465,6 +469,25 @@ class _Echelon:
         n, fields = self.n, self.layout.fields
         return {j: (0,) * j + tuple(fields(x)[:n - j])
                 for j, x in self.rows.items()}
+
+    def spread(self, cls: list) -> "_Echelon":
+        """The reduced echelon basis, over len(cls) columns, of the vectors
+        x' with x'_v = x_cls[v] for x in the lattice: column c is copied to
+        every column v in its class {v : cls[v] = c}.  Class c's first
+        column must come before class c + 1's, as the classes of
+        ``graphs._closed_classes`` do; then each row keeps its pivot and
+        bound, at the first column of its pivot's class, and is zero left
+        of it and reduced at the new pivots."""
+        first = {}
+        for v, c in enumerate(cls):
+            first.setdefault(c, v)
+        e, n = _Echelon(len(cls)), len(cls)
+        lay = e.layout = _layout(n, self.layout.w)
+        for c, row in self.unpacked().items():
+            j = first[c]
+            e.rows[j] = lay.pack([row[cls[v]] for v in range(j, n)])
+            e.pivots[j], e.bounds[j] = self.pivots[c], self.bounds[c]
+        return e
 
 
 def _width(m: int) -> int:
@@ -761,6 +784,22 @@ def _peel(masks: list):
     return peeled, list(dict.fromkeys(masks)) if peeled else masks, paired
 
 
+class _Peel:
+    """The ``_peel`` of a list of 0/1 rows, made once: ``peeled``, ``rows``
+    and ``paired`` as ``_peel`` returns them.  ``_build`` takes one in
+    place of the rows and does not peel them again; its length is the
+    number of rows it was given."""
+
+    __slots__ = ("peeled", "rows", "paired", "given")
+
+    def __init__(self, masks: list):
+        self.peeled, self.rows, self.paired = _peel(masks)
+        self.given = len(masks)
+
+    def __len__(self) -> int:
+        return self.given
+
+
 def _differences(masks: list) -> int:
     """The mask of the columns w with rows s and s - e_w both in ``masks``.
     Only a row one bit longer than some other row can be such an s, so the
@@ -795,8 +834,9 @@ def _build(rows, n: int, stats: dict | None = None) -> _Echelon:
     column apart): each peeled column w gets the row e_w, and only the
     rows left are inserted, fewest set bits first, all zero at the peeled
     columns, so the basis stays reduced.  Every RA lattice of the 8-vertex
-    corpus peels every column and inserts no row.  Integer sequences are
-    never peeled or sorted.
+    corpus peels every column and inserts no row.  ``rows`` may be a
+    ``_Peel`` of the 0/1 rows, whose peel is then not run again.  Integer
+    sequences are never peeled or sorted.
 
     0/1 rows are inserted over the n columns until those folded in for
     nothing, tallied by their set bits, reach ``_Q_WASTE`` times the
@@ -827,20 +867,19 @@ def _build(rows, n: int, stats: dict | None = None) -> _Echelon:
     ``smith_rounds`` (the Smith rounds run for the quotient's tests) and
     ``max_width``, the widest field packed, in bits.
     """
-    e = _Echelon(n)
     quot = member = image = None
     # e's unit pivots, rows the peel took, columns its difference rule took
     units = taken = paired = 0
-    if rows and isinstance(rows[0], int):
-        peeled, left, paired = _peel(rows)
-        taken, units = len(rows) - len(left), peeled.bit_count()
+    peel = rows if isinstance(rows, _Peel) else (
+        _Peel(rows) if rows and isinstance(rows[0], int) else None)
+    if peel is None:
+        e = _Echelon(n)
+    else:
+        e, paired = _Echelon(n, peel.peeled), peel.paired
+        taken, units = peel.given - len(peel.rows), peel.peeled.bit_count()
         # the Hermite form does not depend on row order, and sparse rows
         # first keep the transient entries small
-        rows = sorted(left, key=int.bit_count)
-        while peeled:
-            j = (peeled & -peeled).bit_length() - 1
-            e.rows[j] = e.pivots[j] = e.bounds[j] = 1
-            peeled &= peeled - 1
+        rows = sorted(peel.rows, key=int.bit_count)
     free = n - units  # the unpeeled width, which the path thresholds scale
     waste = width = w = 0  # bits folded in for nothing, field widths
     inserts = changes = answered = checked = absorbed = remakes = 0

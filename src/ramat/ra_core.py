@@ -6,28 +6,35 @@ integer row lattice decides how freely single-vertex commutator placements
 can be achieved, so the classification below is all about the elementary
 divisors of that lattice.
 
-A graph's lattice is one packed echelon basis over its n vertex columns,
-built by ``intlin._echelon_basis`` from the RA rows as vertex masks.  The
-engine peels the masks first: a singleton row {w} puts e_w in the lattice,
-so column w becomes a unit pivot and bit w is cleared in every row, until no
-singleton is left; then two rows s and s - e_w put e_w in it too, and the
-singletons go on, until neither rule finds a column.  (A tree on 3 or more
-vertices and a graph of girth >= 5 peel every column by singletons alone,
-and every connected RA graph on 3 to 8 vertices peels every column, so
-each is RA with no row inserted.)
+A graph's lattice holds only what its answers need.  Closed twins u, v
+(N[u] = N[v]) give equal RA columns, since every RA row is a union of
+classes of closed twins (``graphs._closed_classes``).  So a graph with
+closed twins keeps the lattice of its twin quotient h, one vertex per class
+in order of first member, and reads h's answers through the class map: its
+divisors are h's and a zero per vertex past the first of its class, and it
+is never RA.
 
-Every answer but the Hermite basis is read off one presentation of Z^n/L,
-an ``intlin._Quotient`` in the same n columns, through its methods alone:
-the divisor chain (``smith_form``), the axis multiples, whether e_u +- e_v
-lies in the lattice (``contains``) and the kernel mod p.  The graph is RA
-exactly when every column is a unit pivot; ``is_ra``, ``classify`` and
-``pair_sign`` read that off the pivots and make no presentation, while
-``elementary_divisors`` and ``kernel_mod_p`` read the empty presentation
-of an RA lattice, which answers (1, ..., 1) and [].
+A twin-free graph's RA rows, as vertex masks, are peeled once
+(``intlin._Peel``): a singleton row {w} puts e_w in the lattice, so column w
+becomes a unit pivot and bit w is cleared in every row, until no singleton
+is left; then two rows s and s - e_w put e_w in it too, and the singletons
+go on, until neither rule finds a column.  A peel that takes every column
+leaves Z^n, an RA lattice, and nothing more is made: no basis and no
+presentation, unless ``ra_lattice`` or a private caller asks for them.  (A
+tree on 3 or more vertices and a graph of girth >= 5 peel every column by
+singletons alone, and so does every connected RA graph on 3 to 8
+vertices.)  Otherwise ``intlin._echelon_basis`` builds one packed echelon
+basis over the n vertex columns from the peel, and every answer but the
+Hermite basis is read off one presentation of Z^n/L, an
+``intlin._Quotient`` in the same n columns, through its methods alone: the
+divisor chain (``smith_form``), the axis multiples, whether e_u +- e_v lies
+in the lattice (``contains``) and the kernel mod p.  The graph is RA
+exactly when every column is a unit pivot, and an RA lattice answers
+(1, ..., 1), "both" and [] with no presentation.
 ``ra_lattice`` derives the canonical Hermite basis on each call and does
 not keep it.  The latest graph's lattice is kept, so calls on one graph
 (``classify``, a neighborly predictor, ``pair_sign``, ``kernel_mod_p``)
-share one echelon build and at most one presentation.
+share at most one echelon build and one presentation.
 """
 
 from __future__ import annotations
@@ -39,6 +46,8 @@ from operator import and_
 
 from .graphs import (
     Graph,
+    _bits,
+    _closed_classes,
     connected_components,
     girth,
     is_bipartite,
@@ -115,9 +124,13 @@ class RAClassification:
 def _ra_masks(g: Graph) -> list:
     """The RA rows as vertex masks: the distinct nonzero masks of N[v], then
     of N[u] & N[v] (u < v), in first-seen order."""
-    masks = [a | 1 << v for v, a in enumerate(g.adj)]
+    return _rows([a | 1 << v for v, a in enumerate(g.adj)])
+
+
+def _rows(closed: list) -> list:
+    """``_ra_masks`` of the closed neighbourhood masks N[1], ..., N[n]."""
     # a dict keeps first-seen order
-    rows = dict.fromkeys(chain(masks, starmap(and_, combinations(masks, 2))))
+    rows = dict.fromkeys(chain(closed, starmap(and_, combinations(closed, 2))))
     rows.pop(0, None)
     return list(rows)
 
@@ -128,28 +141,158 @@ def ra_matrix(g: Graph) -> RAMatrix:
     return RAMatrix(matrix=IntMatrix(data))
 
 
+def _twin_quotient(classes: dict, n: int):
+    """(h, cls) for the ``graphs._closed_classes`` of a graph on n vertices:
+    h has one vertex per class, in the same order, two adjacent when their
+    classes are, and cls[v] is the class of vertex v."""
+    cls, later = [0] * n, (1 << n) - 1  # later: each class past its first
+    for c, m in enumerate(classes.values()):
+        later ^= m & -m
+        for v in _bits(m):
+            cls[v] = c
+    # h's closed neighbourhoods are the classes': squeeze the bits of the
+    # later members out of theirs, highest first
+    closed = [m & ~later for m in classes]
+    for t in reversed(list(_bits(later))):
+        low = (1 << t) - 1
+        closed = [x & low | x >> 1 & ~low for x in closed]
+    return Graph._of_masks(len(closed), [
+        x ^ 1 << c for c, x in enumerate(closed)]), cls
+
+
 class _Lattice:
-    """One graph's RA row lattice: ``basis``, the packed Hermite basis (an
-    ``intlin._Echelon``) over the graph's n vertex columns, and ``ra``,
-    whether every pivot is 1.  Every answer but the Hermite basis is read
-    off ``quotient()``.
+    """One graph's RA row lattice L in Z^n, holding only what its answers
+    need; ``ra`` says whether L = Z^n.
+
+    A graph with closed twins keeps ``twins``: (h, cls, members), with h
+    the ``_Lattice`` of its twin quotient (one vertex per class of
+    ``graphs._closed_classes``, in the same order, adjacent when the
+    classes are; h is twin-free), cls[v] the class of vertex v and
+    members[c] the vertex mask of class c.  Every RA row is a union of
+    classes, so L is h's lattice with column cls[v] copied to column v, and
+    every answer is h's, mapped through cls.  Such a graph is never RA.
+
+    A twin-free graph peels its RA masks once (``intlin._Peel``).  When the
+    peel takes every column, L = Z^n and nothing else is made; otherwise
+    ``intlin._echelon_basis`` builds the packed Hermite basis from the
+    peel, and ``quotient()`` presents Z^n/L once, for every answer but the
+    basis.  ``basis`` gives the echelon basis of any lattice: the identity
+    of a full peel, or h's spread over the classes, made when first asked
+    for.
     """
 
-    __slots__ = ("basis", "ra", "_quotient")
+    __slots__ = ("n", "ra", "twins", "_basis", "_quotient")
 
     def __init__(self, g: Graph):
-        n = g.n
-        basis = self.basis = intlin._echelon_basis(_ra_masks(g), n)
-        # RA exactly when Q is empty: every column is a unit pivot
-        self.ra = list(basis.pivots.values()).count(1) == n
-        self._quotient = None
+        n = self.n = g.n
+        self._basis = self._quotient = self.twins = None
+        classes = _closed_classes(g)
+        if len(classes) < n:
+            h, cls = _twin_quotient(classes, n)
+            self.ra = False
+            self.twins = _Lattice(h), cls, list(classes.values())
+            return
+        peel = intlin._Peel(_rows(list(classes)))
+        self.ra = peel.peeled == (1 << n) - 1
+        if not self.ra:
+            basis = self._basis = intlin._echelon_basis(peel, n)
+            # RA exactly when Q is empty: every column is a unit pivot
+            self.ra = list(basis.pivots.values()).count(1) == n
+
+    @property
+    def basis(self) -> intlin._Echelon:
+        """The reduced echelon basis of L over the n columns."""
+        if self._basis is None:
+            if self.twins is None:  # the peel took every column
+                self._basis = intlin._Echelon(self.n, (1 << self.n) - 1)
+            else:
+                h, cls, _ = self.twins
+                self._basis = h.basis.spread(cls)
+        return self._basis
 
     def quotient(self) -> intlin._Quotient:
-        """The ``intlin._Quotient`` of the basis, made once.  An RA
-        lattice's is empty (Z^n/L = 0), and answers like any other."""
+        """The ``intlin._Quotient`` of the basis, made once.  The answers
+        below read it only for a twin-free lattice that is not RA; any
+        other's is made only when a caller asks for it, and answers the
+        same (an RA lattice's is empty, Z^n/L = 0)."""
         if self._quotient is None:
             self._quotient = intlin._Quotient(self.basis)
         return self._quotient
+
+    def smith_form(self, size: int) -> SmithForm:
+        """The divisor chain of L, padded with zeros to ``size`` >= n, with
+        ``size`` minus the rank as the nullity: a twin graph's is h's, and
+        a zero for each vertex past the first of its class."""
+        if self.ra:
+            return SmithForm((1,) * self.n + (0,) * (size - self.n),
+                             self.n, size - self.n)
+        if self.twins is None:
+            return self.quotient().smith_form(size, size)
+        return self.twins[0].smith_form(size)
+
+    def axis_multiples(self) -> tuple:
+        """Least a > 0 with a*e_v in L for each column v, or 0: h's for a
+        vertex alone in its class, 0 for a twin."""
+        if self.ra:
+            return (1,) * self.n
+        if self.twins is None:
+            return self.quotient().axis_multiples()
+        h, cls, members = self.twins
+        axis = h.axis_multiples()
+        return tuple(axis[c] if members[c].bit_count() == 1 else 0
+                     for c in cls)
+
+    def contains(self, u: int, v: int, s: int) -> bool:
+        """Whether e_u + s*e_v (0-based columns u != v) is in L.  For twins
+        u and v, when s = 1, {u, v} is their whole class c and e_c is in
+        h's lattice; else when both are alone in their classes and h's
+        lattice holds the image."""
+        if self.ra:
+            return True
+        if self.twins is None:
+            return self.quotient().contains(u, v, s)
+        h, cls, members = self.twins
+        c, d = cls[u], cls[v]
+        if c == d:
+            return (s == 1 and members[c].bit_count() == 2
+                    and h.axis_multiples()[c] == 1)
+        return (members[c].bit_count() == members[d].bit_count() == 1
+                and h.contains(c, d, s))
+
+    def kernel_mod_p(self, p: int) -> list:
+        """``kernel_basis_mod_p`` of the RA matrix, p prime.  A twin's
+        column equals its class's first, so it is never a pivot mod p:
+        h's vector for a free class c sits at the first members, and each
+        further member d of c adds e_d - e_first(c) when c is a pivot
+        class, else h's vector for c with its 1 moved from first(c) to d.
+        h's vector for a free class ends with its 1 at that class."""
+        if self.ra:
+            return []
+        if self.twins is None:
+            return self.quotient().kernel_mod_p(p)
+        h, cls, members = self.twins
+        n = self.n
+        firsts = [(m & -m).bit_length() - 1 for m in members]
+        free = {}
+        for k in h.kernel_mod_p(p):
+            c = max(i for i, x in enumerate(k) if x)
+            y = [0] * n
+            for i, x in enumerate(k):
+                y[firsts[i]] = x
+            free[c] = y
+        out = []
+        for v, c in enumerate(cls):
+            f = firsts[c]
+            if c in free:  # at v = f this leaves h's vector as it is
+                y = free[c][:]
+                y[f], y[v] = 0, 1
+            elif v != f:
+                y = [0] * n
+                y[f], y[v] = p - 1, 1
+            else:
+                continue
+            out.append(tuple(y))
+        return out
 
 
 # exact: Graph compares by (n, adj), and the lattice is never changed
@@ -164,7 +307,7 @@ def ra_lattice(g: Graph) -> HermiteForm:
 
 def elementary_divisors(g: Graph) -> SmithForm:
     """Smith divisors of the RA matrix, padded with zeros to length n."""
-    return _latest_lattice(g).quotient().smith_form(g.n, g.n)
+    return _latest_lattice(g).smith_form(g.n)
 
 
 def is_ra(g: Graph) -> bool:
@@ -188,9 +331,8 @@ def _verdict(g: Graph) -> RAClassification:
     if lat.ra:
         ones = (1,) * g.n
         return RAClassification("RA", 1, ones, 0, ones)
-    q = lat.quotient()
-    sf = q.smith_form(g.n, g.n)
-    divisors, axis = sf.divisors, q.axis_multiples()
+    sf = lat.smith_form(g.n)
+    divisors, axis = sf.divisors, lat.axis_multiples()
     status, mu, nonuniform = "general", None, False
     if sf.nullity == 0 and all(d == 1 for d in divisors[:-1]):
         k = divisors[-1]
@@ -245,11 +387,8 @@ def pair_sign(g: Graph, u: int, v: int) -> str:
         if not 1 <= w <= n:
             raise IndexError(f"vertex {w} out of range 1..{n}")
     lat = _latest_lattice(g)
-    if lat.ra:
-        return "both"
-    q = lat.quotient()
-    pos = q.contains(u - 1, v - 1, 1)
-    neg = q.contains(u - 1, v - 1, -1)
+    pos = lat.contains(u - 1, v - 1, 1)
+    neg = lat.contains(u - 1, v - 1, -1)
     if pos and neg:
         return "both"
     if pos:
@@ -261,10 +400,10 @@ def pair_sign(g: Graph, u: int, v: int) -> str:
 
 def kernel_mod_p(g: Graph, p: int) -> list:
     """Basis of the right kernel of the RA matrix over Z/pZ, the vectors
-    ``kernel_basis_mod_p`` gives for it, read off the quotient.  p is
+    ``kernel_basis_mod_p`` gives for it, read off the lattice.  p is
     checked before any lattice work."""
     _check_modulus(p)
-    return _latest_lattice(g).quotient().kernel_mod_p(p)
+    return _latest_lattice(g).kernel_mod_p(p)
 
 
 def is_neighborly(g: Graph) -> bool:

@@ -1,7 +1,7 @@
 """Finite-search facts over the exhaustive small-graph corpus."""
 
 from ramat import intlin, ra_core
-from ramat.graphs import complete, crown, cube, girth, graph6_decode, kneser
+from ramat.graphs import complete, crown, cube, girth, graph6_decode, kneser, subgraph
 from ramat.ra_core import classify, elementary_divisors, is_ra
 
 from support import are_isomorphic, connected_8_vertex_file, connected_graphs_up_to_iso
@@ -34,6 +34,30 @@ def test_seven_or_fewer_vertices_distinguishable_implies_ra():
         for g in connected_graphs_up_to_iso(n):
             if is_neighborhood_distinguishable(g):
                 assert classify(g).status == "RA", (n, g.adj)
+
+
+def test_twin_graphs_answer_like_their_twin_quotient():
+    # closed twins give equal RA columns: a graph with them has its twin
+    # quotient h's divisors followed by one zero per vertex past the first
+    # of its class.  h is the subgraph on the first vertex of each class.
+    # The 3 675 such graphs of the corpus are its nbhd-indistinguishable
+    # batch row, and every non-RA graph but the cube
+    twins = twin_free_non_ra = 0
+    for line in connected_8_vertex_file().read_text().split():
+        g = graph6_decode(line)
+        closed = [g.closed_mask(v) for v in g.vertices()]
+        firsts = [v for v in g.vertices() if closed.index(closed[v - 1]) == v - 1]
+        if len(firsts) == g.n:
+            twin_free_non_ra += not is_ra(g)
+            continue
+        twins += 1
+        h = subgraph(g, firsts)
+        sh = elementary_divisors(h)
+        sf = elementary_divisors(g)
+        assert sf.divisors == sh.divisors + (0,) * (g.n - h.n), line
+        assert sf.nullity == g.n - h.n + sh.nullity, line
+        assert classify(g).status == "general" and not is_ra(g)
+    assert twins == 3675 and twin_free_non_ra == 1
 
 
 def test_girth5_and_up_always_ra_on_corpus():

@@ -106,6 +106,23 @@ class TestAnalyze:
         assert rc == 0
         assert json.loads(out)["graph6"] == "@"
 
+    @pytest.mark.parametrize("line, graph6s", [
+        (">>graph6<<C~", ["C~"]),
+        ("~??@", ["@"]),
+        ("~??C~", ["C~"]),
+        (graph6_encode(disjoint_union([path(3), complete(3)])), ["Bg", "Bw"]),
+        (graph6_encode(cycle(70)), [graph6_encode(cycle(70))]),
+        ("H?zTb_{", ["H?zTb_{"]),
+    ])
+    def test_graph6_field_is_the_shortest_encoding(self, capsys, line, graph6s):
+        # a canonical connected line is written back as it stands; any other
+        # line prints what encoding each component afresh prints
+        rc, out, _ = run_cli(capsys, "analyze", line)
+        assert rc == 0
+        assert [json.loads(r)["graph6"] for r in out.splitlines()] == graph6s
+        assert out == "".join(cli._format_record(rec, False, False)
+                              for rec in cli._records_for(graph6_decode(line)))
+
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("C~\n\nD?{\n"))
         rc, out, _ = run_cli(capsys, "analyze")

@@ -6,6 +6,8 @@ from itertools import combinations
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramat.graphs import (
     Graph,
@@ -58,6 +60,7 @@ from support import (
     random_graph,
     ref_axis_multiple,
     ref_contains,
+    ref_hermite,
     ref_smith_divisors,
 )
 
@@ -290,9 +293,11 @@ def oracle_peeled(g) -> int:
 
 class TestOneLatticePerGraph:
     def test_one_echelon_build_per_connected_graph(self, monkeypatch):
-        # the one build runs over all n columns and peels inside: every
-        # column of path(4), so it inserts no row, the apex of the pyramid,
-        # and none of the others; it takes in every row it is given
+        # at most one build, over all n columns, of the rows the lattice
+        # peeled: path(4) peels every column, so it is Z^4 with no build,
+        # and complete(5)'s twin quotient is K1, which peels too; the apex
+        # of the pyramid peels and the others do not, and each build takes
+        # in every row the peel was given
         builds = []
 
         def counted(rows, n):
@@ -310,7 +315,8 @@ class TestOneLatticePerGraph:
                 ra_core._latest_lattice.cache_clear()
                 builds.clear()
                 fn(g)
-                assert builds == [(g.n, k, k == g.n)], (fn.__name__, g)
+                want = [] if g in (path(4), complete(5)) else [(g.n, k, False)]
+                assert builds == want, (fn.__name__, g)
 
     def test_consumers_of_one_graph_share_one_build(self, monkeypatch):
         builds = _count_builds(monkeypatch)
@@ -810,6 +816,105 @@ class TestKernelModP:
     @pytest.mark.slow
     def test_kneser_12_3_mod_3(self):
         assert assert_kernel_matches_dense(kneser(12, 3), 3)
+
+
+@st.composite
+def graphs_with_twins(draw):
+    """A random graph with closed twins planted: each clone w of a vertex s
+    gets N[w] = N[s] (s's neighbours, and s itself), a clone may be cloned
+    again, and the vertices are shuffled last, so a class need not be a
+    run of consecutive vertices."""
+    k = draw(st.integers(1, 6))
+    adj = [0] * k
+    for u, v in combinations(range(k), 2):
+        if draw(st.booleans()):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    for s in draw(st.lists(st.integers(0, 8), min_size=1, max_size=3)):
+        s %= len(adj)
+        w = len(adj)
+        adj.append(adj[s] | 1 << s)
+        for x in range(w):
+            if adj[w] >> x & 1:
+                adj[x] |= 1 << w
+    perm = draw(st.permutations(range(len(adj))))
+    moved = [0] * len(adj)
+    for v, a in enumerate(adj):
+        moved[perm[v]] = sum(1 << perm[x] for x in range(len(adj)) if a >> x & 1)
+    return Graph(len(adj), moved)
+
+
+class TestTwinQuotient:
+    """A graph with closed twins is answered through its twin quotient's
+    lattice; every answer must be that of the direct build over its n
+    columns and of the textbook oracles."""
+
+    @given(graphs_with_twins())
+    @settings(max_examples=60, deadline=None)
+    def test_answers_match_the_direct_build_and_the_oracles(self, g):
+        n = g.n
+        assert not is_neighborhood_distinguishable(g)
+        rows = ra_matrix(g).matrix.data
+        e = intlin._build(ra_core._ra_masks(g), n)
+        q = intlin._Quotient(e)
+        ra_core._latest_lattice.cache_clear()
+        assert ra_core._latest_lattice(g).twins is not None
+        h = ra_lattice(g)
+        assert h == intlin._form_of(e)
+        assert (h.matrix.data, h.pivot_columns) == ref_hermite(rows)
+        sf = elementary_divisors(g)
+        ref = ref_smith_divisors(rows)
+        assert sf == q.smith_form(n, n)
+        assert list(sf.divisors) == ref + [0] * (n - len(ref))
+        assert not is_ra(g)
+        comps = connected_components(g)
+        verdicts = classify(g)
+        if len(comps) == 1:
+            verdicts, parts = [verdicts], [g]
+        else:
+            parts = [subgraph(g, comp) for comp in comps]
+        for part, c in zip(parts, verdicts):
+            data = ra_matrix(part).matrix.data
+            pq = intlin._Quotient(intlin._build(ra_core._ra_masks(part), part.n))
+            assert c.axis_multiples == pq.axis_multiples() == tuple(
+                ref_axis_multiple(data, i) for i in range(1, part.n + 1))
+            psf = pq.smith_form(part.n, part.n)
+            assert (c.divisors, c.nullity) == (psf.divisors, psf.nullity)
+            if not is_neighborhood_distinguishable(part):
+                assert c.status == "general" and c.nullity > 0
+        for u, v in combinations(g.vertices(), 2):
+            e_pos = [int(w in (u, v)) for w in g.vertices()]
+            e_neg = e_pos[:]
+            e_neg[v - 1] = -1
+            pos, neg = ref_contains(rows, e_pos), ref_contains(rows, e_neg)
+            assert (pos, neg) == (q.contains(u - 1, v - 1, 1),
+                                  q.contains(u - 1, v - 1, -1))
+            want = {(1, 1): "both", (1, 0): "positive",
+                    (0, 1): "negative", (0, 0): "none"}[pos, neg]
+            assert pair_sign(g, u, v) == want, (graph6_encode(g), u, v)
+        for p in (2, 3, 5):
+            want = kernel_basis_mod_p(ra_matrix(g).matrix, p)
+            assert kernel_mod_p(g, p) == q.kernel_mod_p(p) == want, p
+
+    def test_named_graphs(self):
+        # a clique's quotient is K1; crown(8) joined with K2 keeps a class
+        # of two whose e_c is not in the quotient's lattice
+        from ramat.products import join, strong
+
+        for g in (complete(5), strong(crown(8), complete(2)),
+                  join(crown(8), complete(2)), strong(kneser(6, 2), complete(3))):
+            e = intlin._build(ra_core._ra_masks(g), g.n)
+            q = intlin._Quotient(e)
+            ra_core._latest_lattice.cache_clear()
+            assert ra_lattice(g) == intlin._form_of(e)
+            assert elementary_divisors(g) == q.smith_form(g.n, g.n)
+            assert classify(g).axis_multiples == q.axis_multiples()
+            for u, v in combinations(range(g.n), 2):
+                assert pair_sign(g, u + 1, v + 1) == {
+                    (1, 1): "both", (1, 0): "positive", (0, 1): "negative",
+                    (0, 0): "none"}[q.contains(u, v, 1), q.contains(u, v, -1)]
+            for p in (2, 3):
+                assert kernel_mod_p(g, p) == q.kernel_mod_p(p)
 
 
 class TestHalfRAEquivalence:

@@ -10,9 +10,11 @@ A graph's lattice holds only what its answers need.  Closed twins u, v
 (N[u] = N[v]) give equal RA columns, since every RA row is a union of
 classes of closed twins (``graphs._closed_classes``).  So a graph with
 closed twins keeps the lattice of its twin quotient h, one vertex per class
-in order of first member, and reads h's answers through the class map: its
-divisors are h's and a zero per vertex past the first of its class, and it
-is never RA.
+in order of first member, and the class map.  Its divisors are h's and a
+zero per vertex past the first of its class, a vertex alone in its class
+has h's axis multiple and a twin none, its Hermite basis is h's with each
+class's column repeated, and it is never RA.  Pair signs and the kernel mod
+p are read off the presentation of that basis.
 
 A twin-free graph's RA rows, as vertex masks, are peeled once
 (``intlin._Peel``): a singleton row {w} puts e_w in the lattice, so column w
@@ -169,8 +171,9 @@ class _Lattice:
     ``graphs._closed_classes``, in the same order, adjacent when the
     classes are; h is twin-free), cls[v] the class of vertex v and
     members[c] the vertex mask of class c.  Every RA row is a union of
-    classes, so L is h's lattice with column cls[v] copied to column v, and
-    every answer is h's, mapped through cls.  Such a graph is never RA.
+    classes, so L is h's lattice with column cls[v] copied to column v:
+    the divisors, axis multiples and basis are h's, mapped through cls,
+    and the other answers read ``quotient()``.  Such a graph is never RA.
 
     A twin-free graph peels its RA masks once (``intlin._Peel``).  When the
     peel takes every column, L = Z^n and nothing else is made; otherwise
@@ -212,9 +215,8 @@ class _Lattice:
 
     def quotient(self) -> intlin._Quotient:
         """The ``intlin._Quotient`` of the basis, made once.  The answers
-        below read it only for a twin-free lattice that is not RA; any
-        other's is made only when a caller asks for it, and answers the
-        same (an RA lattice's is empty, Z^n/L = 0)."""
+        below never read an RA lattice's (it is empty, Z^n/L = 0), and read
+        a twin lattice's only for ``contains`` and ``kernel_mod_p``."""
         if self._quotient is None:
             self._quotient = intlin._Quotient(self.basis)
         return self._quotient
@@ -243,56 +245,12 @@ class _Lattice:
                      for c in cls)
 
     def contains(self, u: int, v: int, s: int) -> bool:
-        """Whether e_u + s*e_v (0-based columns u != v) is in L.  For twins
-        u and v, when s = 1, {u, v} is their whole class c and e_c is in
-        h's lattice; else when both are alone in their classes and h's
-        lattice holds the image."""
-        if self.ra:
-            return True
-        if self.twins is None:
-            return self.quotient().contains(u, v, s)
-        h, cls, members = self.twins
-        c, d = cls[u], cls[v]
-        if c == d:
-            return (s == 1 and members[c].bit_count() == 2
-                    and h.axis_multiples()[c] == 1)
-        return (members[c].bit_count() == members[d].bit_count() == 1
-                and h.contains(c, d, s))
+        """Whether e_u + s*e_v (0-based columns u != v) is in L."""
+        return self.ra or self.quotient().contains(u, v, s)
 
     def kernel_mod_p(self, p: int) -> list:
-        """``kernel_basis_mod_p`` of the RA matrix, p prime.  A twin's
-        column equals its class's first, so it is never a pivot mod p:
-        h's vector for a free class c sits at the first members, and each
-        further member d of c adds e_d - e_first(c) when c is a pivot
-        class, else h's vector for c with its 1 moved from first(c) to d.
-        h's vector for a free class ends with its 1 at that class."""
-        if self.ra:
-            return []
-        if self.twins is None:
-            return self.quotient().kernel_mod_p(p)
-        h, cls, members = self.twins
-        n = self.n
-        firsts = [(m & -m).bit_length() - 1 for m in members]
-        free = {}
-        for k in h.kernel_mod_p(p):
-            c = max(i for i, x in enumerate(k) if x)
-            y = [0] * n
-            for i, x in enumerate(k):
-                y[firsts[i]] = x
-            free[c] = y
-        out = []
-        for v, c in enumerate(cls):
-            f = firsts[c]
-            if c in free:  # at v = f this leaves h's vector as it is
-                y = free[c][:]
-                y[f], y[v] = 0, 1
-            elif v != f:
-                y = [0] * n
-                y[f], y[v] = p - 1, 1
-            else:
-                continue
-            out.append(tuple(y))
-        return out
+        """``kernel_basis_mod_p`` of the RA matrix, p prime."""
+        return [] if self.ra else self.quotient().kernel_mod_p(p)
 
 
 # exact: Graph compares by (n, adj), and the lattice is never changed

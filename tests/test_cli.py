@@ -106,19 +106,25 @@ class TestAnalyze:
         assert rc == 0
         assert json.loads(out)["graph6"] == "@"
 
-    @pytest.mark.parametrize("line, graph6s", [
-        (">>graph6<<C~", ["C~"]),
-        ("~??@", ["@"]),
-        ("~??C~", ["C~"]),
-        (graph6_encode(disjoint_union([path(3), complete(3)])), ["Bg", "Bw"]),
-        (graph6_encode(cycle(70)), [graph6_encode(cycle(70))]),
-        ("H?zTb_{", ["H?zTb_{"]),
+    @pytest.mark.parametrize("line, graph6s, encoded", [
+        (">>graph6<<C~", ["C~"], 1),
+        ("~??@", ["@"], 1),
+        ("~??C~", ["C~"], 1),
+        (graph6_encode(disjoint_union([path(3), complete(3)])), ["Bg", "Bw"], 2),
+        (graph6_encode(cycle(70)), [graph6_encode(cycle(70))], 0),
+        ("H?zTb_{", ["H?zTb_{"], 0),
     ])
-    def test_graph6_field_is_the_shortest_encoding(self, capsys, line, graph6s):
-        # a canonical connected line is written back as it stands; any other
-        # line prints what encoding each component afresh prints
+    def test_graph6_field_is_the_shortest_encoding(self, capsys, monkeypatch,
+                                                   line, graph6s, encoded):
+        # a canonical connected line is written back as it stands, with no
+        # encoding; any other line prints what encoding each component
+        # afresh prints
+        calls = []
+        monkeypatch.setattr(cli, "graph6_encode",
+                            lambda g: calls.append(g) or graph6_encode(g))
         rc, out, _ = run_cli(capsys, "analyze", line)
         assert rc == 0
+        assert len(calls) == encoded
         assert [json.loads(r)["graph6"] for r in out.splitlines()] == graph6s
         assert out == "".join(cli._format_record(rec, False, False)
                               for rec in cli._records_for(graph6_decode(line)))

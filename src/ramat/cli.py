@@ -1,8 +1,8 @@
 """Command-line surface: generation, products, analysis, batch counts,
 predictors, kernels, the group oracle, and the verification suites.
 
-Exit codes are a stable contract: 0 success, 1 verification failure,
-2 input error.
+Exit codes are a stable contract: 0 success, 1 verification failure (or
+a lost worker process), 2 input error.
 """
 
 from __future__ import annotations
@@ -196,36 +196,233 @@ _CHUNK = 512
 
 
 def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
+    """The number of CPUs this process may run on, or 1 where it cannot fork
+    workers, so that every command then runs in this process."""
+    if not hasattr(os, "fork"):
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
 
 
-def _pool(workers: int):
-    """A process pool of ``workers`` workers, the one pool of ``analyze``,
-    ``batch`` and ``verify --suite all``, imported on its first use: the
-    import (with ``multiprocessing``) would otherwise add to every start of
-    the CLI.
+class WorkerLost(Exception):
+    """A worker process ended before it returned the result of its task."""
 
-    Workers are forked where the platform can: they start with the modules
-    already loaded, where a spawned worker imports ramat afresh and runs the
-    caller's main module again (on 2 cores, spawn made a corpus ``analyze``
-    0.15-0.2 s slower).  The CLI starts no thread of its own, and a fork
-    pool forks all its workers before it starts its own threads."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    return ProcessPoolExecutor(workers, multiprocessing.get_context(method))
+
+def _send(fd: int, obj) -> None:
+    """Write ``obj`` to a pipe as a pickle, after its length in 8 bytes."""
+    import pickle
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _recv(fh):
+    """The next object ``_send`` wrote to the pipe read by ``fh``;
+    ``EOFError`` if the pipe closed before all of it came."""
+    import pickle
+    head = fh.read(8)
+    size = int.from_bytes(head, "little")
+    data = fh.read(size)
+    if len(head) < 8 or len(data) < size:
+        raise EOFError
+    return pickle.loads(data)
+
+
+def _serve(tasks, results: int) -> None:
+    """A worker's loop: for each (fn, args) read from ``tasks``, write
+    (True, fn(*args)) or (False, the exception it raised) to ``results``,
+    until ``tasks`` closes."""
+    while True:
+        try:
+            fn, args = _recv(tasks)
+        except EOFError:
+            return
+        try:
+            outcome = (True, fn(*args))
+        except Exception as exc:
+            outcome = (False, exc)
+        _send(results, outcome)
+
+
+class _Future:
+    """The outcome of a task of a ``_ForkPool``."""
+
+    def __init__(self, pool):
+        self._pool, self._outcome = pool, None
+
+    def done(self) -> bool:
+        if self._outcome is None:
+            self._pool._poll(0)
+        return self._outcome is not None
+
+    def result(self):
+        """The task's value; the exception it raised, or ``WorkerLost``."""
+        while self._outcome is None:
+            self._pool._poll(None)
+        ok, value = self._outcome
+        if not ok:
+            raise value
+        return value
+
+
+class _ForkPool:
+    """The one pool of ``analyze``, ``batch`` and ``verify --suite all``:
+    ``workers`` forked processes, each fed over a task pipe and answering
+    over a result pipe.
+
+    ``submit(fn, *args)`` queues ``fn(*args)`` and returns a ``_Future``.
+    A worker gets its next task only once its last result is read, so the
+    queue goes in order to whichever worker is free, and a message of any
+    length can be written while its reader waits for it.  No thread moves
+    the pool: ``submit`` and the futures' ``done`` and ``result`` do.  The
+    workers are forked at the first submit, so they start with this
+    process's modules and names, and ``shutdown`` kills and reaps them.
+    A spawned worker would import ramat afresh (on 2 cores, spawn made a
+    corpus ``analyze`` 0.15-0.2 s slower), and forking is safe because the
+    CLI starts no thread.
+
+    A worker closes the pipe ends it inherited from earlier workers, so
+    each worker sees its task pipe close when this process ends, and it
+    leaves only through ``os._exit``, so it never flushes the stdio
+    buffers it inherited.  The pool imports its modules on first use: with
+    them, ``multiprocessing`` and ``concurrent.futures`` made the CLI's
+    peak RSS about 1.6 MB larger."""
+
+    def __init__(self, workers: int):
+        self._size = workers
+        self._workers = []  # (pid, task pipe fd, result pipe reader)
+        self._idle = []
+        self._busy = {}  # worker -> the future of its task
+        self._queue = deque()  # (future, fn, args) not yet handed out
+        self._selector = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.shutdown()
+        return False
+
+    def submit(self, fn, *args) -> _Future:
+        if self._selector is None:
+            self._fork()
+        future = _Future(self)
+        self._queue.append((future, fn, args))
+        self._poll(0)
+        return future
+
+    def shutdown(self) -> None:
+        """Kill and reap every worker; queued tasks never run."""
+        from signal import SIGKILL
+        for pid, _, _ in self._workers:
+            os.kill(pid, SIGKILL)
+        for pid, tasks, results in self._workers:
+            os.waitpid(pid, 0)
+            os.close(tasks)
+            results.close()
+        self._workers.clear()
+        if self._selector is not None:
+            self._selector.close()
+
+    def _fork(self) -> None:
+        import selectors
+        for _ in range(self._size):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker
+                code = 1
+                try:
+                    os.close(task_w)
+                    os.close(result_r)
+                    for _, tasks, results in self._workers:
+                        os.close(tasks)
+                        results.close()
+                    _serve(open(task_r, "rb"), result_w)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(task_r)
+            os.close(result_w)
+            self._workers.append((pid, task_w, open(result_r, "rb")))
+        self._idle = list(self._workers)
+        self._selector = selectors.DefaultSelector()
+        for worker in self._workers:
+            self._selector.register(worker[2], selectors.EVENT_READ, worker)
+
+    def _poll(self, timeout) -> None:
+        """Read the results that have come in, waiting up to ``timeout``
+        seconds for one (None: as long as it takes) while a worker is
+        busy, then hand queued tasks to the free workers."""
+        if self._busy:
+            for key, _ in self._selector.select(timeout):
+                self._collect(key.data)
+        while self._queue and self._idle:
+            worker = self._idle.pop()
+            future, fn, args = self._queue.popleft()
+            self._busy[worker] = future
+            try:
+                _send(worker[1], (fn, args))
+            except BrokenPipeError:
+                self._lose(worker)
+        if not self._workers:
+            for future, _, _ in self._queue:
+                future._outcome = (False, WorkerLost("lost every worker process"))
+            self._queue.clear()
+
+    def _collect(self, worker) -> None:
+        try:
+            outcome = _recv(worker[2])
+        except EOFError:
+            self._lose(worker)
+        else:
+            self._busy.pop(worker)._outcome = outcome
+            self._idle.append(worker)
+
+    def _lose(self, worker) -> None:
+        """Reap a worker that ended, and fail the task it had."""
+        pid, tasks, results = worker
+        self._workers.remove(worker)
+        if worker in self._idle:
+            self._idle.remove(worker)
+        self._selector.unregister(results)
+        os.close(tasks)
+        results.close()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        future = self._busy.pop(worker, None)
+        if future is not None:
+            future._outcome = (False, WorkerLost(f"lost worker process {pid} ({how})"))
+
+
+_pool = _ForkPool  # tests put a pool of their own here
+
+
+def _result(future, where: str):
+    """``future.result()``, with ``where`` added to a lost worker's message."""
+    try:
+        return future.result()
+    except WorkerLost as exc:
+        raise WorkerLost(f"{where}: {exc}") from None
+
+
+def _chunk_span(chunk) -> str:
+    """Where a chunk's lines come from: 'SOURCE lines A-B', or both ends
+    when the chunk spans two sources."""
+    (first, a, _), (last, b, _) = chunk[0], chunk[-1]
+    return f"{first} lines {a}-{b}" if first == last else f"{first} line {a} to {last} line {b}"
 
 
 def _run_chunks(work, items, workers: int):
     """Yield ``work(chunk)`` for each chunk of ``_CHUNK`` items, in input
     order.  With one worker, or input that fits in fewer chunks than two,
     each chunk runs here; otherwise a pool of at most ``workers`` processes
-    runs them, at most two per worker in flight, and each result is yielded
-    as soon as those before it are."""
+    runs them, at most two per worker queued or running, and each result is
+    yielded as soon as those before it are.  A lost worker's ``WorkerLost``
+    names the lines of its chunk."""
     it = iter(items)
     chunks = iter(lambda: list(islice(it, _CHUNK)), [])
     head = list(islice(chunks, max(workers, 1)))
@@ -233,13 +430,13 @@ def _run_chunks(work, items, workers: int):
         yield from map(work, chain(head, chunks))
         return
     with _pool(len(head)) as pool:
-        pending = deque(pool.submit(work, c) for c in head)
+        pending = deque((pool.submit(work, c), _chunk_span(c)) for c in head)
         for chunk in chunks:
-            while len(pending) >= 2 * len(head) or pending and pending[0].done():
-                yield pending.popleft().result()
-            pending.append(pool.submit(work, chunk))
+            while len(pending) >= 2 * len(head) or pending and pending[0][0].done():
+                yield _result(*pending.popleft())
+            pending.append((pool.submit(work, chunk), _chunk_span(chunk)))
         while pending:
-            yield pending.popleft().result()
+            yield _result(*pending.popleft())
 
 
 def cmd_analyze(ns) -> int:
@@ -539,17 +736,15 @@ def _pooled_suite_rows(slow: bool, workers: int):
     run by a pool of ``workers`` processes.  All suites are handed over at
     once, longest first, and a suite's rows are yielded as soon as it and
     every suite before it are done; an input error of a suite is raised
-    after its rows before it, and the suites still waiting are dropped."""
-    pool = _pool(workers)
-    try:
+    after its rows before it, and the suites still waiting are dropped.  A
+    lost worker's ``WorkerLost`` names its suite."""
+    with _pool(workers) as pool:
         futures = {s: pool.submit(_suite_rows, s, slow) for s in verify.LONGEST_FIRST}
         for name in verify.SUITES:
-            rows, error = futures[name].result()
+            rows, error = _result(futures[name], f"suite {name}")
             yield from rows
             if error is not None:
                 raise error
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def cmd_verify(ns) -> int:
@@ -646,13 +841,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand.  This is the one place an input error (a
     ``ValueError`` or an over-budget request) becomes ``ramat: <message>``
-    on stderr and exit code 2."""
+    on stderr and exit code 2, and a lost worker process one such line and
+    exit code 1."""
     ns = build_parser().parse_args(argv)
     try:
         return ns.func(ns)
     except (ValueError, BudgetExceededError) as exc:
         _err(str(exc))
         return EXIT_INPUT
+    except WorkerLost as exc:
+        _err(str(exc))
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -6,10 +6,13 @@ import gzip
 import hashlib
 import io
 import json
-import multiprocessing
+import operator
 import os
+import re
+import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 from unittest import mock
@@ -35,6 +38,12 @@ def run_cli(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def assert_no_child():
+    """This process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestAnalyze:
@@ -418,6 +427,9 @@ class TestBatch:
         assert cli._cpu_count() == 8
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert cli._cpu_count() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.delattr(os, "fork")  # no workers: every command runs here
+        assert cli._cpu_count() == 1
 
 
 class InlinePool:
@@ -434,9 +446,6 @@ class InlinePool:
 
     def __exit__(self, *exc_info):
         return False
-
-    def shutdown(self, cancel_futures=False):
-        pass
 
     def submit(self, fn, *args):
         self.pending += 1
@@ -499,8 +508,8 @@ class TestPipeline:
         stdin = io.TextIOWrapper(io.BytesIO(self.DATA), encoding="ascii")
         monkeypatch.setattr(sys, "stdin", stdin)
         result = run_cli(capsys, *argv)
-        assert multiprocessing.active_children() == []
-        kinds = {"inline": ["InlinePool"], "pool": ["ProcessPoolExecutor"]}
+        assert_no_child()
+        kinds = {"inline": ["InlinePool"], "pool": ["_ForkPool"]}
         assert [type(p).__name__ for p in made] == kinds.get(mode, []), mode
         if mode == "inline":
             assert made[0].peak == 4  # at most two chunks a worker in flight
@@ -969,6 +978,14 @@ class TestVerify:
             "kneser-kernel\tC_Kn(9,3) * x = 0 mod 3\t0 failures\t84 failures\tfail",
         ]
 
+    def test_z_forms_row_lists_every_n_the_closed_form_misses(self, capsys, monkeypatch):
+        closed = theorems._z_closed
+        monkeypatch.setattr(theorems, "_z_closed", lambda n: closed(n) + (n in (41, 300, 512)))
+        rc, out, _ = run_cli(capsys, "verify", "--suite", "z")
+        assert rc == 1
+        assert out.splitlines()[0] == (
+            "z-forms\trecurrence vs closed form, n=2..512\t[]\t[41, 300, 512]\tfail")
+
     def test_girth3_suite(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--suite", "girth3-minimal")
         assert rc == 0
@@ -1005,8 +1022,8 @@ class TestPooledVerify:
 
         monkeypatch.setattr(cli, "_pool", make)
         result = run_cli(capsys, "verify", "--suite", "all")
-        assert multiprocessing.active_children() == []
-        assert [type(p).__name__ for p in made] == ["ProcessPoolExecutor"] * (cpus > 1)
+        assert_no_child()
+        assert [type(p).__name__ for p in made] == ["_ForkPool"] * (cpus > 1)
         return result
 
     def test_pool_and_one_process_print_the_reference(self, capsys, monkeypatch):
@@ -1039,6 +1056,21 @@ class TestPooledVerify:
         assert serial[1].splitlines() == ref[:z] + ["z-forms\tkept\t[]\t[]\tpass"]
         assert self.run(capsys, monkeypatch, 2) == serial
 
+    def test_an_exception_in_a_worker_reaches_the_caller_unchanged(self, capsys, monkeypatch):
+        def broken():
+            yield verify._row("z-forms", "kept", "[]", "[]")
+            raise RuntimeError("planted bug")
+
+        monkeypatch.setattr(verify, "suite_z", broken)
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+        with pytest.raises(RuntimeError, match="^planted bug$") as info:
+            main(["verify", "--suite", "all"])
+        assert type(info.value) is RuntimeError
+        assert_no_child()
+        ref = self.REF.read_text(encoding="ascii").splitlines()
+        z = next(i for i, line in enumerate(ref) if line.startswith("z-"))
+        assert capsys.readouterr().out.splitlines() == ref[:z]
+
     def test_every_suite_is_one_task_submitted_at_once_longest_first(
             self, capsys, monkeypatch, pools):
         assert sorted(verify.LONGEST_FIRST) == sorted(verify.SUITES)
@@ -1055,11 +1087,152 @@ class TestPooledVerify:
         assert rc == 0 and pools == []
 
 
+class TestForkPool:
+    """The CLI's pool of forked workers, alone and under the commands."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """Fail, rather than hang, a test that waits on its pool for a minute."""
+        def expire(signum, frame):
+            raise TimeoutError("waited on the pool for 60 s")
+
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+    def test_tasks_go_to_the_free_worker_and_messages_may_be_long(self):
+        with cli._ForkPool(2) as pool:
+            slow = pool.submit(time.sleep, 60)
+            # each message is longer than a pipe buffer, both ways
+            quick = [pool.submit(operator.add, "ab" * 100_000, str(i)) for i in range(5)]
+            assert [q.result() for q in quick] == ["ab" * 100_000 + str(i) for i in range(5)]
+            assert not slow.done()
+        assert_no_child()
+
+    def test_a_task_exception_reaches_the_caller_unchanged(self):
+        with cli._ForkPool(2) as pool:
+            bad, good = pool.submit(int, "x"), pool.submit(int, "7")
+            with pytest.raises(ValueError, match="^invalid literal for int"):
+                bad.result()
+            assert bad.done() and good.result() == 7
+        assert_no_child()
+
+    def test_a_lost_worker_fails_its_task_and_the_last_one_the_queue(self):
+        with cli._ForkPool(3) as pool:
+            killed = pool.submit(signal.raise_signal, signal.SIGKILL)
+            exited = pool.submit(os._exit, 3)
+            unsent = pool.submit(threading.Lock)  # a lock cannot be pickled
+            queued = pool.submit(len, "abc")
+            for future, how in ((killed, "killed by signal 9"), (exited, "exit status 3"),
+                                (unsent, "exit status 1")):
+                with pytest.raises(cli.WorkerLost, match=rf"^lost worker process \d+ \({how}\)$"):
+                    future.result()
+            with pytest.raises(cli.WorkerLost, match="^lost every worker process$"):
+                queued.result()
+        assert_no_child()
+
+    # a script run as ``python -c SCRIPT COMMAND...``: two CPUs, chunks of 4
+    # lines, and a worker that decodes the line 'A_' kills itself
+    KILLER = (
+        "import os, signal, sys\n"
+        "from ramat import cli, verify\n"
+        "decode = cli.graph6_decode\n"
+        "def killing(text):\n"
+        "    if text == 'A_':\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return decode(text)\n"
+        "cli.graph6_decode = killing\n"
+        "verify.suite_z = lambda: os._exit(3)\n"
+        "cli._cpu_count = lambda: 2\n"
+        "cli._CHUNK = 4\n"
+        "rc = cli.main(sys.argv[1:])\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    sys.exit(rc)\n"
+        "sys.exit('a child process is left')\n"
+    )
+
+    @pytest.mark.parametrize("command", ["analyze", "batch", "verify"])
+    def test_a_lost_worker_names_its_input_and_exits_1(self, capsys, tmp_path, command):
+        f = tmp_path / "input.g6"
+        f.write_text("C~\n" * 5 + "A_\n" + "C~\n" * 6, encoding="ascii")
+        argv = {"analyze": ["analyze", "--tsv", str(f)], "batch": ["batch", str(f)],
+                "verify": ["verify", "--suite", "all"]}[command]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.KILLER, *argv],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=120,
+        )
+        if command == "verify":
+            where, how = "suite z", "exit status 3"
+            ref = TestPooledVerify.REF.read_text(encoding="ascii").splitlines()
+            out = ref[:next(i for i, line in enumerate(ref) if line.startswith("z-"))]
+        else:
+            where, how = f"{f} lines 5-8", "killed by signal 9"
+            k4 = run_cli(capsys, "analyze", "--tsv", "C~")[1]
+            out = [] if command == "batch" else k4.splitlines() * 4  # the first chunk
+        assert proc.returncode == 1
+        assert re.fullmatch(rf"ramat: {re.escape(where)}: lost worker process \d+ \({how}\)\n",
+                            proc.stderr), proc.stderr
+        assert proc.stdout.splitlines() == out
+
+    # the environment of a script whose stdout, a pipe, is block-buffered
+    BUFFERED = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+                "PYTHONPATH": str(SRC)}
+
+    def test_stdout_text_left_unflushed_before_the_pool_is_written_once(self, tmp_path):
+        f = tmp_path / "input.g6"
+        f.write_text("C~\n" * 600, encoding="ascii")
+        script = (
+            "import sys\n"
+            "from ramat import cli\n"
+            "cli._cpu_count = lambda: 2\n"
+            "sys.stdout.write('first line\\n')  # a pipe, so block-buffered\n"
+            f"sys.exit(cli.main(['analyze', '--tsv', {str(f)!r}]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=self.BUFFERED,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "first line" and len(lines) == 601
+        assert proc.stdout.count("first line") == 1
+
+    def test_workers_leave_when_the_cli_dies(self):
+        # run returns once every holder of the stdout pipe has closed it,
+        # the workers included, and none of them flushes the text
+        script = (
+            "import os, signal, sys\n"
+            "from ramat import cli\n"
+            "sys.stdout.write('never flushed\\n')\n"
+            "pool = cli._ForkPool(2)\n"
+            "assert pool.submit(len, 'ab').result() == 2\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=self.BUFFERED,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (-signal.SIGKILL, "", "")
+
+
+# the modules the CLI's pool imports at its first use; the CLI never imports
+# multiprocessing or concurrent.futures, whose import made its peak RSS
+# about 1.6 MB larger
+POOL_MODULES = ("pickle", "selectors")
+OTHER_POOLS = ("multiprocessing", "concurrent.futures")
+NO_FORK = "def no_fork():\n    raise SystemExit('forked')\nos.fork = no_fork\n"
+
+
 class TestImports:
     def test_cli_leaves_the_process_pool_unimported(self):
         # only input of more than one chunk imports the pool, at its first use
         script = ("import sys, ramat.cli\n"
-                  "sys.exit('concurrent.futures.process' in sys.modules)\n")
+                  f"sys.exit(any(m in sys.modules for m in {POOL_MODULES + OTHER_POOLS!r}))\n")
         proc = subprocess.run(
             [sys.executable, "-c", script],
             env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -1080,10 +1253,10 @@ class TestImports:
         f = tmp_path / "input.g6"
         f.write_text("C~\n" * lines, encoding="ascii")
         script = (
-            "import os, sys, ramat.cli\n"
+            "import os, sys, ramat.cli\n" + NO_FORK
             + ("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n" if one_cpu else "")
             + f"rc = ramat.cli.main([{command!r}, {str(f)!r}])\n"
-            "sys.exit(rc or 3 * ('concurrent.futures.process' in sys.modules))\n"
+            f"sys.exit(rc or 3 * any(m in sys.modules for m in {POOL_MODULES!r}))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script],
@@ -1100,10 +1273,10 @@ class TestImports:
         if one_cpu and not hasattr(os, "sched_setaffinity"):
             pytest.skip("no CPU affinity call on this platform")
         script = (
-            "import os, sys, ramat.cli\n"
+            "import os, sys, ramat.cli\n" + NO_FORK
             + ("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n" if one_cpu else "")
             + f"rc = ramat.cli.main(['verify', '--suite', {suite!r}])\n"
-            "sys.exit(rc or 3 * ('concurrent.futures.process' in sys.modules))\n"
+            f"sys.exit(rc or 3 * any(m in sys.modules for m in {POOL_MODULES!r}))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script],
@@ -1112,6 +1285,35 @@ class TestImports:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.endswith(" checks, 0 failures\n")
+
+    def test_pooled_commands_import_no_other_pool(self, tmp_path):
+        # two CPUs: analyze and batch of two chunks and verify --suite all
+        # each fork a pool of two workers
+        f = tmp_path / "input.g6"
+        f.write_text("C~\n" * 600, encoding="ascii")
+        script = (
+            "import os, sys, ramat.cli\n"
+            "ramat.cli._cpu_count = lambda: 2\n"
+            "forks = []\n"
+            "fork = os.fork\n"
+            "def counted():\n"
+            "    forks.append(1)\n"
+            "    return fork()\n"
+            "os.fork = counted\n"
+            f"for argv in (['analyze', {str(f)!r}], ['batch', '--workers', '2', {str(f)!r}],\n"
+            "             ['verify', '--suite', 'all']):\n"
+            "    assert ramat.cli.main(argv) == 0, argv\n"
+            "assert len(forks) == 6, forks\n"
+            f"sys.exit(any(m in sys.modules for m in {OTHER_POOLS!r}))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("\n") == 600 + 8 + len(TestPooledVerify.REF.read_text(
+            encoding="ascii").splitlines())
 
 
 class TestStdlibOnly:

@@ -1,8 +1,10 @@
 """Command-line surface: generation, products, analysis, batch counts,
 predictors, kernels, the group oracle, and the verification suites.
+``analyze``, ``batch`` and ``verify --suite all`` spread their tasks over
+forked worker processes through one ordered map, ``_fork_map``.
 
 Exit codes are a stable contract: 0 success, 1 verification failure (or
-a lost worker process), 2 input error.
+a lost worker process, or a stdout closed early), 2 input error.
 """
 
 from __future__ import annotations
@@ -231,105 +233,63 @@ def _recv(fh):
     return pickle.loads(data)
 
 
+def _outcome(fn, args):
+    """(True, fn(*args)), or (False, the exception it raised)."""
+    try:
+        return True, fn(*args)
+    except Exception as exc:
+        return False, exc
+
+
 def _serve(tasks, results: int) -> None:
-    """A worker's loop: for each (fn, args) read from ``tasks``, write
-    (True, fn(*args)) or (False, the exception it raised) to ``results``,
-    until ``tasks`` closes."""
+    """A worker's loop: for each (fn, args) read from ``tasks``, write the
+    ``_outcome`` of ``fn(*args)`` to ``results``, until ``tasks`` closes."""
     while True:
         try:
             fn, args = _recv(tasks)
         except EOFError:
             return
-        try:
-            outcome = (True, fn(*args))
-        except Exception as exc:
-            outcome = (False, exc)
-        _send(results, outcome)
+        _send(results, _outcome(fn, args))
 
 
-class _Future:
-    """The outcome of a task of a ``_ForkPool``."""
+def _fork_map(fn, tasks, workers: int, ahead: int):
+    """Yield (args, outcome) for each args tuple of ``tasks``, in task
+    order: the outcome of ``fn(*args)`` is (True, its value), (False, the
+    exception it raised) or (False, ``WorkerLost``).
 
-    def __init__(self, pool):
-        self._pool, self._outcome = pool, None
+    With fewer than two workers each task runs here.  Otherwise
+    ``workers`` processes are forked at the start, each fed over a task
+    pipe and answering over a result pipe.  At most ``ahead`` tasks are
+    taken ahead of the one yielded next, and each goes to whichever worker
+    is free.  A worker gets its next task only once its last result is
+    read, so a message of any length can be written while its reader
+    waits.  A worker that ends without a result (killed, say) fails its
+    task with ``WorkerLost``; once none is left, so does every task still
+    waiting.  Ending or closing the map kills and reaps every worker and
+    closes every pipe end.
 
-    def done(self) -> bool:
-        if self._outcome is None:
-            self._pool._poll(0)
-        return self._outcome is not None
-
-    def result(self):
-        """The task's value; the exception it raised, or ``WorkerLost``."""
-        while self._outcome is None:
-            self._pool._poll(None)
-        ok, value = self._outcome
-        if not ok:
-            raise value
-        return value
-
-
-class _ForkPool:
-    """The one pool of ``analyze``, ``batch`` and ``verify --suite all``:
-    ``workers`` forked processes, each fed over a task pipe and answering
-    over a result pipe.
-
-    ``submit(fn, *args)`` queues ``fn(*args)`` and returns a ``_Future``.
-    A worker gets its next task only once its last result is read, so the
-    queue goes in order to whichever worker is free, and a message of any
-    length can be written while its reader waits for it.  No thread moves
-    the pool: ``submit`` and the futures' ``done`` and ``result`` do.  The
-    workers are forked at the first submit, so they start with this
-    process's modules and names, and ``shutdown`` kills and reaps them.
-    A spawned worker would import ramat afresh (on 2 cores, spawn made a
-    corpus ``analyze`` 0.15-0.2 s slower), and forking is safe because the
-    CLI starts no thread.
-
-    A worker closes the pipe ends it inherited from earlier workers, so
-    each worker sees its task pipe close when this process ends, and it
-    leaves only through ``os._exit``, so it never flushes the stdio
-    buffers it inherited.  The pool imports its modules on first use: with
-    them, ``multiprocessing`` and ``concurrent.futures`` made the CLI's
-    peak RSS about 1.6 MB larger."""
-
-    def __init__(self, workers: int):
-        self._size = workers
-        self._workers = []  # (pid, task pipe fd, result pipe reader)
-        self._idle = []
-        self._busy = {}  # worker -> the future of its task
-        self._queue = deque()  # (future, fn, args) not yet handed out
-        self._selector = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.shutdown()
-        return False
-
-    def submit(self, fn, *args) -> _Future:
-        if self._selector is None:
-            self._fork()
-        future = _Future(self)
-        self._queue.append((future, fn, args))
-        self._poll(0)
-        return future
-
-    def shutdown(self) -> None:
-        """Kill and reap every worker; queued tasks never run."""
-        from signal import SIGKILL
-        for pid, _, _ in self._workers:
-            os.kill(pid, SIGKILL)
-        for pid, tasks, results in self._workers:
-            os.waitpid(pid, 0)
-            os.close(tasks)
-            results.close()
-        self._workers.clear()
-        if self._selector is not None:
-            self._selector.close()
-
-    def _fork(self) -> None:
-        import selectors
-        for _ in range(self._size):
+    Forking is safe because the CLI starts no thread (a spawned worker
+    would import ramat afresh: 0.15-0.2 s more on a corpus ``analyze``).
+    A worker closes the pipe ends it inherited from earlier workers, so it
+    sees its task pipe close when this process ends, and it leaves only
+    through ``os._exit``, so it never flushes the stdio it inherited.
+    A map that forks imports ``selectors`` and ``SIGKILL`` before it does,
+    so that its ``finally`` imports nothing at exit, and only such a map
+    imports ``pickle`` and ``selectors``."""
+    if workers < 2:
+        yield from ((args, _outcome(fn, args)) for args in tasks)
+        return
+    import selectors
+    from signal import SIGKILL
+    tasks = iter(tasks)
+    # the result pipe reader of each worker not lost is registered, with
+    # the worker's (pid, task pipe fd, result pipe reader) as its data
+    selector = selectors.DefaultSelector()
+    busy = {}  # worker -> the [args, outcome] entry of its task
+    pending = deque()  # the entries not yet yielded, in task order
+    queue = deque()  # the entries not yet handed to a worker
+    try:
+        for _ in range(workers):
             task_r, task_w = os.pipe()
             result_r, result_w = os.pipe()
             pid = os.fork()
@@ -338,75 +298,69 @@ class _ForkPool:
                 try:
                     os.close(task_w)
                     os.close(result_r)
-                    for _, tasks, results in self._workers:
-                        os.close(tasks)
-                        results.close()
+                    for key in selector.get_map().values():
+                        os.close(key.data[1])
+                        key.fileobj.close()
                     _serve(open(task_r, "rb"), result_w)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(task_r)
             os.close(result_w)
-            self._workers.append((pid, task_w, open(result_r, "rb")))
-        self._idle = list(self._workers)
-        self._selector = selectors.DefaultSelector()
-        for worker in self._workers:
-            self._selector.register(worker[2], selectors.EVENT_READ, worker)
-
-    def _poll(self, timeout) -> None:
-        """Read the results that have come in, waiting up to ``timeout``
-        seconds for one (None: as long as it takes) while a worker is
-        busy, then hand queued tasks to the free workers."""
-        if self._busy:
-            for key, _ in self._selector.select(timeout):
-                self._collect(key.data)
-        while self._queue and self._idle:
-            worker = self._idle.pop()
-            future, fn, args = self._queue.popleft()
-            self._busy[worker] = future
-            try:
-                _send(worker[1], (fn, args))
-            except BrokenPipeError:
-                self._lose(worker)
-        if not self._workers:
-            for future, _, _ in self._queue:
-                future._outcome = (False, WorkerLost("lost every worker process"))
-            self._queue.clear()
-
-    def _collect(self, worker) -> None:
-        try:
-            outcome = _recv(worker[2])
-        except EOFError:
-            self._lose(worker)
-        else:
-            self._busy.pop(worker)._outcome = outcome
-            self._idle.append(worker)
-
-    def _lose(self, worker) -> None:
-        """Reap a worker that ended, and fail the task it had."""
-        pid, tasks, results = worker
-        self._workers.remove(worker)
-        if worker in self._idle:
-            self._idle.remove(worker)
-        self._selector.unregister(results)
-        os.close(tasks)
-        results.close()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-        future = self._busy.pop(worker, None)
-        if future is not None:
-            future._outcome = (False, WorkerLost(f"lost worker process {pid} ({how})"))
+            results = open(result_r, "rb")
+            selector.register(results, selectors.EVENT_READ, (pid, task_w, results))
+        while True:
+            while len(pending) < ahead and (args := next(tasks, None)) is not None:
+                pending.append([args, None])
+                queue.append(pending[-1])
+            if not pending:
+                return
+            idle = [key.data for key in selector.get_map().values() if key.data not in busy]
+            while queue and idle:
+                worker = idle.pop()
+                busy[worker] = queue.popleft()
+                try:
+                    _send(worker[1], (fn, busy[worker][0]))
+                except BrokenPipeError:  # the worker ended; select finds it
+                    pass
+            if not selector.get_map():
+                for entry in queue:
+                    entry[1] = False, WorkerLost("lost every worker process")
+                queue.clear()
+            if pending[0][1] is not None:
+                yield tuple(pending.popleft())
+                continue
+            for key, _ in selector.select():
+                try:
+                    outcome = _recv(key.fileobj)
+                except EOFError:  # the worker ended: reap it, close its pipes
+                    pid, tasks_fd, results = key.data
+                    selector.unregister(results)
+                    os.close(tasks_fd)
+                    results.close()
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                    outcome = False, WorkerLost(f"lost worker process {pid} ({how})")
+                if key.data in busy:
+                    busy.pop(key.data)[1] = outcome
+    finally:
+        for pid, tasks_fd, results in [key.data for key in selector.get_map().values()]:
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(tasks_fd)
+            results.close()
+        selector.close()
 
 
-_pool = _ForkPool  # tests put a pool of their own here
-
-
-def _result(future, where: str):
-    """``future.result()``, with ``where`` added to a lost worker's message."""
-    try:
-        return future.result()
-    except WorkerLost as exc:
-        raise WorkerLost(f"{where}: {exc}") from None
+def _value(outcome, where: str):
+    """The value of a ``_fork_map`` outcome, or its exception raised, with
+    ``where`` added to a lost worker's message."""
+    ok, value = outcome
+    if ok:
+        return value
+    if isinstance(value, WorkerLost):
+        raise WorkerLost(f"{where}: {value}") from None
+    raise value
 
 
 def _chunk_span(chunk) -> str:
@@ -418,25 +372,17 @@ def _chunk_span(chunk) -> str:
 
 def _run_chunks(work, items, workers: int):
     """Yield ``work(chunk)`` for each chunk of ``_CHUNK`` items, in input
-    order.  With one worker, or input that fits in fewer chunks than two,
-    each chunk runs here; otherwise a pool of at most ``workers`` processes
-    runs them, at most two per worker queued or running, and each result is
-    yielded as soon as those before it are.  A lost worker's ``WorkerLost``
-    names the lines of its chunk."""
+    order, mapped over one worker per chunk up to ``workers``, so that
+    input of one chunk, or one worker, runs here.  At most two chunks per
+    worker are taken ahead of the output, and each result is yielded as
+    soon as those before it are.  A lost worker's ``WorkerLost`` names the
+    lines of its chunk."""
     it = iter(items)
     chunks = iter(lambda: list(islice(it, _CHUNK)), [])
     head = list(islice(chunks, max(workers, 1)))
-    if len(head) < 2:
-        yield from map(work, chain(head, chunks))
-        return
-    with _pool(len(head)) as pool:
-        pending = deque((pool.submit(work, c), _chunk_span(c)) for c in head)
-        for chunk in chunks:
-            while len(pending) >= 2 * len(head) or pending and pending[0][0].done():
-                yield _result(*pending.popleft())
-            pending.append((pool.submit(work, chunk), _chunk_span(chunk)))
-        while pending:
-            yield _result(*pending.popleft())
+    tasks = ((chunk,) for chunk in chain(head, chunks))
+    for (chunk,), outcome in _fork_map(work, tasks, len(head), 2 * len(head)):
+        yield _value(outcome, _chunk_span(chunk))
 
 
 def cmd_analyze(ns) -> int:
@@ -733,18 +679,18 @@ def _suite_rows(name: str, slow: bool):
 
 def _pooled_suite_rows(slow: bool, workers: int):
     """Yield the rows of every suite in ``verify.SUITES`` order, each suite
-    run by a pool of ``workers`` processes.  All suites are handed over at
-    once, longest first, and a suite's rows are yielded as soon as it and
-    every suite before it are done; an input error of a suite is raised
-    after its rows before it, and the suites still waiting are dropped.  A
-    lost worker's ``WorkerLost`` names its suite."""
-    with _pool(workers) as pool:
-        futures = {s: pool.submit(_suite_rows, s, slow) for s in verify.LONGEST_FIRST}
-        for name in verify.SUITES:
-            rows, error = _result(futures[name], f"suite {name}")
-            yield from rows
-            if error is not None:
-                raise error
+    one task of a map over ``workers`` processes.  All suites are handed
+    over at once, longest first, and their rows are yielded once every
+    suite is done; an input error of a suite is raised after its rows, as
+    in one process.  A lost worker's ``WorkerLost`` names its suite."""
+    tasks = [(name, slow) for name in verify.LONGEST_FIRST]
+    outcomes = {name: outcome for (name, _), outcome
+                in _fork_map(_suite_rows, tasks, workers, len(tasks))}
+    for name in verify.SUITES:
+        rows, error = _value(outcomes[name], f"suite {name}")
+        yield from rows
+        if error is not None:
+            raise error
 
 
 def cmd_verify(ns) -> int:
@@ -842,10 +788,18 @@ def main(argv=None) -> int:
     """Run one subcommand.  This is the one place an input error (a
     ``ValueError`` or an over-budget request) becomes ``ramat: <message>``
     on stderr and exit code 2, and a lost worker process one such line and
-    exit code 1."""
+    exit code 1.  A reader that closes stdout early gives exit code 1 and
+    no message, and stdout goes to ``os.devnull`` for the flush at exit."""
     ns = build_parser().parse_args(argv)
     try:
-        return ns.func(ns)
+        code = ns.func(ns)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_VERIFY
     except (ValueError, BudgetExceededError) as exc:
         _err(str(exc))
         return EXIT_INPUT

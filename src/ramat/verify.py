@@ -13,7 +13,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import combinations, permutations, repeat
+from itertools import combinations, repeat
 
 from . import theorems
 from .graphs import (
@@ -420,15 +420,35 @@ def suite_predictors():
                True, total >= 200 and len(corpus) >= 200)
 
 
+# the connected graphs on 1..4 vertices up to isomorphism, as (n, edge
+# bits): bit i stands for the i-th pair of vertices in lexicographic order,
+# and each graph is the first of its class when labelled graphs are counted
+# up by their bits
+SMALL_CONNECTED = ((1, 0), (2, 1), (3, 3), (3, 7), (4, 7), (4, 13), (4, 15),
+                   (4, 30), (4, 31), (4, 63))
+
+
+def _small_graph(n: int, bits: int) -> Graph:
+    """The graph on n vertices with the pairs that ``bits`` picks as edges."""
+    adj = [0] * n
+    for i, (u, v) in enumerate(combinations(range(n), 2)):
+        if bits >> i & 1:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return Graph(n, adj)
+
+
 def suite_group_oracle():
     h2 = heisenberg(2)
-    for n, g in _connected_small_graphs(4):
+    for n, bits in SMALL_CONNECTED:
+        g = _small_graph(n, bits)
         divisors = elementary_divisors(g).divisors
         k = sum(1 for d in divisors if d % 2 == 0)  # zeros count: 0 % 2 == 0
         rec = oracle_record(h2, g)
-        yield _row("oracle-ra", f"H(2) on {n}", str(k == 0), str(rec["is_G_RA"]))
+        name = f"graph(n={n},#{bits})"
+        yield _row("oracle-ra", f"H(2) on {name}", str(k == 0), str(rec["is_G_RA"]))
         yield _row(
-            "oracle-intersection", f"H(2) on {n}",
+            "oracle-intersection", f"H(2) on {name}",
             str(2 ** (g.n - k)), str(rec["intersection_order"]),
         )
     d8 = dihedral(8)
@@ -436,36 +456,6 @@ def suite_group_oracle():
     s2 = matrix_power(d8, IntMatrix([[1, 2], [0, 4]]))
     yield _row("oracle-matrix", "D8 over [[1,0],[0,4]]", "8", str(len(s1)))
     yield _row("oracle-matrix", "D8 over [[1,2],[0,4]]", "16", str(len(s2)))
-
-
-def _connected_small_graphs(max_n: int):
-    """All connected graphs on 1..max_n vertices up to isomorphism (brute
-    force over labeled graphs, deduplicated by permutation)."""
-    for n in range(1, max_n + 1):
-        pairs = list(combinations(range(n), 2))
-        seen = set()
-        for bits in range(1 << len(pairs)):
-            adj = [0] * n
-            for idx, (u, v) in enumerate(pairs):
-                if bits >> idx & 1:
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-            canon = min(
-                tuple(
-                    sorted(
-                        tuple(sorted((p[u], p[v])))
-                        for idx, (u, v) in enumerate(pairs)
-                        if bits >> idx & 1
-                    )
-                )
-                for p in permutations(range(n))
-            )
-            if canon in seen:
-                continue
-            seen.add(canon)
-            g = Graph(n, adj)
-            if is_connected(g):
-                yield f"graph(n={n},#{bits})", g
 
 
 def run_suite(name: str, slow: bool = False):

@@ -6,7 +6,6 @@ import gzip
 import hashlib
 import io
 import json
-import operator
 import os
 import re
 import signal
@@ -15,6 +14,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -40,10 +40,15 @@ def run_cli(capsys, *argv):
     return rc, captured.out, captured.err
 
 
-def assert_no_child():
-    """This process has no child process, running or unreaped."""
+@contextlib.contextmanager
+def no_leak():
+    """The block leaves no child process, running or unreaped, and no file
+    descriptor open."""
+    fds = sorted(os.listdir("/proc/self/fd"))
+    yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
 class TestAnalyze:
@@ -395,29 +400,27 @@ class TestBatch:
         assert "line 2" in err
         assert out.splitlines()[-1] == "total\t\t1"
 
-    def test_workers_capped_at_cpu_count(self, capsys, tmp_path, monkeypatch, pools):
-        # a fork pool starts max_workers processes at its first submit; the
-        # fake pool records that count and runs the chunks in this process
+    def test_workers_capped_at_cpu_count(self, capsys, tmp_path, monkeypatch, maps):
         monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
         monkeypatch.setattr(cli, "_CHUNK", 8)
         lines = [graph6_encode(crown(8)), "C~", graph6_encode(kneser(5, 2))] * 40
         f = tmp_path / "many.g6"
         f.write_text("\n".join(lines) + "\n", encoding="ascii")
         _, serial, _ = run_cli(capsys, "batch", str(f), "--workers", "1")
-        assert pools == []
+        assert [m.workers for m in maps] == [1]  # one worker: every chunk runs here
         for argv, workers in ((["--workers", "100000"], 3), ([], 3),
                               (["--workers", "2"], 2)):
-            pools.clear()
+            maps.clear()
             rc, out, _ = run_cli(capsys, "batch", str(f), *argv)
             assert rc == 0 and out == serial
-            assert [p.workers for p in pools] == [workers], argv
-            assert pools[0].peak == 2 * workers  # 15 chunks, at most 2 a worker
+            assert [(m.workers, m.ahead) for m in maps] == [(workers, 2 * workers)], argv
+            assert maps[0].peak == 2 * workers  # 15 chunks, at most 2 a worker
         _, serial, _ = run_cli(capsys, "analyze", "--tsv", str(f))
-        pools.clear()
-        monkeypatch.setattr(cli, "_CHUNK", 64)  # two chunks: a pool of two
+        maps.clear()
+        monkeypatch.setattr(cli, "_CHUNK", 64)  # two chunks: a map on two workers
         rc, out, _ = run_cli(capsys, "analyze", "--tsv", str(f))
         assert rc == 0 and out == serial
-        assert [p.workers for p in pools] == [2]
+        assert [m.workers for m in maps] == [2]
 
     def test_cpu_count_is_the_affinity_set(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
@@ -432,54 +435,37 @@ class TestBatch:
         assert cli._cpu_count() == 1
 
 
-class InlinePool:
-    """Stands in for the process pool: runs a task in this process when its
-    result is read, and records the pool size, the arguments of each task
-    in submission order and the most tasks in flight."""
-
-    def __init__(self, workers):
-        self.workers, self.pending, self.peak = workers, 0, 0
-        self.submitted = []
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-    def submit(self, fn, *args):
-        self.pending += 1
-        self.peak = max(self.peak, self.pending)
-        self.submitted.append(args)
-        return InlineFuture(self, fn, args)
+REAL_MAP = cli._fork_map
 
 
-class InlineFuture:
-    def __init__(self, pool, fn, args):
-        self.pool, self.fn, self.args = pool, fn, args
-
-    def done(self):
-        return False
-
-    def result(self):
-        self.pool.pending -= 1
-        return self.fn(*self.args)
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """Every ``InlinePool`` the CLI makes, in place of a process pool."""
+def record_maps(monkeypatch):
+    """Every ``_fork_map`` the CLI runs from now on, recorded: its worker
+    count and ``ahead``, the args of each task in the order taken, and the
+    most tasks taken ahead of the outcome yielded next.  The real map runs
+    each, on at most two workers."""
     made = []
 
-    def make(workers):
-        made.append(InlinePool(workers))
-        return made[-1]
+    def recording(fn, tasks, workers, ahead):
+        rec = SimpleNamespace(workers=workers, ahead=ahead, taken=[], yielded=0, peak=0)
+        made.append(rec)
 
-    monkeypatch.setattr(cli, "_pool", make)
+        def taking():
+            for args in tasks:
+                rec.taken.append(args)
+                rec.peak = max(rec.peak, len(rec.taken) - rec.yielded)
+                yield args
+
+        for item in REAL_MAP(fn, taking(), min(workers, 2), ahead):
+            yield item
+            rec.yielded += 1
+
+    monkeypatch.setattr(cli, "_fork_map", recording)
     return made
 
 
-REAL_POOL = cli._pool
+@pytest.fixture
+def maps(monkeypatch):
+    return record_maps(monkeypatch)
 
 
 class TestPipeline:
@@ -493,26 +479,17 @@ class TestPipeline:
 
     def run(self, capsys, monkeypatch, mode, argv):
         """(exit code, stdout, stderr) of one command: 'one chunk' runs the
-        whole input as one chunk; 'serial' chunks of 4 lines in this process,
-        'inline' through ``InlinePool`` and 'pool' through a real pool of
-        two workers."""
+        whole input as one chunk; 'serial' chunks of 4 lines in this process
+        and 'pool' on two forked workers."""
         monkeypatch.setattr(cli, "_CHUNK", 512 if mode == "one chunk" else 4)
         monkeypatch.setattr(cli, "_cpu_count", lambda: 1 if mode == "serial" else 2)
-        made = []
-
-        def make(workers):
-            made.append(InlinePool(workers) if mode == "inline" else REAL_POOL(workers))
-            return made[-1]
-
-        monkeypatch.setattr(cli, "_pool", make)
+        maps = record_maps(monkeypatch)
         stdin = io.TextIOWrapper(io.BytesIO(self.DATA), encoding="ascii")
         monkeypatch.setattr(sys, "stdin", stdin)
-        result = run_cli(capsys, *argv)
-        assert_no_child()
-        kinds = {"inline": ["InlinePool"], "pool": ["_ForkPool"]}
-        assert [type(p).__name__ for p in made] == kinds.get(mode, []), mode
-        if mode == "inline":
-            assert made[0].peak == 4  # at most two chunks a worker in flight
+        with no_leak():
+            result = run_cli(capsys, *argv)
+        want = (2, 4, 4) if mode == "pool" else (1, 2, 1)  # at most 2 chunks a worker
+        assert [(m.workers, m.ahead, m.peak) for m in maps] == [want], mode
         return result
 
     @pytest.mark.parametrize("command", ["analyze", "analyze-stdin", "analyze-tsv", "batch"])
@@ -539,7 +516,7 @@ class TestPipeline:
             assert str(tmp_path) in err.splitlines()[-1]
         else:
             assert len(out.splitlines()) == 18  # 15 graphs, 3 of them in two parts
-        for mode in ("serial", "inline", "pool"):
+        for mode in ("serial", "pool"):
             assert self.run(capsys, monkeypatch, mode, argv) == want, mode
 
     def test_stdin_output_arrives_a_chunk_at_a_time(self, monkeypatch):
@@ -554,6 +531,9 @@ class TestPipeline:
         class Stdout:
             def write(self, text):
                 written.append((read[0], text.count("\n")))
+
+            def flush(self):  # main flushes stdout before it returns
+                pass
 
         monkeypatch.setattr(cli, "_CHUNK", 4)
         monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
@@ -986,6 +966,20 @@ class TestVerify:
         assert out.splitlines()[0] == (
             "z-forms\trecurrence vs closed form, n=2..512\t[]\t[41, 300, 512]\tfail")
 
+    def test_small_connected_graphs_are_one_of_each_class(self):
+        from support import are_isomorphic, connected_graphs_up_to_iso
+
+        for n, count in zip(range(1, 5), (1, 1, 2, 6)):
+            want = connected_graphs_up_to_iso(n)
+            table = [bits for m, bits in verify.SMALL_CONNECTED if m == n]
+            assert len(table) == len(want) == count
+            for bits in table:
+                g = verify._small_graph(n, bits)
+                assert sum(are_isomorphic(g, h) for h in want) == 1
+                # the first labelled graph of its class, as the descriptors say
+                assert not any(are_isomorphic(g, verify._small_graph(n, b))
+                               for b in range(bits))
+
     def test_girth3_suite(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--suite", "girth3-minimal")
         assert rc == 0
@@ -1014,16 +1008,10 @@ class TestPooledVerify:
 
     def run(self, capsys, monkeypatch, cpus):
         monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
-        made = []
-
-        def make(workers):
-            made.append(REAL_POOL(workers))
-            return made[-1]
-
-        monkeypatch.setattr(cli, "_pool", make)
-        result = run_cli(capsys, "verify", "--suite", "all")
-        assert_no_child()
-        assert [type(p).__name__ for p in made] == ["_ForkPool"] * (cpus > 1)
+        maps = record_maps(monkeypatch)
+        with no_leak():
+            result = run_cli(capsys, "verify", "--suite", "all")
+        assert [(m.workers, m.ahead) for m in maps] == [(2, len(verify.SUITES))] * (cpus > 1)
         return result
 
     def test_pool_and_one_process_print_the_reference(self, capsys, monkeypatch):
@@ -1063,28 +1051,46 @@ class TestPooledVerify:
 
         monkeypatch.setattr(verify, "suite_z", broken)
         monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
-        with pytest.raises(RuntimeError, match="^planted bug$") as info:
+        with no_leak(), pytest.raises(RuntimeError, match="^planted bug$") as info:
             main(["verify", "--suite", "all"])
         assert type(info.value) is RuntimeError
-        assert_no_child()
         ref = self.REF.read_text(encoding="ascii").splitlines()
         z = next(i for i, line in enumerate(ref) if line.startswith("z-"))
         assert capsys.readouterr().out.splitlines() == ref[:z]
 
     def test_every_suite_is_one_task_submitted_at_once_longest_first(
-            self, capsys, monkeypatch, pools):
+            self, capsys, monkeypatch, maps):
         assert sorted(verify.LONGEST_FIRST) == sorted(verify.SUITES)
         for cpus, workers in ((2, 2), (64, len(verify.SUITES))):
             monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
-            pools.clear()
+            maps.clear()
             rc, out, _ = run_cli(capsys, "verify", "--suite", "all")
             assert rc == 0 and out == self.REF.read_text(encoding="ascii")
-            assert [p.workers for p in pools] == [workers]
-            assert [args[0] for args in pools[0].submitted] == list(verify.LONGEST_FIRST)
-            assert pools[0].peak == len(verify.SUITES)
-        pools.clear()
+            assert [m.workers for m in maps] == [workers]
+            assert [args[0] for args in maps[0].taken] == list(verify.LONGEST_FIRST)
+            assert maps[0].peak == len(verify.SUITES)
+        maps.clear()
         rc, _, _ = run_cli(capsys, "verify", "--suite", "hermite")
-        assert rc == 0 and pools == []
+        assert rc == 0 and maps == []
+
+
+def call(f, *args):
+    return f(*args)
+
+
+def wait_or_mark(directory, i, text):
+    """Task 0 waits, for at most 30 s, until tasks 1-5 have each left a
+    mark in ``directory``; task i > 0 leaves its mark and returns ``text``
+    with i appended."""
+    if i > 0:
+        Path(directory, str(i)).touch()
+        return text + str(i)
+    deadline = time.monotonic() + 30
+    while len(os.listdir(directory)) < 5:
+        if time.monotonic() > deadline:
+            raise TimeoutError("tasks 1-5 waited behind task 0")
+        time.sleep(0.01)
+    return "waited"
 
 
 class TestForkPool:
@@ -1102,39 +1108,60 @@ class TestForkPool:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
 
-    def test_tasks_go_to_the_free_worker_and_messages_may_be_long(self):
-        with cli._ForkPool(2) as pool:
-            slow = pool.submit(time.sleep, 60)
-            # each message is longer than a pipe buffer, both ways
-            quick = [pool.submit(operator.add, "ab" * 100_000, str(i)) for i in range(5)]
-            assert [q.result() for q in quick] == ["ab" * 100_000 + str(i) for i in range(5)]
-            assert not slow.done()
-        assert_no_child()
+    def test_tasks_go_to_the_free_worker_and_messages_may_be_long(self, tmp_path):
+        # task 0 holds its worker until tasks 1-5 are done, so all of them
+        # must go to the other worker; each message is longer than a pipe
+        # buffer, both ways
+        text = "ab" * 100_000
+        tasks = [(str(tmp_path), i, text) for i in range(6)]
+        with no_leak():
+            got = list(cli._fork_map(wait_or_mark, tasks, 2, 6))
+        assert got == list(zip(tasks, [(True, "waited")]
+                               + [(True, text + str(i)) for i in range(1, 6)]))
 
     def test_a_task_exception_reaches_the_caller_unchanged(self):
-        with cli._ForkPool(2) as pool:
-            bad, good = pool.submit(int, "x"), pool.submit(int, "7")
-            with pytest.raises(ValueError, match="^invalid literal for int"):
-                bad.result()
-            assert bad.done() and good.result() == 7
-        assert_no_child()
+        for workers in (1, 2):  # here, and in a worker
+            with no_leak():
+                (_, (ok, exc)), good = cli._fork_map(int, [("x",), ("7",)], workers, 2)
+            assert not ok and type(exc) is ValueError
+            assert str(exc).startswith("invalid literal for int")
+            assert good == (("7",), (True, 7))
 
     def test_a_lost_worker_fails_its_task_and_the_last_one_the_queue(self):
-        with cli._ForkPool(3) as pool:
-            killed = pool.submit(signal.raise_signal, signal.SIGKILL)
-            exited = pool.submit(os._exit, 3)
-            unsent = pool.submit(threading.Lock)  # a lock cannot be pickled
-            queued = pool.submit(len, "abc")
-            for future, how in ((killed, "killed by signal 9"), (exited, "exit status 3"),
-                                (unsent, "exit status 1")):
-                with pytest.raises(cli.WorkerLost, match=rf"^lost worker process \d+ \({how}\)$"):
-                    future.result()
-            with pytest.raises(cli.WorkerLost, match="^lost every worker process$"):
-                queued.result()
-        assert_no_child()
+        tasks = [(signal.raise_signal, signal.SIGKILL), (os._exit, 3),
+                 (threading.Lock,),  # a lock cannot be pickled
+                 (len, "abc")]
+        with no_leak():  # the lost workers' pipe ends are closed too
+            got = list(cli._fork_map(call, tasks, 3, 4))
+        assert [args for args, _ in got] == tasks
+        for (_, (ok, exc)), how in zip(got, ("killed by signal 9", "exit status 3",
+                                             "exit status 1")):
+            assert not ok and type(exc) is cli.WorkerLost
+            assert re.fullmatch(rf"lost worker process \d+ \({how}\)", str(exc)), exc
+        assert not got[3][1][0] and str(got[3][1][1]) == "lost every worker process"
 
-    # a script run as ``python -c SCRIPT COMMAND...``: two CPUs, chunks of 4
-    # lines, and a worker that decodes the line 'A_' kills itself
+    def test_a_map_closed_early_leaves_no_child_and_no_fd(self):
+        tasks = [(len, "ab"), (time.sleep, 60), (len, "abc")]
+        with no_leak():
+            outcomes = cli._fork_map(call, tasks, 2, 3)
+            assert next(outcomes) == ((len, "ab"), (True, 2))
+            outcomes.close()  # kills the worker still in its task
+
+    # a script run as ``python -c SCRIPT COMMAND...``: the command on two
+    # CPUs, exiting with a message if it leaves a child process
+    TWO_CPUS = (
+        "import os, sys\n"
+        "from ramat import cli\n"
+        "cli._cpu_count = lambda: 2\n"
+        "rc = cli.main(sys.argv[1:])\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    sys.exit(rc)\n"
+        "sys.exit('a child process is left')\n"
+    )
+    # the same with chunks of 4 lines, and a worker that decodes the line
+    # 'A_' kills itself
     KILLER = (
         "import os, signal, sys\n"
         "from ramat import cli, verify\n"
@@ -1145,15 +1172,8 @@ class TestForkPool:
         "    return decode(text)\n"
         "cli.graph6_decode = killing\n"
         "verify.suite_z = lambda: os._exit(3)\n"
-        "cli._cpu_count = lambda: 2\n"
         "cli._CHUNK = 4\n"
-        "rc = cli.main(sys.argv[1:])\n"
-        "try:\n"
-        "    os.waitpid(-1, os.WNOHANG)\n"
-        "except ChildProcessError:\n"
-        "    sys.exit(rc)\n"
-        "sys.exit('a child process is left')\n"
-    )
+    ) + TWO_CPUS
 
     @pytest.mark.parametrize("command", ["analyze", "batch", "verify"])
     def test_a_lost_worker_names_its_input_and_exits_1(self, capsys, tmp_path, command):
@@ -1178,6 +1198,21 @@ class TestForkPool:
         assert re.fullmatch(rf"ramat: {re.escape(where)}: lost worker process \d+ \({how}\)\n",
                             proc.stderr), proc.stderr
         assert proc.stdout.splitlines() == out
+
+    @pytest.mark.parametrize("command", ["analyze", "batch", "verify"])
+    def test_a_closed_stdout_is_exit_1_and_leaves_no_child(self, tmp_path, command):
+        f = tmp_path / "input.g6"
+        f.write_text("C~\n" * 2000, encoding="ascii")
+        argv = {"analyze": ["analyze", str(f)], "batch": ["batch", str(f)],
+                "verify": ["verify", "--suite", "all"]}[command]
+        proc = subprocess.Popen(
+            [sys.executable, "-c", self.TWO_CPUS, *argv],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # before the first line is written
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (1, b"")
 
     # the environment of a script whose stdout, a pipe, is block-buffered
     BUFFERED = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
@@ -1209,8 +1244,8 @@ class TestForkPool:
             "import os, signal, sys\n"
             "from ramat import cli\n"
             "sys.stdout.write('never flushed\\n')\n"
-            "pool = cli._ForkPool(2)\n"
-            "assert pool.submit(len, 'ab').result() == 2\n"
+            "outcomes = cli._fork_map(len, [('ab',), ('abc',)], 2, 2)\n"
+            "assert next(outcomes) == (('ab',), (True, 2))\n"
             "os.kill(os.getpid(), signal.SIGKILL)\n"
         )
         proc = subprocess.run(
@@ -1220,7 +1255,7 @@ class TestForkPool:
         assert (proc.returncode, proc.stdout, proc.stderr) == (-signal.SIGKILL, "", "")
 
 
-# the modules the CLI's pool imports at its first use; the CLI never imports
+# the modules the CLI's fork map imports when it forks; the CLI never imports
 # multiprocessing or concurrent.futures, whose import made its peak RSS
 # about 1.6 MB larger
 POOL_MODULES = ("pickle", "selectors")

@@ -1,0 +1,8 @@
+"""``python -m ramat``: the ``ramat`` command line."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

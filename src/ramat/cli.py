@@ -20,6 +20,7 @@ from itertools import chain, islice
 from . import theorems, verify
 from .graphs import (
     Graph,
+    _closed_classes,
     _graph6_lines,
     binary_graph,
     complement,
@@ -35,7 +36,6 @@ from .graphs import (
     graph6_encode,
     is_bipartite,
     is_connected,
-    is_neighborhood_distinguishable,
     kneser,
     path,
     subgraph,
@@ -58,7 +58,7 @@ from .products import (
     strong,
     tensor,
 )
-from .ra_core import _record, _verdict, classify, is_ra, kernel_mod_p
+from .ra_core import _Lattice, _record, _verdict, classify, is_ra, kernel_mod_p
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -483,12 +483,14 @@ BATCH_CATEGORIES = (
 def batch_category(g: Graph):
     """Table bucket for one graph: girth band, distinguishability, RA status.
     A graph with closed twins is never RA (its RA matrix has two equal
-    columns), so its row, nbhd-indistinguishable, asks no lattice."""
+    columns), so its row, nbhd-indistinguishable, asks no lattice; a
+    twin-free graph's lattice takes the classes already made."""
     gi = girth(g)
     if gi == 3:
-        if not is_neighborhood_distinguishable(g):
+        classes = _closed_classes(g)
+        if len(classes) < g.n:
             return ("3", "nbhd-indistinguishable")
-        ra = is_ra(g)
+        ra = _Lattice(g, classes).ra
         return ("3", "nbhd-distinguishable-ra" if ra else "nbhd-distinguishable-not-ra")
     if gi == 4:
         return ("4", "ra" if is_ra(g) else "not-ra")

@@ -4,10 +4,12 @@ Vertices are numbered 1..n in every public API.  Adjacency is held as one
 bitmask per vertex (bit ``j`` set means adjacent to vertex ``j+1``), which
 makes closed-neighborhood intersections single AND operations.  The
 family builders write each vertex's mask from a formula, and the graph6
-codec holds the whole upper triangle as one int: decoding translates the
-body into one bit string and parses it once, encoding packs each column's
-mask into the int and formats it once, and the columns are read off the
-int as masks; no library code goes through an edge list.  The structural
+codec works on one int: decoding a graph on at most 32 vertices adds up one
+table entry per body byte, the masks its edges set, packed in fields of 8,
+16 or 32 bits; a larger graph's body is translated into one bit string of
+the upper triangle and parsed once, and its columns are read off the int
+as masks; encoding packs each column's mask into the int and formats it
+once.  No library code goes through an edge list.  The structural
 queries run on masks too: girth 3 is an edge whose ends share a
 neighbour, and otherwise one breadth-first search yields each distance
 layer as a vertex bitmask, and girth, bipartiteness, components and
@@ -22,9 +24,14 @@ raises ``ValueError`` past that budget before it builds anything.
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 from binascii import b2a_base64
+from functools import lru_cache
 from itertools import combinations
 from math import comb
+
+from .intlin import _SubsetSums
 
 __all__ = [
     "Graph",
@@ -90,8 +97,8 @@ class Graph:
         are in range, loop-free and symmetric by construction.  The public
         constructor, ``from_edges`` and unpickling check every bit."""
         g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", tuple(adj))
+        _set_n(g, n)
+        _set_adj(g, tuple(adj))
         return g
 
     @classmethod
@@ -137,6 +144,10 @@ class Graph:
 
     def closed_mask(self, v: int) -> int:
         return self.adj[v - 1] | (1 << (v - 1))
+
+
+# the slots' own setters, which bypass Graph.__setattr__
+_set_n, _set_adj = Graph.n.__set__, Graph.adj.__set__
 
 
 def _bits(mask: int):
@@ -385,6 +396,8 @@ def is_neighborhood_distinguishable(g: Graph) -> bool:
 _G6_HEADER = ">>graph6<<"
 _G6_MAX_N = 1 << 18
 _G6_PRINTABLE = bytes(range(63, 127))
+# each printable byte onto its 6 bits
+_G6_VALUES = bytes.maketrans(_G6_PRINTABLE, bytes(range(64)))
 # each body character as its 6 bits, most significant first
 _G6_BITS = {63 + k: f"{k:06b}" for k in range(64)}
 # the base64 alphabet, whose k-th character stands for the 6 bits of k, onto
@@ -392,6 +405,29 @@ _G6_BITS = {63 + k: f"{k:06b}" for k in range(64)}
 _BASE64_TO_G6 = bytes.maketrans(
     b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
     _G6_PRINTABLE)
+
+
+# up to this many vertices, decoding adds up one table entry per body byte;
+# the n = 32 tables, kept alone, hold about 0.9 MB
+_G6_TABLE_MAX_N = 32
+# the unsigned array typecode of each field width whose items are read off
+# little-endian bytes; a width missing here is split off the int by shifts
+_G6_CODES = ({8 * array(c).itemsize: c for c in "HI"}
+             if sys.byteorder == "little" else {})
+
+
+@lru_cache(maxsize=1)
+def _g6_tables(n: int):
+    """(w, tables) for graphs on n vertices: one ``intlin._SubsetSums`` per
+    body byte, keyed by its 6 bits, whose edge (i, j) sets bit j of field i
+    and bit i of field j of one int, in fields of w = 8, 16 or 32 bits.
+    Only the latest n's are kept."""
+    w = 8 if n <= 8 else 16 if n <= 16 else 32
+    edges = [1 << w * i + j | 1 << w * j + i
+             for j in range(1, n) for i in range(j)]
+    edges += [0] * (-len(edges) % 6)  # the padding bits add nothing
+    # the first edge of a byte is its most significant bit
+    return w, [_SubsetSums(edges[p:p + 6][::-1]) for p in range(0, len(edges), 6)]
 
 
 def _check_printable(data: bytes) -> None:
@@ -410,36 +446,49 @@ def graph6_decode(text: str) -> Graph:
         s = s[len(_G6_HEADER):].strip()
     if not s:
         raise ValueError("empty graph6 string")
-    data = s.encode("ascii", errors="strict")
-    _check_printable(data[:4 if data[0] == 126 else 1])
+    data = s.encode("ascii")
     if data[0] != 126:
+        if not 63 <= data[0] <= 126:
+            _check_printable(data[:1])
         n = data[0] - 63
         start = 1
     else:
+        _check_printable(data[:4])
         if len(data) < 4:
             raise ValueError("truncated graph6 size header")
         if data[1] == 126:
             raise ValueError("graph6 sizes beyond 2^18 vertices not supported")
         n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        # a one-byte header's n is at most 62, within the budget
+        _check_vertices(f"a graph6 input of {n} vertices", n)
         start = 4
     if n < 1:
         raise ValueError(f"graph6 vertex count {n} out of supported range")
-    _check_vertices(f"a graph6 input of {n} vertices", n)
-    _check_printable(data[start:])
-    body = s[start:]
+    body = data[start:]
+    _check_printable(body)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(body) != nbytes:
         raise ValueError(
             f"graph6 body length {len(body)} does not match {nbytes} for n={n}"
         )
+    # the padding, fewer than 6 bits, is the low end of the last byte
+    if (data[-1] - 63) & (1 << -nbits % 6) - 1:
+        raise ValueError("nonzero trailing bits in graph6 body")
+    if n <= _G6_TABLE_MAX_N:
+        w, tables = _g6_tables(n)
+        x = sum(map(dict.__getitem__, tables, body.translate(_G6_VALUES)))
+        if w == 8:  # the bytes are the masks
+            return Graph._of_masks(n, x.to_bytes(n, "little"))
+        code = _G6_CODES.get(w)
+        if code:
+            return Graph._of_masks(n, array(code, x.to_bytes(n * w // 8, "little")))
+        mask = (1 << w) - 1
+        return Graph._of_masks(n, [x >> w * i & mask for i in range(n)])
     # 6 bits per byte, most significant first, hold the upper triangle column
     # by column; read in reverse, bit i + j(j-1)/2 of one int is row i of
     # column j, so each column is one mask
-    bits = body.translate(_G6_BITS)
-    if "1" in bits[nbits:]:
-        raise ValueError("nonzero trailing bits in graph6 body")
-    x = int(bits[nbits - 1::-1], 2) if nbits else 0
+    x = int(s[start:].translate(_G6_BITS)[nbits - 1::-1], 2)
     adj = [0] * n
     for j in range(1, n):
         adj[j] = col = x & (1 << j) - 1

@@ -503,7 +503,7 @@ class _SubsetSums(dict):
     """The sums of the subsets of up to eight vectors, keyed by the byte
     whose set bits pick them (Four Russians), each made when first asked
     for; a 0/1 row is summed from one per eight columns, indexed by its
-    bytes."""
+    bytes, and a graph6 body from one per byte (``graphs._g6_tables``)."""
 
     __slots__ = ("vectors",)
 

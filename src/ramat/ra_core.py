@@ -186,10 +186,12 @@ class _Lattice:
 
     __slots__ = ("n", "ra", "twins", "_basis", "_quotient")
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, classes=None):
+        """``classes``, when given, is ``graphs._closed_classes(g)``."""
         n = self.n = g.n
         self._basis = self._quotient = self.twins = None
-        classes = _closed_classes(g)
+        if classes is None:
+            classes = _closed_classes(g)
         if len(classes) < n:
             h, cls = _twin_quotient(classes, n)
             self.ra = False

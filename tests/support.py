@@ -250,6 +250,23 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return Graph(n, adj)
 
 
+def textbook_graph6(text: str) -> Graph:
+    """A well-formed graph6 string read as McKay's format describes it: a
+    size of one byte, or '~' and three bytes, each byte 63 plus 6 bits, then
+    the upper triangle of the adjacency matrix column by column, 6 bits per
+    byte, most significant first, with zero padding."""
+    values = [ord(c) - 63 for c in text]
+    if values[0] == 63:
+        n = values[1] << 12 | values[2] << 6 | values[3]
+        body = values[4:]
+    else:
+        n, body = values[0], values[1:]
+    bits = [x >> (5 - t) & 1 for x in body for t in range(6)]
+    pairs = [(i, j) for j in range(1, n + 1) for i in range(1, j)]
+    assert len(body) == (len(pairs) + 5) // 6 and not any(bits[len(pairs):])
+    return Graph.from_edges(n, [p for p, bit in zip(pairs, bits) if bit])
+
+
 def activation_rows(g: Graph) -> list:
     """Adjacency plus identity: row v is the bit vector of N[v]."""
     return [[g.closed_mask(v) >> j & 1 for j in range(g.n)] for v in g.vertices()]

@@ -1275,6 +1275,32 @@ class TestImports:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_imports_build_no_graph6_table(self):
+        # the decode tables are filled by the first decode of each size, not
+        # at import, which every pass of a fresh process would pay for
+        script = ("import gc, sys, ramat, ramat.cli\n"
+                  "from ramat import graphs, intlin\n"
+                  "sys.exit(graphs._g6_tables.cache_info().currsize + sum(\n"
+                  "    type(o) is intlin._SubsetSums for o in gc.get_objects()))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_python_dash_m_ramat_runs_the_cli(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ramat", "analyze", "--tsv", "-"],
+            input="C~\nA@\n",
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout.startswith("C~\t")
+        assert proc.stderr == ("ramat: stdin line 2: nonzero trailing bits "
+                               "in graph6 body\n")
+
     @pytest.mark.parametrize("command, lines, one_cpu", [
         ("analyze", 3, False), ("batch", 3, False),
         ("analyze", 600, True), ("batch", 600, True),

@@ -1,6 +1,7 @@
 """Families, structural queries, and the graph6 codec (cross-checked against
 networkx's independent implementation of the format)."""
 
+import gc
 import pickle
 import random
 import time
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramat import graphs, intlin
 from ramat.graphs import (
     Graph,
     binary_graph,
@@ -38,7 +40,12 @@ from ramat.graphs import (
     subgraph,
 )
 
-from support import are_isomorphic, random_graph
+from support import (
+    are_isomorphic,
+    connected_8_vertex_file,
+    random_graph,
+    textbook_graph6,
+)
 
 
 class TestFamilies:
@@ -205,6 +212,18 @@ class TestQueries:
                 subgraph(cycle(5), verts)
 
 
+def long_header(n: int) -> str:
+    """The four-byte graph6 size header of n."""
+    return "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+
+
+# one size header per case of the decoder: the one-byte header up to 32
+# vertices (read through tables) and past 32 (the column loop), and the
+# four-byte header on both sides
+G6_HEADERS = [*((n, chr(63 + n)) for n in (*range(1, 13), 32, 33)),
+              (5, long_header(5)), (70, long_header(70))]
+
+
 class TestGraph6:
     def test_known_kernel_witness_strings_decode(self):
         g = graph6_decode("I?otQji\\O")
@@ -262,21 +281,120 @@ class TestGraph6:
         assert graph6_decode(graph6_encode(g)) == g
 
     def test_malformed_inputs(self):
-        with pytest.raises(ValueError):
-            graph6_decode("")
-        with pytest.raises(ValueError):
-            graph6_decode("C")  # truncated body for n=4
-        with pytest.raises(ValueError):
-            graph6_decode("B\x1f")  # non-printable byte
-        with pytest.raises(ValueError):
-            graph6_decode("A ")  # byte 32 < 63
-        # the first byte outside the range is named, wherever it is
-        with pytest.raises(ValueError, match=r"^graph6 byte 32 outside "
-                           r"printable range 63\.\.126$"):
-            graph6_decode("D? ~\x7f")
-        # nonzero trailing bits: n=2 needs 1 bit; 6-bit group 000001 is bad
-        with pytest.raises(ValueError):
-            graph6_decode("A@")
+        printable = r" outside printable range 63\.\.126$"
+        for line, message in (
+            ("", r"^empty graph6 string$"),
+            (" \t", r"^empty graph6 string$"),
+            (">>graph6<<", r"^empty graph6 string$"),
+            (">>graph6<< \t ", r"^empty graph6 string$"),
+            ("C", r"^graph6 body length 0 does not match 1 for n=4$"),
+            # the byte 31 is whitespace to str.strip, so n=3 has no body
+            ("B\x1f", r"^graph6 body length 0 does not match 1 for n=3$"),
+            ("B\x1b", r"^graph6 byte 27" + printable),
+            ("A ", r"^graph6 body length 0 does not match 1 for n=2$"),
+            ("A \x7f", r"^graph6 byte 32" + printable),
+            # the first byte outside the range is named, wherever it is
+            ("D? ~\x7f", r"^graph6 byte 32" + printable),
+            ("\x00C~", r"^graph6 byte 0" + printable),
+            ("\x7f", r"^graph6 byte 127" + printable),
+            ("~?\x7f ", r"^graph6 byte 127" + printable),
+            ("~?? ~~", r"^graph6 byte 32" + printable),
+            # nonzero trailing bits: n=2 needs 1 bit; 6-bit group 000001 is bad
+            ("A@", r"^nonzero trailing bits in graph6 body$"),
+            ("?", r"^graph6 vertex count 0 out of supported range$"),
+            ("~???", r"^graph6 vertex count 0 out of supported range$"),
+            ("~", r"^truncated graph6 size header$"),
+            ("~?", r"^truncated graph6 size header$"),
+            ("~??", r"^truncated graph6 size header$"),
+            ("~~", r"^truncated graph6 size header$"),
+            ("~~??", r"^graph6 sizes beyond 2\^18 vertices not supported$"),
+            ("~~~~~~~~", r"^graph6 sizes beyond 2\^18 vertices not supported$"),
+            ("~?O@", r"^a graph6 input of 1025 vertices is past the budget "
+                     r"of 1024 vertices$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                graph6_decode(line)
+
+    def test_header_prefix_and_whitespace(self):
+        for line in (">>graph6<<C~", " >>graph6<< \tC~\n", "C~ \r\n", "\x1fC~"):
+            assert graph6_decode(line) == complete(4)
+
+    @pytest.mark.parametrize("n, head", G6_HEADERS)
+    def test_exact_body_messages(self, n, head):
+        k = (n * (n - 1) // 2 + 5) // 6
+        pad = 6 * k - n * (n - 1) // 2
+        # every last body byte: accepted exactly when its padding bits are 0
+        for b in range(63, 127) if k else ():
+            line = head + "?" * (k - 1) + chr(b)
+            if (b - 63) % (1 << pad):
+                with pytest.raises(ValueError, match=r"^nonzero trailing bits "
+                                   r"in graph6 body$"):
+                    graph6_decode(line)
+            else:
+                assert graph6_decode(line) == textbook_graph6(line)
+        # a body one byte short or long; its padding bits are set too, and
+        # the length is named first
+        for m in (k - 1, k + 1) if k else (1,):
+            with pytest.raises(ValueError, match=rf"^graph6 body length {m} "
+                               rf"does not match {k} for n={n}$"):
+                graph6_decode(head + "~" * m)
+        # the first byte outside 63..126, ahead of a wrong length, and in the
+        # size header ahead of the body
+        for at in range(k + 1):
+            line = head + "~" * at + " \x7f" + "~" * (k - at)
+            with pytest.raises(ValueError, match=r"^graph6 byte 32 outside"):
+                graph6_decode(line)
+        line = head[:-1] + "\x7f" + "\x00" * k
+        with pytest.raises(ValueError, match=r"^graph6 byte 127 outside"):
+            graph6_decode(line)
+
+    def test_every_labelled_graph_on_up_to_five_vertices(self):
+        for n in range(1, 6):
+            pairs = list(combinations(range(1, n + 1), 2))
+            for bits in range(1 << len(pairs)):
+                g = Graph.from_edges(
+                    n, [p for k, p in enumerate(pairs) if bits >> k & 1])
+                s = graph6_encode(g)
+                assert graph6_decode(s) == textbook_graph6(s) == g, s
+                s = long_header(n) + s[1:]
+                assert graph6_decode(s) == textbook_graph6(s) == g, s
+
+    def test_every_corpus_line(self):
+        for line in connected_8_vertex_file().read_text().split():
+            assert graph6_decode(line) == textbook_graph6(line), line
+
+    def test_random_graphs_across_the_table_and_header_cutoffs(self):
+        rng = random.Random(30)
+        for n in (8, 9, 16, 17, 31, 32, 33, 34, 61, 62, 63, 64):
+            for _ in range(8):
+                s = graph6_encode(random_graph(rng, n, rng.random()))
+                assert s.startswith("~") == (n > 62)
+                assert graph6_decode(s) == textbook_graph6(s), s
+
+    def test_fields_split_by_shifts(self, monkeypatch):
+        # a host with no array typecode of the field width, or big-endian
+        monkeypatch.setattr(graphs, "_G6_CODES", {})
+        rng = random.Random(31)
+        for n in (*range(1, 18), 31, 32):
+            s = graph6_encode(random_graph(rng, n, 0.5))
+            assert graph6_decode(s) == textbook_graph6(s), s
+
+    def test_only_the_latest_table_is_kept(self):
+        def live_tables():
+            gc.collect()
+            return sum(type(o) is intlin._SubsetSums for o in gc.get_objects())
+
+        graphs._g6_tables.cache_clear()
+        before = live_tables()
+        for n in (5, 32, 20, 40, 12):
+            graph6_decode(graph6_encode(complete(n)))
+        # 12 vertices, 66 bits: 11 body bytes, one table each
+        assert live_tables() == before + 11
+        info = graphs._g6_tables.cache_info()
+        graphs._g6_tables(12)
+        assert graphs._g6_tables.cache_info().hits == info.hits + 1
+        graph6_decode(graph6_encode(complete(3)))
+        assert live_tables() == before + 1
 
     def test_over_budget_refused_from_size_header(self):
         # a 3000-vertex line is 750 KB; its size header alone refuses it

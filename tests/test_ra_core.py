@@ -28,8 +28,8 @@ from ramat.graphs import (
     path,
     subgraph,
 )
-from ramat import intlin, ra_core
-from ramat.cli import batch_category
+from ramat import cli, graphs, intlin, ra_core
+from ramat.cli import BATCH_CATEGORIES, batch_category
 from ramat.intlin import IntMatrix, hermite_normal_form, kernel_basis_mod_p
 from ramat.products import cartesian, disjoint_union, pyramid
 from ramat.ra_core import (
@@ -425,6 +425,40 @@ class TestFullBasisOnDemand:
             assert made == [g.n]
             ra_lattice(g)
             assert made == [g.n, g.n]
+
+
+class TestBatchCategory:
+    def test_closed_classes_made_once_per_batch_graph(self, monkeypatch):
+        # a girth-3 or girth-4 graph makes its closed-twin classes once; a
+        # twin-free one hands them to its one lattice, and a graph with
+        # closed twins makes no lattice
+        calls, lattices = [], []
+        real_classes, real_init = graphs._closed_classes, ra_core._Lattice.__init__
+
+        def counted_classes(g):
+            calls.append(g)
+            return real_classes(g)
+
+        def counted_init(self, g, *args):
+            lattices.append(g)
+            real_init(self, g, *args)
+
+        for module in (graphs, ra_core, cli):
+            monkeypatch.setattr(module, "_closed_classes", counted_classes)
+        monkeypatch.setattr(ra_core._Lattice, "__init__", counted_init)
+        seen = set()
+        for line in connected_8_vertex_file().read_text().split():
+            g = graph6_decode(line)
+            ra_core._latest_lattice.cache_clear()
+            calls.clear()
+            lattices.clear()
+            band, category = batch_category(g)
+            assert calls == ([g] if band in "34" else []), line
+            twins = category == "nbhd-indistinguishable"
+            assert lattices == ([g] if band in "34" and not twins else []), line
+            seen.add((band, category))
+        # no connected 8-vertex graph is twin-free, of girth 3 and not RA
+        assert seen == set(BATCH_CATEGORIES) - {("3", "nbhd-distinguishable-not-ra")}
 
 
 def old_batch_category(g):

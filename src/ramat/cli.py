@@ -58,7 +58,16 @@ from .products import (
     strong,
     tensor,
 )
-from .ra_core import _Lattice, _record, _verdict, classify, is_ra, kernel_mod_p
+from .ra_core import (
+    _LANES_MAX_N,
+    _Lattice,
+    _lane_verdicts,
+    _record,
+    _verdict,
+    classify,
+    is_ra,
+    kernel_mod_p,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -124,10 +133,21 @@ def _graphs_of(chunk, errors: list):
         yield g, text
 
 
-def _records_for(g: Graph, text: str | None = None):
+def _ready_verdicts(graphs: list) -> list:
+    """The ``ra_core._lane_verdicts`` of the graphs of at most
+    ``_LANES_MAX_N`` vertices, and None for the larger ones, in order; it
+    is not called when every graph is larger."""
+    small = [g for g in graphs if g.n <= _LANES_MAX_N]
+    ready = iter(_lane_verdicts(small) if small else ())
+    return [next(ready) if g.n <= _LANES_MAX_N else None for g in graphs]
+
+
+def _records_for(g: Graph, text: str | None = None, verdict=None):
     """Classification records, one per connected component.  Connectivity
     is decided here, by one search unless the graph falls apart; each part
-    is connected, so its verdict and record skip the search.
+    is connected, so its verdict and record skip the search.  ``verdict``,
+    when given, is g's ``_verdict`` read off the lanes, and is used only
+    when g is connected.
 
     ``text``, the stripped graph6 line g was decoded from, is a connected
     g's graph6 as it stands when it is the canonical encoding: no
@@ -135,7 +155,7 @@ def _records_for(g: Graph, text: str | None = None):
     decoder refuses a wrong body length and nonzero padding bits, so the
     body is the only one for g."""
     if is_connected(g):
-        rec = _record(g, _verdict(g), True)
+        rec = _record(g, _verdict(g) if verdict is None else verdict, True)
         canonical = text and text[0] != ">" and (g.n > 62 or text[0] != "~")
         rec["graph6"] = text if canonical else graph6_encode(g)
         return [rec]
@@ -184,9 +204,11 @@ def _format_record(rec: dict, tsv: bool, axis: bool) -> str:
 def _analyze_chunk(chunk, tsv: bool, axis: bool):
     """The stdout text of a chunk of ``analyze`` and its error messages."""
     errors: list = []
+    decoded = list(_graphs_of(chunk, errors))
+    ready = _ready_verdicts([g for g, _ in decoded])
     text = "".join(_format_record(rec, tsv, axis)
-                   for g, line in _graphs_of(chunk, errors)
-                   for rec in _records_for(g, line))
+                   for (g, line), c in zip(decoded, ready)
+                   for rec in _records_for(g, line, c))
     return text, errors
 
 
@@ -480,12 +502,19 @@ BATCH_CATEGORIES = (
 )
 
 
-def batch_category(g: Graph):
+def batch_category(g: Graph, verdict=None):
     """Table bucket for one graph: girth band, distinguishability, RA status.
     A graph with closed twins is never RA (its RA matrix has two equal
     columns), so its row, nbhd-indistinguishable, asks no lattice; a
-    twin-free graph's lattice takes the classes already made."""
+    twin-free graph's lattice takes the classes already made.  ``verdict``,
+    when given, is g's ``_verdict`` read off the lanes: "RA" for a
+    twin-free graph, and for a graph with twins only ever "general"."""
     gi = girth(g)
+    if verdict is not None and gi in (3, 4):
+        ra = verdict.status == "RA"
+        if gi == 3:
+            return ("3", "nbhd-distinguishable-ra" if ra else "nbhd-indistinguishable")
+        return ("4", "ra" if ra else "not-ra")
     if gi == 3:
         classes = _closed_classes(g)
         if len(classes) < g.n:
@@ -501,7 +530,8 @@ def _batch_chunk(chunk):
     """The category ``Counter`` of a chunk of ``batch`` and its error
     messages."""
     errors: list = []
-    return Counter(batch_category(g) for g, _ in _graphs_of(chunk, errors)), errors
+    graphs = [g for g, _ in _graphs_of(chunk, errors)]
+    return Counter(map(batch_category, graphs, _ready_verdicts(graphs))), errors
 
 
 def cmd_batch(ns) -> int:

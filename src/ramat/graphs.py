@@ -394,6 +394,9 @@ def is_neighborhood_distinguishable(g: Graph) -> bool:
 # graph6
 
 _G6_HEADER = ">>graph6<<"
+# the whitespace stripped off either end of a graph6 line: line ends, and
+# the spaces and tabs around it; any other byte outside 63..126 is refused
+_G6_SPACE = " \t\r\n"
 _G6_MAX_N = 1 << 18
 _G6_PRINTABLE = bytes(range(63, 127))
 # each printable byte onto its 6 bits
@@ -441,9 +444,9 @@ def graph6_decode(text: str) -> Graph:
 
     A vertex count past MAX_VERTICES is refused from the size header, before
     any pass over the body."""
-    s = text.strip()
+    s = text.strip(_G6_SPACE)
     if s.startswith(_G6_HEADER):
-        s = s[len(_G6_HEADER):].strip()
+        s = s[len(_G6_HEADER):].strip(_G6_SPACE)
     if not s:
         raise ValueError("empty graph6 string")
     data = s.encode("ascii")
@@ -525,9 +528,10 @@ def graph6_encode(g: Graph) -> str:
 
 def _graph6_lines(lines):
     """Yield (line_number, text) for each graph6 line of an iterable of text
-    lines, stripped; blank lines and '>>graph6<<' headers are skipped."""
+    lines, stripped of graph6 whitespace (space, tab, CR, LF); blank lines
+    and '>>graph6<<' headers are skipped."""
     for lineno, raw in enumerate(lines, start=1):
-        s = raw.strip()
+        s = raw.strip(_G6_SPACE)
         if s and s != _G6_HEADER:
             yield lineno, s
 

@@ -250,6 +250,18 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return Graph(n, adj)
 
 
+def with_closed_twins(rng: random.Random, g: Graph) -> Graph:
+    """g with up to two vertices made closed twins of others: each such b
+    takes the closed neighbourhood of a random vertex a, so N[b] = N[a]."""
+    adj = list(g.adj)
+    for _ in range(rng.randint(0, 2) if g.n > 1 else 0):
+        a, b = rng.sample(range(g.n), 2)
+        adj = [m & ~(1 << b) for m in adj]
+        adj[b] = (adj[a] | 1 << a) & ~(1 << b)
+        adj = [m | 1 << b if adj[b] >> u & 1 else m for u, m in enumerate(adj)]
+    return Graph(g.n, adj)
+
+
 def textbook_graph6(text: str) -> Graph:
     """A well-formed graph6 string read as McKay's format describes it: a
     size of one byte, or '~' and three bytes, each byte 63 plus 6 bits, then

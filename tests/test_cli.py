@@ -7,12 +7,14 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import signal
 import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -21,13 +23,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramat import cli, graphs, theorems, verify
+from ramat import cli, graphs, ra_core, theorems, verify
 
 from ramat.cli import main
 from ramat.graphs import Graph, graph6_decode, graph6_encode, complete, crown, cube, cycle, kneser, path
-from ramat.graphs import connected_components
+from ramat.graphs import connected_components, subgraph
 from ramat.products import disjoint_union
 from ramat.ra_core import classification_record, classify, ra_matrix
+
+from support import random_graph, with_closed_twins
 
 
 KNESER_6_2 = "N@Q@YiWw@Ziuesww^_?"  # graph6 of Kn(6,2)
@@ -172,6 +176,151 @@ class TestCorpusStdout:
     def test_json_digest_is_the_benchmark_reference(self):
         with gzip.open(CORPUS_REF, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == CORPUS_JSON_SHA256
+
+
+@st.composite
+def lane_lines(draw):
+    """graph6 lines for the lanes: n from 1 to two past their cutoff,
+    connected or not, with planted closed twins, and malformed lines."""
+    lines = []
+    for _ in range(draw(st.integers(0, 14))):
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        n = draw(st.integers(1, cli._LANES_MAX_N + 2))
+        g = with_closed_twins(rng, random_graph(rng, n, draw(st.sampled_from(
+            (0.05, 0.2, 0.4, 0.7, 0.95)))))
+        kind = draw(st.sampled_from(("plain", "plain", "split", "malformed")))
+        if kind == "split" and n > 1:
+            cut = rng.randint(1, n - 1)
+            g = disjoint_union([subgraph(g, range(1, cut + 1)),
+                                subgraph(g, range(cut + 1, n + 1))])
+        text = graph6_encode(g)
+        if kind == "malformed":
+            text = draw(st.sampled_from((
+                text[:-1], text + "?", "\x1f" + text, text + "\x0c", "~" + text,
+                ">>graph6<<" + text, " \t" + text + "\r")))
+        lines.append(text)
+    return lines
+
+
+class TestLanesDifferential:
+    # analyze and batch with the lanes give the output of the per-graph
+    # path, line by line, on any mix of lines
+    @staticmethod
+    def reference(lines, source, argv):
+        """(exit code, stdout, stderr) of ``argv`` built per line from
+        ``_records_for`` and ``batch_category``, with no lane taken."""
+        out, err, counts = [], [], Counter()
+        for lineno, text in graphs._graph6_lines(lines):
+            try:
+                g = graph6_decode(text)
+            except ValueError as exc:
+                err.append(f"ramat: {source} line {lineno}: {exc}\n")
+                continue
+            if argv[0] == "batch":
+                counts[cli.batch_category(g)] += 1
+            else:
+                tsv, axis = "--tsv" in argv, "--axis" in argv
+                out += [cli._format_record(rec, tsv, axis)
+                        for rec in cli._records_for(g, text)]
+        if argv[0] == "batch":
+            out = ["girth\tcategory\tcount\n"]
+            out += [f"{b}\t{c}\t{counts[b, c]}\n" for b, c in cli.BATCH_CATEGORIES]
+            out.append(f"total\t\t{sum(counts.values())}\n")
+        return 2 if err else 0, "".join(out), "".join(err)
+
+    @staticmethod
+    def run(argv, stdin=""):
+        out, err = io.StringIO(), io.StringIO()
+        data = io.TextIOWrapper(io.BytesIO(stdin.encode("ascii")), encoding="ascii")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.object(sys, "stdin", data):
+            rc = main(argv)
+        return rc, out.getvalue(), err.getvalue()
+
+    def check(self, f, lines, chunk):
+        """Run analyze (JSON, TSV, TSV with axis, stdin) and batch on
+        ``lines`` written to the file ``f``, in chunks of ``chunk`` lines,
+        against the per-line reference."""
+        text = "".join(line + "\n" for line in lines)
+        f.write_text(text, encoding="ascii")
+        runs = [(["analyze", str(f)], str(f)),
+                (["analyze", "--tsv", str(f)], str(f)),
+                (["analyze", "--tsv", "--axis", str(f)], str(f)),
+                (["analyze", "-"], "stdin"),
+                (["batch", str(f)], str(f))]
+        with mock.patch.object(cli, "_lane_verdicts", side_effect=AssertionError), \
+                f.open(encoding="ascii") as fh:
+            file_lines = list(fh)
+            expected = [self.reference(file_lines, source, argv)
+                        for argv, source in runs]
+        # chunks of 3 lines split a file between calls; one process keeps
+        # the examples fast
+        with mock.patch.object(cli, "_CHUNK", chunk), \
+                mock.patch.object(cli, "_cpu_count", return_value=1):
+            for (argv, _), want in zip(runs, expected):
+                assert self.run(argv, text) == want, argv
+
+    @settings(max_examples=80, deadline=None)
+    @given(lane_lines(), st.sampled_from((3, 512)))
+    def test_lanes_change_no_byte(self, tmp_path_factory, lines, chunk):
+        self.check(tmp_path_factory.mktemp("lanes") / "lines.g6", lines, chunk)
+
+    def test_every_batch_row(self, tmp_path):
+        # K2 + C4 has girth 4 and twins, so it is not RA; K3 and K4 have
+        # twins, the 3-cube and crown(8) peel no column by singletons
+        lines = [graph6_encode(g) for g in (
+            complete(1), disjoint_union([complete(1)] * 2), complete(2),
+            complete(3), complete(4), path(4), cycle(4), cycle(5), cube(3),
+            crown(8), disjoint_union([complete(2), cycle(4)]),
+            disjoint_union([cycle(4), complete(3)]), kneser(5, 2))]
+        self.check(tmp_path / "named.g6", lines, 512)
+        rc, out, _ = self.run(["batch", str(tmp_path / "named.g6")])
+        assert rc == 0 and "4\tnot-ra\t3\n" in out
+
+    def test_lanes_are_taken(self, monkeypatch, tmp_path):
+        # the differential test above compares something: analyze and
+        # batch hand every graph of at most _LANES_MAX_N vertices to the
+        # lanes, in one call per chunk
+        calls = []
+        real = cli._lane_verdicts
+        monkeypatch.setattr(cli, "_lane_verdicts",
+                            lambda gs: calls.append([g.n for g in gs]) or real(gs))
+        f = tmp_path / "mixed.g6"
+        f.write_text("C~\n~?@A" + "~" * 5 + "\nA_\n" + graph6_encode(path(32))
+                     + "\nD?{\n", encoding="ascii")
+        assert self.run(["analyze", str(f)])[0] == 2
+        assert self.run(["batch", "--workers", "1", str(f)])[0] == 2
+        assert calls == [[4, 2, 5]] * 2
+
+
+class TestLaneGuard:
+    # graphs above the cutoff, the library and verify never enter the
+    # lanes: only analyze and batch chunks with a small graph do
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for module in (cli, ra_core):
+            real = module._lane_verdicts
+            monkeypatch.setattr(module, "_lane_verdicts",
+                                lambda gs, real=real: calls.append(gs) or real(gs))
+        # verify --suite all runs here, where the counter sees it
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+        return calls
+
+    def test_analyze_above_the_cutoff(self, capsys, calls):
+        rc, out, _ = run_cli(capsys, "analyze", graph6_encode(kneser(12, 3)))
+        assert rc == 0 and json.loads(out)["n"] == 220
+        assert calls == []
+
+    def test_classify(self, calls):
+        for g in (complete(4), crown(8), path(5), cycle(6)):
+            classify(g)
+        assert calls == []
+
+    def test_verify_all(self, capsys, calls):
+        rc, out, _ = run_cli(capsys, "verify", "--suite", "all")
+        assert rc == 0 and out.endswith(" 0 failures\n")
+        assert calls == []
 
 
 class TestRecordFormat:

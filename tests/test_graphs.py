@@ -288,8 +288,14 @@ class TestGraph6:
             (">>graph6<<", r"^empty graph6 string$"),
             (">>graph6<< \t ", r"^empty graph6 string$"),
             ("C", r"^graph6 body length 0 does not match 1 for n=4$"),
-            # the byte 31 is whitespace to str.strip, so n=3 has no body
-            ("B\x1f", r"^graph6 body length 0 does not match 1 for n=3$"),
+            # only space, tab, CR and LF are stripped: every other control
+            # byte is refused where it stands, at either end too
+            ("B\x1f", r"^graph6 byte 31" + printable),
+            ("\x1fC~", r"^graph6 byte 31" + printable),
+            ("C~\x1f", r"^graph6 byte 31" + printable),
+            ("\x0bC~", r"^graph6 byte 11" + printable),
+            ("C~\x0c\n", r"^graph6 byte 12" + printable),
+            (">>graph6<<\x1cC~", r"^graph6 byte 28" + printable),
             ("B\x1b", r"^graph6 byte 27" + printable),
             ("A ", r"^graph6 body length 0 does not match 1 for n=2$"),
             ("A \x7f", r"^graph6 byte 32" + printable),
@@ -316,7 +322,8 @@ class TestGraph6:
                 graph6_decode(line)
 
     def test_header_prefix_and_whitespace(self):
-        for line in (">>graph6<<C~", " >>graph6<< \tC~\n", "C~ \r\n", "\x1fC~"):
+        for line in (">>graph6<<C~", " >>graph6<< \tC~\n", "C~ \r\n",
+                     "\r\n\t C~\t"):
             assert graph6_decode(line) == complete(4)
 
     @pytest.mark.parametrize("n, head", G6_HEADERS)
@@ -419,6 +426,16 @@ class TestGraph6:
         assert isinstance(out[1][1], ValueError)
         assert out[1][0] == 4
         assert isinstance(out[2][1], Graph)
+
+    def test_read_lines_skip_only_graph6_whitespace(self):
+        # a line of a control byte other than tab, CR or LF is no blank
+        # line: it is read, and refused as non-printable
+        lines = ["\x0c\n", " \t\r\n", "C~\x1f\n", "\t>>graph6<<\r\n", "A_\n"]
+        out = list(read_graph6_lines(lines))
+        assert [lineno for lineno, _ in out] == [1, 3, 5]
+        for (_, exc), byte in zip(out, (12, 31)):
+            assert str(exc) == f"graph6 byte {byte} outside printable range 63..126"
+        assert out[2][1] == complete(2)
 
 
 class TestGraphBasics:

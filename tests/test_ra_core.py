@@ -58,6 +58,7 @@ from support import (
     plain_peel,
     ra_row_masks,
     random_graph,
+    with_closed_twins,
     ref_axis_multiple,
     ref_contains,
     ref_hermite,
@@ -644,6 +645,75 @@ class TestPeel:
     @pytest.mark.slow
     def test_kneser_12_3(self):
         assert_peel_matches_full_build(kneser(12, 3))
+
+
+def lane_pool() -> list:
+    """Every labelled graph on 5 vertices, then on 1 to 4, then seeded
+    random graphs with planted closed twins for every n up to the lanes'
+    cutoff, connected or not."""
+    pool = []
+    for n in (5, 1, 2, 3, 4):
+        pairs = list(combinations(range(n), 2))
+        for edges in range(1 << len(pairs)):
+            adj = [0] * n
+            for k, (u, v) in enumerate(pairs):
+                if edges >> k & 1:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+            pool.append(Graph(n, adj))
+    rng = random.Random(31)
+    for n in range(1, ra_core._LANES_MAX_N + 1):
+        for p in (0.05, 0.15, 0.3, 0.5, 0.8):
+            pool += [with_closed_twins(rng, random_graph(rng, n, p)) for _ in range(4)]
+    return pool
+
+
+def expected_lane(g: Graph):
+    """(reps, single, full) of g by the oracles: the first member of each
+    class of closed twins, the vertices alone in theirs, and whether the
+    singleton peel of the RA rows kept to reps takes all of reps."""
+    classes = graphs._closed_classes(g).values()
+    reps = sum(m & -m for m in classes)
+    single = sum(m for m in classes if m & m - 1 == 0)
+    rows = [m & reps for m in ra_row_masks(g)]
+    return reps, single, plain_peel(rows, pairs=False) == reps
+
+
+class TestLanes:
+    @pytest.mark.parametrize("size", [1, 511, 512, 513])
+    def test_against_the_closed_classes_peel_and_verdict(self, size):
+        pool = lane_pool()
+        decided = 0
+        for start in range(0, len(pool), size):
+            chunk = pool[start:start + size]
+            for n in {g.n for g in chunk}:
+                group = [g for g in chunk if g.n == n]
+                for g, done, reps, single in zip(
+                        group, *ra_core._lane_peel(group, n)):
+                    assert (reps, single, bool(done)) == expected_lane(g)
+            verdicts = ra_core._lane_verdicts(chunk)
+            assert len(verdicts) == len(chunk)
+            for g, c in zip(chunk, verdicts):
+                assert (c is not None) == expected_lane(g)[2]
+                if c is not None:
+                    decided += 1
+                    ra_core._latest_lattice.cache_clear()
+                    assert c == ra_core._verdict(g), graph6_encode(g)
+        # both kinds of lane occur, at every chunk size
+        assert 0 < decided < len(pool)
+
+    def test_a_lane_is_one_bit_wider_than_n(self):
+        # the widest n of each lane width, with the guard bit as the lane's
+        # top bit: K_n and the path are decided; no RA row of the
+        # complement of C_n (n >= 7) has fewer than n - 4 vertices, so it
+        # is not
+        for n in (7, 15, 31):
+            hard = graphs.complement(cycle(n))
+            chunk = [complete(n), path(n), hard] * 3
+            verdicts = ra_core._lane_verdicts(chunk)
+            for g, c in zip(chunk, verdicts):
+                ra_core._latest_lattice.cache_clear()
+                assert c == (None if g == hard else ra_core._verdict(g))
 
 
 # SHA-256 of to_text(), the pivot columns and the diagonal of the full

@@ -21,6 +21,7 @@ from . import theorems, verify
 from .graphs import (
     Graph,
     _closed_classes,
+    _graph6_chunk,
     _graph6_lines,
     binary_graph,
     complement,
@@ -59,7 +60,6 @@ from .products import (
     tensor,
 )
 from .ra_core import (
-    _LANES_MAX_N,
     _Lattice,
     _lane_verdicts,
     _record,
@@ -117,29 +117,30 @@ def _iter_graph6_inputs(args):
             yield source, None, str(exc)
 
 
-def _graphs_of(chunk, errors: list):
-    """Decode the (source, line_number, text) items of a chunk into (graph,
-    text) pairs, appending the message of each item that is no graph to
-    ``errors``."""
+def _graphs_of(chunk, errors: list, connected: bool = False) -> list:
+    """The (graph, text, verdict) triple of each (source, line_number,
+    text) item of a chunk that decodes, in order, appending the message
+    of each item that is no graph to ``errors``.  The lines are decoded by
+    ``graphs._graph6_chunk``, and the verdict is the lanes' for a graph
+    they decide (``ra_core._lane_verdicts``, with ``connected``), else
+    None."""
+    texts = [text for _, lineno, text in chunk if lineno is not None]
+    decoded, lanes = _graph6_chunk(texts)
+    ready = [None] * len(texts)
+    for n, (picked, adj) in lanes.items():
+        for i, c in zip(picked, _lane_verdicts(n, adj, len(picked), connected)):
+            ready[i] = c
+    out, got = [], iter(zip(decoded, texts, ready))
     for source, lineno, text in chunk:
         if lineno is None:  # the source itself could not be read
             errors.append(text)
             continue
-        try:
-            g = graph6_decode(text)
-        except ValueError as exc:
-            errors.append(f"{source} line {lineno}: {exc}")
-            continue
-        yield g, text
-
-
-def _ready_verdicts(graphs: list) -> list:
-    """The ``ra_core._lane_verdicts`` of the graphs of at most
-    ``_LANES_MAX_N`` vertices, and None for the larger ones, in order; it
-    is not called when every graph is larger."""
-    small = [g for g in graphs if g.n <= _LANES_MAX_N]
-    ready = iter(_lane_verdicts(small) if small else ())
-    return [next(ready) if g.n <= _LANES_MAX_N else None for g in graphs]
+        item = next(got)
+        if isinstance(item[0], ValueError):
+            errors.append(f"{source} line {lineno}: {item[0]}")
+        else:
+            out.append(item)
+    return out
 
 
 def _records_for(g: Graph, text: str | None = None, verdict=None):
@@ -202,12 +203,12 @@ def _format_record(rec: dict, tsv: bool, axis: bool) -> str:
 
 
 def _analyze_chunk(chunk, tsv: bool, axis: bool):
-    """The stdout text of a chunk of ``analyze`` and its error messages."""
+    """The stdout text of a chunk of ``analyze`` and its error messages.
+    A disconnected graph's records are its components', so the lanes
+    spend no difference round on it."""
     errors: list = []
-    decoded = list(_graphs_of(chunk, errors))
-    ready = _ready_verdicts([g for g, _ in decoded])
     text = "".join(_format_record(rec, tsv, axis)
-                   for (g, line), c in zip(decoded, ready)
+                   for g, line, c in _graphs_of(chunk, errors, True)
                    for rec in _records_for(g, line, c))
     return text, errors
 
@@ -530,8 +531,7 @@ def _batch_chunk(chunk):
     """The category ``Counter`` of a chunk of ``batch`` and its error
     messages."""
     errors: list = []
-    graphs = [g for g, _ in _graphs_of(chunk, errors)]
-    return Counter(map(batch_category, graphs, _ready_verdicts(graphs))), errors
+    return Counter(batch_category(g, c) for g, _, c in _graphs_of(chunk, errors)), errors
 
 
 def cmd_batch(ns) -> int:

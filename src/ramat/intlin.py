@@ -950,8 +950,11 @@ def _build(rows, n: int, stats: dict | None = None) -> _Echelon:
 # rows have 3 and 4 bits, builds and searches a set, about 0.25 ms), so
 # these timings still hold.
 # - _Q_WIDTH: below 32 unpeeled columns the test sped some builds up and
-#   slowed others (crown(20) 36% faster, Kn(7,2) 19% slower), and it slowed
-#   the corpus's, at most 8 unpeeled columns wide, by 18-21%.
+#   slowed others (crown(20) 36% faster, Kn(7,2) 19% slower).  The
+#   8-vertex corpus no longer builds lattices (the CLI's lanes settle all
+#   but crown(8)), so 32 rests on the rest: over ``verify``'s predictor and
+#   Kneser-table suites (one process, Python 3.11, 2-core Xeon, 7
+#   alternating rounds) 32, 16, 8 and 0 took 217, 218, 242 and 236 ms.
 # - _Q_SHARE: the build moves when at most n/4 columns are not unit
 #   pivots.  At n/3, cube(8), Kn(10,3) and the complement of Kn(9,2) were
 #   16-22% slower; at n/6, cube(8) and Kn(12,2) 11-13% slower, while

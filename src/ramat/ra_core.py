@@ -33,15 +33,21 @@ divisor chain (``smith_form``), the axis multiples, whether e_u +- e_v lies
 in the lattice (``contains``) and the kernel mod p.  The graph is RA
 exactly when every column is a unit pivot, and an RA lattice answers
 (1, ..., 1), "both" and [] with no presentation.
-The CLI's ``analyze`` and ``batch`` first hand the graphs of a chunk with
-at most ``_LANES_MAX_N`` vertices to ``_lane_verdicts``, which peels them
-all at once, one lane per graph.  It needs no quotient graph: every RA row
-is a union of classes (if w is in N[v] and N[u] = N[w], then v is in N[u],
-so u is in N[v]; and an intersection of unions of classes is one), so a
-row kept to the first member of each class loses nothing, and the kept
-rows are the twin quotient's rows, with first members for its vertices.
-A lane whose singleton rounds take every first member has its verdict;
-any other graph, and every library call, goes through ``_Lattice``.
+The CLI's ``analyze`` and ``batch`` decode the graph6 lines of a chunk
+with at most ``graphs._LANES_MAX_N`` vertices straight into lanes
+(``graphs._graph6_chunk``): one big int per vertex, one lane per graph,
+holding the vertex's neighbours.  ``_lane_verdicts`` peels those graphs
+all at once.  It needs no quotient graph: every RA row is a union of
+classes (if w is in N[v] and N[u] = N[w], then v is in N[u], so u is in
+N[v]; and an intersection of unions of classes is one), so a row kept to
+the first member of each class loses nothing, and the kept rows are the
+twin quotient's rows, with first members for its vertices.  Singleton
+rounds run on every lane; the lanes they leave undecided are gathered
+into new ints, where the difference rule runs on the pairs (N[u],
+N[u] & N[v]), alternating with singleton rounds until neither finds a
+column.  A lane whose peel takes every first member has its verdict: on
+the 8-vertex corpus, every graph but crown(8), the 3-cube, which is not
+RA.  Any other graph, and every library call, goes through ``_Lattice``.
 ``ra_lattice`` derives the canonical Hermite basis on each call and does
 not keep it.  The latest graph's lattice is kept, so calls on one graph
 (``classify``, a neighborly predictor, ``pair_sign``, ``kernel_mod_p``)
@@ -50,17 +56,19 @@ share at most one echelon build and one presentation.
 
 from __future__ import annotations
 
-import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, starmap
+from itertools import chain, combinations, permutations, starmap
 from operator import and_
 
 from .graphs import (
     Graph,
     _bits,
     _closed_classes,
+    _lane_code,
+    _lane_items,
+    _lane_ones,
     connected_components,
     girth,
     is_bipartite,
@@ -270,76 +278,60 @@ class _Lattice:
 _latest_lattice = lru_cache(maxsize=1)(_Lattice)
 
 
-# The largest n the CLI hands to ``_lane_verdicts``.  Per graph, in one
-# process (Python 3.11, 2-core Xeon), over 1 024 random connected graphs
-# (three in ten with a planted closed twin), the lanes and the ``_verdict``
-# of the lanes they leave took 2.8 us at n = 8 and 23 us at n = 31 for
-# edge density 0.3, against 17.7 and 163 us for ``_verdict`` of every
-# graph.  Where a density of 0.8 leaves almost every lane undecided the
-# lanes alone took 3.5 to 6.3 us, under an eighth of ``_verdict``'s 30 to
-# 2 010 us, so those graphs cost at most a few per cent more than without
-# the lanes.  Past 31 a lane needs 64 bits, and a chunk's rows at n = 63
-# would hold 8 MB, against 1 MB at 31.
-_LANES_MAX_N = 31
-
-
-def _lane_verdicts(graphs: list) -> list:
-    """The verdict of each graph that a singleton peel decides, else None:
-    ``_verdict(g)`` with no ``_Lattice``, for graphs of at most 31
-    vertices.  The graphs of each n go through one ``_lane_peel``.  A lane
-    that peels all its representatives is decided: RA when it has no
-    twins; else its twin quotient is RA, so its divisors are 1s and a 0
-    per vertex past the first of its class, and a vertex has axis
-    multiple 1 when it is alone in its class and 0 when it has a twin."""
-    out = [None] * len(graphs)
-    by_n: dict = {}
-    for i, g in enumerate(graphs):
-        by_n.setdefault(g.n, []).append(i)
-    for n, picked in by_n.items():
-        everyone, ones = (1 << n) - 1, (1,) * n
-        ra = RAClassification("RA", 1, ones, 0, ones)
-        twins: dict = {}  # (reps, single) -> the verdict of a lane with twins
-        for i, done, reps, single in zip(
-                picked, *_lane_peel([graphs[i] for i in picked], n)):
-            if not done:
-                continue
-            if reps == everyone:
-                out[i] = ra
-                continue
+def _lane_verdicts(n: int, adj: list, count: int, connected: bool = False) -> list:
+    """The verdict of each of ``count`` graphs on n <= 31 vertices that
+    the lanes decide, else None: ``_verdict(g)`` with no ``_Lattice``,
+    from the lane ints adj of ``graphs._graph6_chunk``.  A lane that peels
+    all its representatives is decided: RA when it has no twins; else its
+    twin quotient is RA, so its divisors are 1s and a 0 per vertex past
+    the first of its class, and a vertex has axis multiple 1 when it is
+    alone in its class and 0 when it has a twin.  With ``connected``, the
+    lane of a disconnected graph goes no further than the singleton
+    rounds, for a caller that reads no verdict of such a graph."""
+    everyone, ones = (1 << n) - 1, (1,) * n
+    ra = RAClassification("RA", 1, ones, 0, ones)
+    twins: dict = {}  # (reps, single) -> the verdict of a lane with twins
+    out = []
+    for done, reps, single in zip(*_lane_peel(adj, n, count, connected)):
+        c = None
+        if done and reps == everyone:
+            c = ra
+        elif done:
             c = twins.get((reps, single))
             if c is None:
                 k = reps.bit_count()
                 c = twins[reps, single] = RAClassification(
                     "general", None, ones[:k] + (0,) * (n - k), n - k,
                     tuple(single >> v & 1 for v in range(n)))
-            out[i] = c
+        out.append(c)
     return out
 
 
-def _lane_peel(graphs: list, n: int):
-    """(done, reps, single) for graphs that all have n <= 31 vertices, each
-    an array with one item per graph: done is nonzero when the singleton
-    rounds of ``intlin._peel`` take every representative, reps is the mask
-    of the first member of each class of closed twins, in the order of
+def _lane_peel(adj: list, n: int, count: int, connected: bool = False):
+    """(done, reps, single) for ``count`` graphs on n <= 31 vertices, each
+    an array with one item per graph: done is nonzero when the peel of
+    the lanes takes every representative, reps is the mask of the first
+    member of each class of closed twins, in the order of
     ``graphs._closed_classes``, and single the mask of the vertices alone
     in their class.
 
-    The graphs are peeled together, one lane of 8, 16 or 32 bits, at least
-    n + 1, per graph in each big int (broadword computing, Knuth, TAOCP
-    4A, 7.1.3): bit v of lane i of the int of vertex u is N[u] of graph i.
-    A lane test reads the guard bit n: x + (2^n - 1) sets it exactly when
-    the lane's x is not 0, and never carries into the next lane.  A vertex
-    is a first member when its N[v] differs from every earlier one, and
-    the RA rows kept to those representatives are the twin quotient's
-    rows."""
-    # the narrowest unsigned array item of at least n + 1 bits
-    code = next(c for c in "BHIL" if 8 * array(c).itemsize > n)
-    # the ints' lanes are the items of arrays, in the host's byte order
-    order, size = sys.byteorder, len(graphs) * array(code).itemsize
-    one = int.from_bytes(array(code, [1]) * len(graphs), order)
+    The graphs are peeled together, one lane of ``graphs._lane_code(n)``'s
+    width, at least n + 1 bits, per graph in each big int (broadword
+    computing, Knuth, TAOCP 4A, 7.1.3): bit u of lane k of adj[v] is edge
+    uv of graph k.  A lane test reads the guard bit n: x + (2^n - 1) sets
+    it exactly when the lane's x is not 0, and never carries into the next
+    lane.  A vertex is a first member when its N[v] differs from every
+    earlier one, and the RA rows kept to those representatives are the
+    twin quotient's rows.  Singleton rounds run on every lane; the lanes
+    they leave undecided are gathered into new ints, where difference
+    rounds (``_lane_differences``) alternate with singleton rounds until
+    neither finds a column.  With ``connected``, the rows of a lane whose
+    graph is not connected (``_lane_connected``) are cleared before the
+    difference rounds, so the singletons decide it or nothing does."""
+    code = _lane_code(n)
+    one = _lane_ones(code, count)
     low, top = one * ((1 << n) - 1), one << n  # bits 0..n-1, and bit n
-    adj = array(code, chain.from_iterable(g.adj for g in graphs))
-    closed = [int.from_bytes(adj[v::n], order) | one << v for v in range(n)]
+    closed = [a | one << v for v, a in enumerate(adj)]
     # guard bits: v has no equal earlier N[u], and v has no twin at all
     first, alone = [top] * n, [top] * n
     for u, v in combinations(range(n), 2):
@@ -350,8 +342,55 @@ def _lane_peel(graphs: list, n: int):
     # the flag of v moves from the guard bit to bit v
     reps = sum(f >> n - v for v, f in enumerate(first))
     single = sum(f >> n - v for v, f in enumerate(alone))
-    rows = [m & reps for m in closed]
-    rows += starmap(and_, combinations(rows, 2))
+    peeled, _ = _lane_singletons(_lane_rows([m & reps for m in closed]), n, one)
+    done = _lane_items(top & ~((peeled ^ reps) + low), code, count)
+    left = [k for k, d in enumerate(done) if not d]
+    if left:
+        live = reps & ~peeled  # the columns each lane has left
+        if len(left) < count:  # gather the undecided lanes
+            closed = [_lane_pick(m, code, count, left) for m in closed]
+            live = _lane_pick(live, code, count, left)
+            one = _lane_ones(code, len(left))
+        rows = [m & live for m in closed]  # all zero at the peeled columns
+        if connected:  # a disconnected graph's lane peels nothing more
+            keep = _lane_connected(closed, n, one)
+            rows = [r & keep for r in rows]
+        peeled = _lane_differences(rows, n, one)
+        decided = _lane_items(
+            one << n & ~((peeled ^ live) + one * ((1 << n) - 1)), code, len(left))
+        for k, d in zip(left, decided):
+            done[k] = d
+    return done, _lane_items(reps, code, count), _lane_items(single, code, count)
+
+
+def _lane_connected(closed: list, n: int, one: int) -> int:
+    """The int whose lanes are 2^n - 1 where the closed rows ``closed``
+    are a connected graph's and 0 elsewhere: the vertices reached from
+    vertex 0 grow by the N[v] of each v reached, in every lane at once,
+    until none grows."""
+    low = one * ((1 << n) - 1)
+    reach = one
+    while True:
+        # N[v] in the lanes where v is reached: bit v spread over 0..n-1
+        grown = 0
+        for v, c in enumerate(closed):
+            grown |= c & (reach >> v & one) * ((1 << n) - 1)
+        if grown == reach:
+            f = one << n & ~((reach ^ low) + low)
+            return f - (f >> n)
+        reach = grown
+
+
+def _lane_rows(closed: list) -> list:
+    """The RA rows of the lanes: the closed rows, then their pairwise
+    intersections."""
+    return closed + list(starmap(and_, combinations(closed, 2)))
+
+
+def _lane_singletons(rows: list, n: int, one: int):
+    """(peeled, rows): the columns that singleton rounds take off the lane
+    rows, and the nonzero rows left, cleared at those columns."""
+    low, top = one * ((1 << n) - 1), one << n
     peeled = 0
     while True:
         units = 0
@@ -362,11 +401,40 @@ def _lane_peel(graphs: list, n: int):
             f = top & ~((r & (r | top) - one) + low)
             units |= r & f - (f >> n)
         if not units:
-            break
+            return peeled, rows
         peeled |= units
         rows = [x for r in rows if (x := r & ~units)]
-    done = top & ~((peeled ^ reps) + low)
-    return tuple(array(code, x.to_bytes(size, order)) for x in (done, reps, single))
+
+
+def _lane_differences(closed: list, n: int, one: int) -> int:
+    """The columns taken off the lane rows of the closed rows ``closed``,
+    already peeled by singletons, by difference rounds, each followed by
+    singleton rounds, until a difference round finds none.  A difference
+    round is ``intlin._peel``'s rule on the pairs (N[u], N[u] & N[v]): a
+    lane where they differ in one column w puts e_w in the lattice."""
+    low, top = one * ((1 << n) - 1), one << n
+    rows, peeled = _lane_rows(closed), 0
+    while True:
+        units = 0
+        outside = [c ^ low for c in closed]  # the complements, lane by lane
+        for u, v in permutations(range(n), 2):
+            d = closed[u] & outside[v]
+            f = top & ~((d & (d | top) - one) + low)
+            units |= d & f - (f >> n)
+        if not units:
+            return peeled
+        more, rows = _lane_singletons(
+            [x for r in rows if (x := r & ~units)], n, one)
+        peeled |= units | more
+        closed = [c & ~peeled for c in closed]
+
+
+def _lane_pick(x: int, code: str, count: int, picked: list) -> int:
+    """The int of the lanes ``picked`` of x, in that order."""
+    q = array(code).itemsize
+    data = x.to_bytes(count * q, "little")
+    return int.from_bytes(b"".join([data[k * q:k * q + q] for k in picked]),
+                          "little")
 
 
 def ra_lattice(g: Graph) -> HermiteForm:

@@ -4,7 +4,7 @@ The normal-form oracles here deliberately share no code with the library:
 a first-nonzero-pivot textbook Smith reduction, a textbook Hermite form
 with the lattice membership and axis multiples read off it, for small
 matrices divisor chains obtained from gcds of k x k minors, and a peel of
-0/1 rows that compares every pair of rows.
+0/1 rows that compares every pair of rows, or the pairs it is given.
 Disagreement with the library on any input is a test failure.
 """
 
@@ -186,24 +186,53 @@ def ref_axis_multiple(rows, i: int) -> int:
     return basis[-1][-1] if pivots and pivots[-1] == n else 0
 
 
-def plain_peel(masks, pairs: bool = True) -> int:
+def plain_peel(masks, pairs=True) -> int:
     """The columns a peel takes off 0/1 rows (ints, bit j at column j), as
     a mask.  With the columns taken so far cleared in every row, a column
     w is taken when some row is {w}, or, with ``pairs``, when two rows
     differ in w alone; every pair of rows is compared, until a full scan
-    takes nothing.  Clearing more columns keeps every such row or pair, so
-    the columns taken do not depend on the order."""
+    takes nothing.  ``pairs`` may instead be a list of index pairs (i, j):
+    then only masks[i] and masks[j] are compared, for each.  Clearing more
+    columns keeps every such row or pair, so the columns taken do not
+    depend on the order."""
     peeled, grew = 0, True
     while grew:
         grew = False
-        rows = {m & ~peeled for m in masks} | {0}
-        for s in rows:
-            for r in rows if pairs else (0,):
-                d = s ^ r
-                if d and not d & (d - 1):
-                    peeled |= d
-                    grew = True
+        rows = [m & ~peeled for m in masks]
+        if pairs is True or pairs is False:
+            kept = set(rows) | {0}
+            compared = [(s, r) for s in kept for r in (kept if pairs else (0,))]
+        else:
+            compared = [(s, 0) for s in rows] + [(rows[i], rows[j]) for i, j in pairs]
+        for s, r in compared:
+            d = s ^ r
+            if d and not d & (d - 1):
+                peeled |= d
+                grew = True
     return peeled
+
+
+def lane_expectation(g: Graph):
+    """(reps, single, full) of g for the lanes: the mask of the first
+    member of each class of closed twins (vertices with one closed
+    neighbourhood), that of the vertices alone in their class, and whether
+    the peel of the RA rows kept to reps takes all of reps by singletons
+    and by the pairs (N[u], N[u] & N[v]) of the kept rows, u != v."""
+    n = g.n
+    closed = [g.closed_mask(v) for v in g.vertices()]
+    reps = single = 0
+    for v, m in enumerate(closed):
+        if m not in closed[:v]:
+            reps |= 1 << v
+        if closed.count(m) == 1:
+            single |= 1 << v
+    rows = [m & reps for m in closed]
+    where = {}
+    for u, v in combinations(range(n), 2):
+        where[u, v] = where[v, u] = len(rows)
+        rows.append(rows[u] & rows[v])
+    pairs = [(u, where[u, v]) for u in range(n) for v in range(n) if u != v]
+    return reps, single, plain_peel(rows, pairs) == reps
 
 
 def ra_row_masks(g: Graph) -> list:

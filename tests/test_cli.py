@@ -156,6 +156,7 @@ class TestAnalyze:
 
 CORPUS = Path(__file__).resolve().parent / "data" / "connected8.g6"
 CORPUS_REF = SRC.parent / "perfbench" / "ref" / "corpus8_analyze.jsonl.gz"
+CORPUS_BATCH_REF = SRC.parent / "perfbench" / "ref" / "corpus8_batch.tsv"
 CORPUS_JSON_SHA256 = "33220bd8e606422c3ccad06d441f9e967ce1e37445344cf1025a7af432aeb03e"
 CORPUS_TSV_AXIS_SHA256 = "4c12df9db6f43234cd1d40b282f4310fd3627b40f0d18232a58224ecee7be7f7"
 
@@ -173,6 +174,13 @@ class TestCorpusStdout:
         assert len(out.splitlines()) == 11117
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
+    @pytest.mark.parametrize("workers", [["--workers", "1"], []])
+    def test_batch_table_is_the_benchmark_reference(self, capsys, workers):
+        # in this process, and on the default workers, forked
+        rc, out, err = run_cli(capsys, "batch", str(CORPUS), *workers)
+        assert (rc, err) == (0, "")
+        assert out == CORPUS_BATCH_REF.read_text(encoding="ascii")
+
     def test_json_digest_is_the_benchmark_reference(self):
         with gzip.open(CORPUS_REF, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == CORPUS_JSON_SHA256
@@ -185,7 +193,7 @@ def lane_lines(draw):
     lines = []
     for _ in range(draw(st.integers(0, 14))):
         rng = random.Random(draw(st.integers(0, 2 ** 32)))
-        n = draw(st.integers(1, cli._LANES_MAX_N + 2))
+        n = draw(st.integers(1, graphs._LANES_MAX_N + 2))
         g = with_closed_twins(rng, random_graph(rng, n, draw(st.sampled_from(
             (0.05, 0.2, 0.4, 0.7, 0.95)))))
         kind = draw(st.sampled_from(("plain", "plain", "split", "malformed")))
@@ -279,18 +287,44 @@ class TestLanesDifferential:
 
     def test_lanes_are_taken(self, monkeypatch, tmp_path):
         # the differential test above compares something: analyze and
-        # batch hand every graph of at most _LANES_MAX_N vertices to the
-        # lanes, in one call per chunk
+        # batch hand the lines of each size header of at most
+        # _LANES_MAX_N vertices to the lanes, one call per header and chunk
         calls = []
         real = cli._lane_verdicts
-        monkeypatch.setattr(cli, "_lane_verdicts",
-                            lambda gs: calls.append([g.n for g in gs]) or real(gs))
+        monkeypatch.setattr(cli, "_lane_verdicts", lambda n, adj, count, connected:
+                            calls.append((n, count, connected))
+                            or real(n, adj, count, connected))
         f = tmp_path / "mixed.g6"
         f.write_text("C~\n~?@A" + "~" * 5 + "\nA_\n" + graph6_encode(path(32))
-                     + "\nD?{\n", encoding="ascii")
+                     + "\nD?{\nC^\n", encoding="ascii")
         assert self.run(["analyze", str(f)])[0] == 2
         assert self.run(["batch", "--workers", "1", str(f)])[0] == 2
-        assert calls == [[4, 2, 5]] * 2
+        # analyze's lanes leave a disconnected graph to the singletons
+        assert calls == [(4, 2, True), (2, 1, True), (5, 1, True),
+                         (4, 2, False), (2, 1, False), (5, 1, False)]
+
+    def test_bad_lines_in_a_lane_group(self, tmp_path):
+        # lines of the header and length of 8 vertices that do not decode,
+        # or decode alone, among good ones: a non-ASCII byte, a control
+        # byte, a nonzero padding bit and a '~' header copy; each error is
+        # the per-line message at its place
+        good = [graph6_encode(g) for g in (crown(8), cycle(8), path(8))]
+        lines = [good[0].encode(), b"G?zTb\xc3", good[1].encode(), b"G?z\x1fb_",
+                 b"G?zTb`", b"~??G" + good[0][1:].encode(), good[2].encode()]
+        f = tmp_path / "group.g6"
+        f.write_bytes(b"\n".join(lines) + b"\n")
+        errors = (f"ramat: {f} line 2: 'ascii' codec can't encode character "
+                  "'\\ufffd' in position 5: ordinal not in range(128)\n"
+                  f"ramat: {f} line 4: graph6 byte 31 outside printable range 63..126\n"
+                  f"ramat: {f} line 5: nonzero trailing bits in graph6 body\n")
+        with f.open(encoding="ascii", errors="replace") as fh:
+            file_lines = list(fh)
+        with mock.patch.object(cli, "_cpu_count", return_value=1):
+            for argv in (["analyze", str(f)], ["analyze", "--tsv", str(f)],
+                         ["batch", str(f)]):
+                want = self.reference(file_lines, str(f), argv)
+                assert want[0] == 2 and want[2] == errors
+                assert self.run(argv) == want, argv
 
 
 class TestLaneGuard:
@@ -302,7 +336,7 @@ class TestLaneGuard:
         for module in (cli, ra_core):
             real = module._lane_verdicts
             monkeypatch.setattr(module, "_lane_verdicts",
-                                lambda gs, real=real: calls.append(gs) or real(gs))
+                                lambda *a, real=real: calls.append(a) or real(*a))
         # verify --suite all runs here, where the counter sees it
         monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
         return calls
@@ -403,23 +437,28 @@ class TestInputRobustness:
         assert rc in (0, 2)
 
     def test_one_decode_per_line(self, capsys, tmp_path, monkeypatch):
-        decoded = []
-        real = graphs.graph6_decode
-
-        def counted(text):
-            decoded.append(text)
-            return real(text)
-
-        monkeypatch.setattr(graphs, "graph6_decode", counted)
-        monkeypatch.setattr(cli, "graph6_decode", counted)
-        lines = [graph6_encode(crown(8)), "C~", graph6_encode(kneser(5, 2)), "A_"]
-        f = tmp_path / "four.g6"
+        # every line is handed to the chunk decoder once, and only the
+        # one it cannot decode in a lane, a '~' header, goes through
+        # graph6_decode, once
+        chunks, alone = [], []
+        real_chunk, real_decode = graphs._graph6_chunk, graphs.graph6_decode
+        monkeypatch.setattr(cli, "_graph6_chunk",
+                            lambda texts: chunks.append(texts) or real_chunk(texts))
+        monkeypatch.setattr(graphs, "graph6_decode",
+                            lambda text: alone.append(text) or real_decode(text))
+        monkeypatch.setattr(cli, "graph6_decode", None)  # never called here
+        long_c4 = "~??C" + graph6_encode(cycle(4))[1:]
+        lines = [graph6_encode(crown(8)), "C~", graph6_encode(kneser(5, 2)),
+                 long_c4, "A_"]
+        f = tmp_path / "five.g6"
         f.write_text(">>graph6<<\n" + "\n\n".join(lines) + "\n", encoding="ascii")
         for argv in (["batch", str(f), "--workers", "1"], ["analyze", str(f)]):
-            decoded.clear()
+            chunks.clear()
+            alone.clear()
             rc, _, _ = run_cli(capsys, *argv)
             assert rc == 0
-            assert decoded == lines, argv[0]
+            assert chunks == [lines], argv[0]
+            assert alone == [long_c4], argv[0]
 
 
 class TestGenAndProduct:
@@ -1314,12 +1353,12 @@ class TestForkPool:
     KILLER = (
         "import os, signal, sys\n"
         "from ramat import cli, verify\n"
-        "decode = cli.graph6_decode\n"
-        "def killing(text):\n"
-        "    if text == 'A_':\n"
+        "decode = cli._graph6_chunk\n"
+        "def killing(texts):\n"
+        "    if 'A_' in texts:\n"
         "        os.kill(os.getpid(), signal.SIGKILL)\n"
-        "    return decode(text)\n"
-        "cli.graph6_decode = killing\n"
+        "    return decode(texts)\n"
+        "cli._graph6_chunk = killing\n"
         "verify.suite_z = lambda: os._exit(3)\n"
         "cli._CHUNK = 4\n"
     ) + TWO_CPUS
@@ -1425,11 +1464,11 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
 
     def test_imports_build_no_graph6_table(self):
-        # the decode tables are filled by the first decode of each size, not
-        # at import, which every pass of a fresh process would pay for
+        # no table is built at import, which every pass of a fresh process
+        # would pay for: the graph6 lanes are made per chunk
         script = ("import gc, sys, ramat, ramat.cli\n"
-                  "from ramat import graphs, intlin\n"
-                  "sys.exit(graphs._g6_tables.cache_info().currsize + sum(\n"
+                  "from ramat import intlin\n"
+                  "sys.exit(sum(\n"
                   "    type(o) is intlin._SubsetSums for o in gc.get_objects()))\n")
         proc = subprocess.run(
             [sys.executable, "-c", script],

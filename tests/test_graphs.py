@@ -1,7 +1,6 @@
 """Families, structural queries, and the graph6 codec (cross-checked against
 networkx's independent implementation of the format)."""
 
-import gc
 import pickle
 import random
 import time
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramat import graphs, intlin
+from ramat import graphs
 from ramat.graphs import (
     Graph,
     binary_graph,
@@ -372,36 +371,11 @@ class TestGraph6:
 
     def test_random_graphs_across_the_table_and_header_cutoffs(self):
         rng = random.Random(30)
-        for n in (8, 9, 16, 17, 31, 32, 33, 34, 61, 62, 63, 64):
+        for n in (*range(1, 18), 31, 32, 33, 34, 61, 62, 63, 64):
             for _ in range(8):
                 s = graph6_encode(random_graph(rng, n, rng.random()))
                 assert s.startswith("~") == (n > 62)
                 assert graph6_decode(s) == textbook_graph6(s), s
-
-    def test_fields_split_by_shifts(self, monkeypatch):
-        # a host with no array typecode of the field width, or big-endian
-        monkeypatch.setattr(graphs, "_G6_CODES", {})
-        rng = random.Random(31)
-        for n in (*range(1, 18), 31, 32):
-            s = graph6_encode(random_graph(rng, n, 0.5))
-            assert graph6_decode(s) == textbook_graph6(s), s
-
-    def test_only_the_latest_table_is_kept(self):
-        def live_tables():
-            gc.collect()
-            return sum(type(o) is intlin._SubsetSums for o in gc.get_objects())
-
-        graphs._g6_tables.cache_clear()
-        before = live_tables()
-        for n in (5, 32, 20, 40, 12):
-            graph6_decode(graph6_encode(complete(n)))
-        # 12 vertices, 66 bits: 11 body bytes, one table each
-        assert live_tables() == before + 11
-        info = graphs._g6_tables.cache_info()
-        graphs._g6_tables(12)
-        assert graphs._g6_tables.cache_info().hits == info.hits + 1
-        graph6_decode(graph6_encode(complete(3)))
-        assert live_tables() == before + 1
 
     def test_over_budget_refused_from_size_header(self):
         # a 3000-vertex line is 750 KB; its size header alone refuses it
@@ -436,6 +410,101 @@ class TestGraph6:
         for (_, exc), byte in zip(out, (12, 31)):
             assert str(exc) == f"graph6 byte {byte} outside printable range 63..126"
         assert out[2][1] == complete(2)
+
+
+def decode_alone(text):
+    """graph6_decode of one line, or its error as (type, message)."""
+    try:
+        return graph6_decode(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def lane_masks(adj, n, count):
+    """The masks of lane k of the vertex ints adj, for each of ``count``
+    lanes, as tuples: lanes of 8, 16 or 32 bits, at least n + 1."""
+    w = next(w for w in (8, 16, 32) if w > n)
+    return [tuple(a >> w * k & (1 << w) - 1 for a in adj) for k in range(count)]
+
+
+class TestGraph6Chunk:
+    # graphs._graph6_chunk decodes the lines of one size header together,
+    # into lanes; every line decodes as it does alone
+    @staticmethod
+    def check(texts):
+        decoded, lanes = graphs._graph6_chunk(texts)
+        for text, got in zip(texts, decoded, strict=True):
+            want = decode_alone(text)
+            if isinstance(want, Graph):
+                assert got == want == textbook_graph6(
+                    text.removeprefix(">>graph6<<")), text
+                assert type(got.adj) is tuple and hash(got) == hash(want)
+            else:
+                assert (type(got), str(got)) == want, text
+        for n, (picked, adj) in lanes.items():
+            assert len(adj) == n
+            assert lane_masks(adj, n, len(picked)) == [decoded[i].adj for i in picked]
+        return decoded, lanes
+
+    def test_every_labelled_graph_on_up_to_five_vertices(self):
+        texts = []
+        for n in range(1, 6):
+            pairs = list(combinations(range(1, n + 1), 2))
+            texts += [graph6_encode(Graph.from_edges(
+                n, [p for k, p in enumerate(pairs) if bits >> k & 1]))
+                for bits in range(1 << len(pairs))]
+        _, lanes = self.check(texts)
+        assert sorted(lanes) == [1, 2, 3, 4, 5]
+        assert sum(len(picked) for picked, _ in lanes.values()) == len(texts)
+
+    def test_random_graphs_up_to_past_the_cutoff(self):
+        rng = random.Random(32)
+        texts = [graph6_encode(random_graph(rng, n, rng.random()))
+                 for n in range(1, graphs._LANES_MAX_N + 4) for _ in range(5)]
+        rng.shuffle(texts)
+        _, lanes = self.check(texts)
+        # only the one-byte headers of at most 31 vertices share lanes
+        assert sorted(lanes) == list(range(1, graphs._LANES_MAX_N + 1))
+
+    def test_every_corpus_line(self):
+        lines = connected_8_vertex_file().read_text().split()
+        for start in range(0, len(lines), 512):
+            _, lanes = self.check(lines[start:start + 512])
+            assert list(lanes) == [8]
+
+    def test_bad_lines_in_a_lane_group(self):
+        # lines with the header of 8 vertices and the length of its group,
+        # that each decode alone or not at all: a non-ASCII character, the
+        # character a file's undecodable byte becomes, a control byte, a
+        # nonzero padding bit, and a copy with the '~' header or the
+        # '>>graph6<<' prefix, among good lines; also a line one byte short
+        good = [graph6_encode(g) for g in (crown(8), cycle(8), path(8), complete(8))]
+        bad = ["G?zTb\xe9", "G?z\ufffdb_", "G?z\x1fb_", "G?zTb`", "~??G" + good[0][1:],
+               ">>graph6<<" + good[1], "G?zTb", "\x7fG?zTb"]
+        texts = [good[0], bad[0], good[1], bad[1], bad[2], good[2], bad[3],
+                 bad[4], bad[5], bad[6], bad[7], good[3]]
+        decoded, lanes = self.check(texts)
+        assert list(lanes) == [8]
+        assert lanes[8][0] == [0, 2, 5, 11]
+        assert [str(x) for x in decoded if isinstance(x, ValueError)] == [
+            "'ascii' codec can't encode character '\\xe9' in position 5: "
+            "ordinal not in range(128)",
+            "'ascii' codec can't encode character '\\ufffd' in position 3: "
+            "ordinal not in range(128)",
+            "graph6 byte 31 outside printable range 63..126",
+            "nonzero trailing bits in graph6 body",
+            "graph6 body length 4 does not match 5 for n=8",
+            "graph6 byte 127 outside printable range 63..126"]
+        # the '~' and '>>graph6<<' copies decode alone, to the same graphs
+        assert decoded[7] == decoded[0] and decoded[8] == decoded[2]
+
+    def test_a_group_of_bad_lines_only(self):
+        decoded, lanes = self.check(["G?zTb`", "C\x1f"])
+        assert lanes == {}
+        assert all(isinstance(x, ValueError) for x in decoded)
+
+    def test_one_line_is_a_lane_of_its_own(self):
+        assert graphs._graph6_chunk(["A_"]) == ([complete(2)], {2: ([0], [2, 1])})
 
 
 class TestGraphBasics:

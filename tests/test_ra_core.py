@@ -31,7 +31,7 @@ from ramat.graphs import (
 from ramat import cli, graphs, intlin, ra_core
 from ramat.cli import BATCH_CATEGORIES, batch_category
 from ramat.intlin import IntMatrix, hermite_normal_form, kernel_basis_mod_p
-from ramat.products import cartesian, disjoint_union, pyramid
+from ramat.products import cartesian, disjoint_union, join, pyramid
 from ramat.ra_core import (
     classification_record,
     classify,
@@ -53,8 +53,10 @@ from ramat.theorems import (
 
 from support import (
     activation_rows,
+    are_isomorphic,
     connected_8_vertex_file,
     connected_graphs_up_to_iso,
+    lane_expectation,
     plain_peel,
     ra_row_masks,
     random_graph,
@@ -662,58 +664,110 @@ def lane_pool() -> list:
                     adj[v] |= 1 << u
             pool.append(Graph(n, adj))
     rng = random.Random(31)
-    for n in range(1, ra_core._LANES_MAX_N + 1):
+    for n in range(1, graphs._LANES_MAX_N + 1):
         for p in (0.05, 0.15, 0.3, 0.5, 0.8):
             pool += [with_closed_twins(rng, random_graph(rng, n, p)) for _ in range(4)]
     return pool
 
 
-def expected_lane(g: Graph):
-    """(reps, single, full) of g by the oracles: the first member of each
-    class of closed twins, the vertices alone in theirs, and whether the
-    singleton peel of the RA rows kept to reps takes all of reps."""
-    classes = graphs._closed_classes(g).values()
-    reps = sum(m & -m for m in classes)
-    single = sum(m for m in classes if m & m - 1 == 0)
-    rows = [m & reps for m in ra_row_masks(g)]
-    return reps, single, plain_peel(rows, pairs=False) == reps
+def lane_run(chunk: list) -> list:
+    """((reps, single, done), verdict) for each graph of a chunk, read off
+    the lanes ``graphs._graph6_chunk`` decodes its graph6 lines into; the
+    graphs all decode there."""
+    decoded, lanes = graphs._graph6_chunk([graph6_encode(g) for g in chunk])
+    assert decoded == chunk
+    out = [None] * len(chunk)
+    for n, (picked, adj) in lanes.items():
+        peel = zip(*ra_core._lane_peel(adj, n, len(picked)))
+        verdicts = ra_core._lane_verdicts(n, adj, len(picked))
+        for i, (done, reps, single), c in zip(picked, peel, verdicts):
+            out[i] = (reps, single, bool(done)), c
+    assert None not in out
+    return out
 
 
 class TestLanes:
     @pytest.mark.parametrize("size", [1, 511, 512, 513])
     def test_against_the_closed_classes_peel_and_verdict(self, size):
         pool = lane_pool()
-        decided = 0
+        decided = paired = 0
         for start in range(0, len(pool), size):
             chunk = pool[start:start + size]
-            for n in {g.n for g in chunk}:
-                group = [g for g in chunk if g.n == n]
-                for g, done, reps, single in zip(
-                        group, *ra_core._lane_peel(group, n)):
-                    assert (reps, single, bool(done)) == expected_lane(g)
-            verdicts = ra_core._lane_verdicts(chunk)
-            assert len(verdicts) == len(chunk)
-            for g, c in zip(chunk, verdicts):
-                assert (c is not None) == expected_lane(g)[2]
+            for g, (lane, c) in zip(chunk, lane_run(chunk)):
+                want = lane_expectation(g)
+                assert lane == want, graph6_encode(g)
+                assert (c is not None) == want[2]
                 if c is not None:
                     decided += 1
                     ra_core._latest_lattice.cache_clear()
                     assert c == ra_core._verdict(g), graph6_encode(g)
-        # both kinds of lane occur, at every chunk size
+                    reps = want[0]
+                    rows = [m & reps for m in ra_row_masks(g)]
+                    paired += plain_peel(rows, pairs=False) != reps
+        # both kinds of lane occur, at every chunk size, and the
+        # difference rounds decide lanes the singletons leave
         assert 0 < decided < len(pool)
+        assert paired > 0
+
+    def test_connected_lanes_leave_a_disconnected_graph_to_the_singletons(self):
+        # analyze reads no verdict of a disconnected graph: with
+        # connected=True its lane is decided by the singleton rounds or
+        # not at all, and every other lane as without it
+        pool = lane_pool()
+        split = skipped = 0
+        for start in range(0, len(pool), 512):
+            chunk = pool[start:start + 512]
+            _, lanes = graphs._graph6_chunk([graph6_encode(g) for g in chunk])
+            for n, (picked, adj) in lanes.items():
+                for i, c, d in zip(picked, ra_core._lane_verdicts(n, adj, len(picked)),
+                                   ra_core._lane_verdicts(n, adj, len(picked), True)):
+                    g = chunk[i]
+                    if is_connected(g):
+                        assert d == c
+                        continue
+                    split += 1
+                    reps = lane_expectation(g)[0]
+                    rows = [m & reps for m in ra_row_masks(g)]
+                    assert (d is not None) == (plain_peel(rows, pairs=False) == reps)
+                    assert d in (None, c)
+                    skipped += c is not None and d is None
+        # some of those are lanes the difference rounds would decide
+        assert split > skipped > 0
 
     def test_a_lane_is_one_bit_wider_than_n(self):
         # the widest n of each lane width, with the guard bit as the lane's
-        # top bit: K_n and the path are decided; no RA row of the
-        # complement of C_n (n >= 7) has fewer than n - 4 vertices, so it
-        # is not
+        # top bit: K_n and the path are decided, and one graph is not.  The
+        # join of crown(8) and a path is 1/2-RA.  The lanes decide every
+        # graph on 7 vertices (all 1 044 were run), so there the undecided
+        # lane is the prism and an isolated vertex, an RA graph, with
+        # connected=True, which stops a disconnected graph's lane after the
+        # singleton rounds
         for n in (7, 15, 31):
-            hard = graphs.complement(cycle(n))
+            hard = (disjoint_union([graphs.complement(cycle(6)), complete(1)])
+                    if n == 7 else join(crown(8), path(n - 8)))
             chunk = [complete(n), path(n), hard] * 3
-            verdicts = ra_core._lane_verdicts(chunk)
-            for g, c in zip(chunk, verdicts):
+            _, lanes = graphs._graph6_chunk([graph6_encode(g) for g in chunk])
+            (picked, adj), = lanes.values()
+            assert picked == list(range(len(chunk)))
+            for g, c in zip(chunk, ra_core._lane_verdicts(n, adj, len(chunk), n == 7)):
                 ra_core._latest_lattice.cache_clear()
                 assert c == (None if g == hard else ra_core._verdict(g))
+
+    def test_the_corpus_leaves_only_crown_8(self):
+        # 11 116 of the 11 117 connected 8-vertex graphs are settled in
+        # the lanes; crown(8), the 3-cube, is not RA
+        lines = connected_8_vertex_file().read_text(encoding="ascii").split()
+        left = []
+        for start in range(0, len(lines), 512):
+            chunk = lines[start:start + 512]
+            decoded, lanes = graphs._graph6_chunk(chunk)
+            (n, (picked, adj)), = lanes.items()
+            assert n == 8 and picked == list(range(len(chunk)))
+            left += [chunk[i] for i, c in zip(
+                picked, ra_core._lane_verdicts(n, adj, len(picked))) if c is None]
+        assert len(lines) == 11117
+        assert left == ["G?zTb_"]
+        assert are_isomorphic(graph6_decode(left[0]), crown(8))
 
 
 # SHA-256 of to_text(), the pivot columns and the diagonal of the full

@@ -20,7 +20,6 @@ from itertools import chain, islice
 from . import theorems, verify
 from .graphs import (
     Graph,
-    _closed_classes,
     _graph6_chunk,
     _graph6_lines,
     binary_graph,
@@ -37,6 +36,7 @@ from .graphs import (
     graph6_encode,
     is_bipartite,
     is_connected,
+    is_neighborhood_distinguishable,
     kneser,
     path,
     subgraph,
@@ -60,7 +60,6 @@ from .products import (
     tensor,
 )
 from .ra_core import (
-    _Lattice,
     _lane_verdicts,
     _record,
     _verdict,
@@ -506,10 +505,10 @@ BATCH_CATEGORIES = (
 def batch_category(g: Graph, verdict=None):
     """Table bucket for one graph: girth band, distinguishability, RA status.
     A graph with closed twins is never RA (its RA matrix has two equal
-    columns), so its row, nbhd-indistinguishable, asks no lattice; a
-    twin-free graph's lattice takes the classes already made.  ``verdict``,
-    when given, is g's ``_verdict`` read off the lanes: "RA" for a
-    twin-free graph, and for a graph with twins only ever "general"."""
+    columns), so its row, nbhd-indistinguishable, asks no lattice.
+    ``verdict``, when given, is g's ``_verdict`` read off the lanes: "RA"
+    for a twin-free graph, and for a graph with twins only ever
+    "general"."""
     gi = girth(g)
     if verdict is not None and gi in (3, 4):
         ra = verdict.status == "RA"
@@ -517,11 +516,9 @@ def batch_category(g: Graph, verdict=None):
             return ("3", "nbhd-distinguishable-ra" if ra else "nbhd-indistinguishable")
         return ("4", "ra" if ra else "not-ra")
     if gi == 3:
-        classes = _closed_classes(g)
-        if len(classes) < g.n:
+        if not is_neighborhood_distinguishable(g):
             return ("3", "nbhd-indistinguishable")
-        ra = _Lattice(g, classes).ra
-        return ("3", "nbhd-distinguishable-ra" if ra else "nbhd-distinguishable-not-ra")
+        return ("3", "nbhd-distinguishable-ra" if is_ra(g) else "nbhd-distinguishable-not-ra")
     if gi == 4:
         return ("4", "ra" if is_ra(g) else "not-ra")
     return ("5+", "all")

@@ -503,7 +503,7 @@ class _SubsetSums(dict):
     """The sums of the subsets of up to eight vectors, keyed by the byte
     whose set bits pick them (Four Russians), each made when first asked
     for; a 0/1 row is summed from one per eight columns, indexed by its
-    bytes, and a graph6 body from one per byte (``graphs._g6_tables``)."""
+    bytes."""
 
     __slots__ = ("vectors",)
 
@@ -784,22 +784,6 @@ def _peel(masks: list):
     return peeled, list(dict.fromkeys(masks)) if peeled else masks, paired
 
 
-class _Peel:
-    """The ``_peel`` of a list of 0/1 rows, made once: ``peeled``, ``rows``
-    and ``paired`` as ``_peel`` returns them.  ``_build`` takes one in
-    place of the rows and does not peel them again; its length is the
-    number of rows it was given."""
-
-    __slots__ = ("peeled", "rows", "paired", "given")
-
-    def __init__(self, masks: list):
-        self.peeled, self.rows, self.paired = _peel(masks)
-        self.given = len(masks)
-
-    def __len__(self) -> int:
-        return self.given
-
-
 def _differences(masks: list) -> int:
     """The mask of the columns w with rows s and s - e_w both in ``masks``.
     Only a row one bit longer than some other row can be such an s, so the
@@ -834,9 +818,8 @@ def _build(rows, n: int, stats: dict | None = None) -> _Echelon:
     column apart): each peeled column w gets the row e_w, and only the
     rows left are inserted, fewest set bits first, all zero at the peeled
     columns, so the basis stays reduced.  Every RA lattice of the 8-vertex
-    corpus peels every column and inserts no row.  ``rows`` may be a
-    ``_Peel`` of the 0/1 rows, whose peel is then not run again.  Integer
-    sequences are never peeled or sorted.
+    corpus peels every column and inserts no row.  Integer sequences are
+    never peeled or sorted.
 
     0/1 rows are inserted over the n columns until those folded in for
     nothing, tallied by their set bits, reach ``_Q_WASTE`` times the
@@ -870,16 +853,15 @@ def _build(rows, n: int, stats: dict | None = None) -> _Echelon:
     quot = member = image = None
     # e's unit pivots, rows the peel took, columns its difference rule took
     units = taken = paired = 0
-    peel = rows if isinstance(rows, _Peel) else (
-        _Peel(rows) if rows and isinstance(rows[0], int) else None)
-    if peel is None:
-        e = _Echelon(n)
-    else:
-        e, paired = _Echelon(n, peel.peeled), peel.paired
-        taken, units = peel.given - len(peel.rows), peel.peeled.bit_count()
+    if rows and isinstance(rows[0], int):
+        peeled, left, paired = _peel(rows)
+        e, units = _Echelon(n, peeled), peeled.bit_count()
+        taken = len(rows) - len(left)
         # the Hermite form does not depend on row order, and sparse rows
         # first keep the transient entries small
-        rows = sorted(peel.rows, key=int.bit_count)
+        rows = sorted(left, key=int.bit_count)
+    else:
+        e = _Echelon(n)
     free = n - units  # the unpeeled width, which the path thresholds scale
     waste = width = w = 0  # bits folded in for nothing, field widths
     inserts = changes = answered = checked = absorbed = remakes = 0

@@ -16,23 +16,23 @@ has h's axis multiple and a twin none, its Hermite basis is h's with each
 class's column repeated, and it is never RA.  Pair signs and the kernel mod
 p are read off the presentation of that basis.
 
-A twin-free graph's RA rows, as vertex masks, are peeled once
-(``intlin._Peel``): a singleton row {w} puts e_w in the lattice, so column w
-becomes a unit pivot and bit w is cleared in every row, until no singleton
-is left; then two rows s and s - e_w put e_w in it too, and the singletons
-go on, until neither rule finds a column.  A peel that takes every column
-leaves Z^n, an RA lattice, and nothing more is made: no basis and no
-presentation, unless ``ra_lattice`` or a private caller asks for them.  (A
-tree on 3 or more vertices and a graph of girth >= 5 peel every column by
-singletons alone, and so does every connected RA graph on 3 to 8
-vertices.)  Otherwise ``intlin._echelon_basis`` builds one packed echelon
-basis over the n vertex columns from the peel, and every answer but the
-Hermite basis is read off one presentation of Z^n/L, an
-``intlin._Quotient`` in the same n columns, through its methods alone: the
-divisor chain (``smith_form``), the axis multiples, whether e_u +- e_v lies
-in the lattice (``contains``) and the kernel mod p.  The graph is RA
-exactly when every column is a unit pivot, and an RA lattice answers
-(1, ..., 1), "both" and [] with no presentation.
+A twin-free graph's RA rows, as vertex masks, go to
+``intlin._echelon_basis``, which peels them before any insert: a
+singleton row {w} puts e_w in the lattice, so column w becomes a unit
+pivot and bit w is cleared in every row, until no singleton is left; then
+two rows s and s - e_w put e_w in it too, and the singletons go on, until
+neither rule finds a column.  Only the rows left are inserted, so a peel
+that takes every column builds the identity basis of Z^n, an RA lattice,
+with no insert.  (A tree on 3 or more vertices and a graph of girth >= 5
+peel every column by singletons alone, and so does every connected RA
+graph on 3 to 8 vertices.)  The packed echelon basis is over the n vertex
+columns, and every answer but the Hermite basis is read off one
+presentation of Z^n/L, an ``intlin._Quotient`` in the same n columns,
+through its methods alone: the divisor chain (``smith_form``), the axis
+multiples, whether e_u +- e_v lies in the lattice (``contains``) and the
+kernel mod p.  The graph is RA exactly when every column is a unit pivot,
+and an RA lattice answers (1, ..., 1), "both" and [] with no
+presentation.
 The CLI's ``analyze`` and ``batch`` decode the graph6 lines of a chunk
 with at most ``graphs._LANES_MAX_N`` vertices straight into lanes
 (``graphs._graph6_chunk``): one big int per vertex, one lane per graph,
@@ -51,7 +51,10 @@ RA.  Any other graph, and every library call, goes through ``_Lattice``.
 ``ra_lattice`` derives the canonical Hermite basis on each call and does
 not keep it.  The latest graph's lattice is kept, so calls on one graph
 (``classify``, a neighborly predictor, ``pair_sign``, ``kernel_mod_p``)
-share at most one echelon build and one presentation.
+share its echelon builds and presentations: one of each for a twin-free
+graph, and for a graph with twins one build, of h's basis, and up to two
+presentations, h's for the divisors and axis multiples and one over the
+n columns for the pair signs and the kernel mod p.
 """
 
 from __future__ import annotations
@@ -194,44 +197,34 @@ class _Lattice:
     the divisors, axis multiples and basis are h's, mapped through cls,
     and the other answers read ``quotient()``.  Such a graph is never RA.
 
-    A twin-free graph peels its RA masks once (``intlin._Peel``).  When the
-    peel takes every column, L = Z^n and nothing else is made; otherwise
-    ``intlin._echelon_basis`` builds the packed Hermite basis from the
-    peel, and ``quotient()`` presents Z^n/L once, for every answer but the
-    basis.  ``basis`` gives the echelon basis of any lattice: the identity
-    of a full peel, or h's spread over the classes, made when first asked
-    for.
+    A twin-free graph's RA masks go to ``intlin._echelon_basis``, which
+    peels them and builds the packed Hermite basis, ``basis``, and
+    ``quotient()`` presents Z^n/L once, for every answer but the basis.
+    A twin lattice's ``basis`` is h's spread over the classes, made when
+    first asked for.
     """
 
     __slots__ = ("n", "ra", "twins", "_basis", "_quotient")
 
-    def __init__(self, g: Graph, classes=None):
-        """``classes``, when given, is ``graphs._closed_classes(g)``."""
+    def __init__(self, g: Graph):
         n = self.n = g.n
         self._basis = self._quotient = self.twins = None
-        if classes is None:
-            classes = _closed_classes(g)
+        classes = _closed_classes(g)
         if len(classes) < n:
             h, cls = _twin_quotient(classes, n)
             self.ra = False
             self.twins = _Lattice(h), cls, list(classes.values())
             return
-        peel = intlin._Peel(_rows(list(classes)))
-        self.ra = peel.peeled == (1 << n) - 1
-        if not self.ra:
-            basis = self._basis = intlin._echelon_basis(peel, n)
-            # RA exactly when Q is empty: every column is a unit pivot
-            self.ra = list(basis.pivots.values()).count(1) == n
+        basis = self._basis = intlin._echelon_basis(_rows(list(classes)), n)
+        # RA exactly when Q is empty: every column is a unit pivot
+        self.ra = list(basis.pivots.values()).count(1) == n
 
     @property
     def basis(self) -> intlin._Echelon:
         """The reduced echelon basis of L over the n columns."""
-        if self._basis is None:
-            if self.twins is None:  # the peel took every column
-                self._basis = intlin._Echelon(self.n, (1 << self.n) - 1)
-            else:
-                h, cls, _ = self.twins
-                self._basis = h.basis.spread(cls)
+        if self._basis is None:  # a twin lattice's, spread from h's
+            h, cls, _ = self.twins
+            self._basis = h.basis.spread(cls)
         return self._basis
 
     def quotient(self) -> intlin._Quotient:

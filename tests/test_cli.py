@@ -29,7 +29,7 @@ from ramat.cli import main
 from ramat.graphs import Graph, graph6_decode, graph6_encode, complete, crown, cube, cycle, kneser, path
 from ramat.graphs import connected_components, subgraph
 from ramat.products import disjoint_union
-from ramat.ra_core import classification_record, classify, ra_matrix
+from ramat.ra_core import classification_record, classify, ra_lattice, ra_matrix
 
 from support import random_graph, with_closed_twins
 
@@ -184,6 +184,29 @@ class TestCorpusStdout:
     def test_json_digest_is_the_benchmark_reference(self):
         with gzip.open(CORPUS_REF, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == CORPUS_JSON_SHA256
+
+
+class TestKneserReference:
+    # the Kneser lattices the benchmark checks, against its reference
+    # files, which are only read here
+    REF = SRC.parent / "perfbench" / "ref"
+
+    def test_hermite_bases(self):
+        want = json.loads((self.REF / "kneser_hermite.json").read_text(encoding="ascii"))
+        assert len(want) == 6
+        for label, ref in want.items():
+            n, k = map(int, label[3:-1].split(","))
+            h = ra_lattice(kneser(n, k))
+            # the digest perfbench/workloads.py takes of a Hermite form
+            text = "\n".join([h.matrix.to_text(), repr(h.pivot_columns), repr(h.diagonal)])
+            assert (h.matrix.cols, len(h.pivot_columns)) == (ref["cols"], ref["rank"]), label
+            assert hashlib.sha256(text.encode("ascii")).hexdigest() == ref["sha256"], label
+
+    def test_analyze_record(self, capsys):
+        want = json.loads((self.REF / "kneser_analyze.json").read_text(encoding="ascii"))
+        rc, out, err = run_cli(capsys, "analyze", graph6_encode(kneser(12, 3)))
+        assert (rc, err) == (0, "")
+        assert out == want["Kn(12,3)"] + "\n"
 
 
 @st.composite

@@ -28,7 +28,7 @@ from ramat.graphs import (
     path,
     subgraph,
 )
-from ramat import cli, graphs, intlin, ra_core
+from ramat import graphs, intlin, ra_core
 from ramat.cli import BATCH_CATEGORIES, batch_category
 from ramat.intlin import IntMatrix, hermite_normal_form, kernel_basis_mod_p
 from ramat.products import cartesian, disjoint_union, join, pyramid
@@ -296,11 +296,12 @@ def oracle_peeled(g) -> int:
 
 class TestOneLatticePerGraph:
     def test_one_echelon_build_per_connected_graph(self, monkeypatch):
-        # at most one build, over all n columns, of the rows the lattice
-        # peeled: path(4) peels every column, so it is Z^4 with no build,
-        # and complete(5)'s twin quotient is K1, which peels too; the apex
-        # of the pyramid peels and the others do not, and each build takes
-        # in every row the peel was given
+        # one build per graph, of its RA masks: over all n columns for a
+        # twin-free graph, and over the twin quotient's columns otherwise.
+        # path(4) peels every column and builds Z^4 with no insert, and
+        # complete(5) builds its quotient K1, which peels too; the apex of
+        # the pyramid peels and the others do not, and each build takes in
+        # every row it was given
         builds = []
 
         def counted(rows, n):
@@ -318,7 +319,9 @@ class TestOneLatticePerGraph:
                 ra_core._latest_lattice.cache_clear()
                 builds.clear()
                 fn(g)
-                want = [] if g in (path(4), complete(5)) else [(g.n, k, False)]
+                want = ([(4, 4, True)] if g == path(4) else
+                        [(1, 1, True)] if g == complete(5) else
+                        [(g.n, k, False)])
                 assert builds == want, (fn.__name__, g)
 
     def test_consumers_of_one_graph_share_one_build(self, monkeypatch):
@@ -432,9 +435,10 @@ class TestFullBasisOnDemand:
 
 class TestBatchCategory:
     def test_closed_classes_made_once_per_batch_graph(self, monkeypatch):
-        # a girth-3 or girth-4 graph makes its closed-twin classes once; a
-        # twin-free one hands them to its one lattice, and a graph with
-        # closed twins makes no lattice
+        # a girth-3 graph asks for its closed-twin classes, and a twin-free
+        # one makes them again in its one lattice; a girth-4 graph (never
+        # with twins) makes them once, in its lattice, and a girth-3 graph
+        # with closed twins makes no lattice
         calls, lattices = [], []
         real_classes, real_init = graphs._closed_classes, ra_core._Lattice.__init__
 
@@ -446,7 +450,7 @@ class TestBatchCategory:
             lattices.append(g)
             real_init(self, g, *args)
 
-        for module in (graphs, ra_core, cli):
+        for module in (graphs, ra_core):
             monkeypatch.setattr(module, "_closed_classes", counted_classes)
         monkeypatch.setattr(ra_core._Lattice, "__init__", counted_init)
         seen = set()
@@ -456,8 +460,9 @@ class TestBatchCategory:
             calls.clear()
             lattices.clear()
             band, category = batch_category(g)
-            assert calls == ([g] if band in "34" else []), line
             twins = category == "nbhd-indistinguishable"
+            made = 2 if band == "3" and not twins else 1 if band in "34" else 0
+            assert calls == [g] * made, line
             assert lattices == ([g] if band in "34" and not twins else []), line
             seen.add((band, category))
         # no connected 8-vertex graph is twin-free, of girth 3 and not RA

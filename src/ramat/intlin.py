@@ -470,25 +470,6 @@ class _Echelon:
         return {j: (0,) * j + tuple(fields(x)[:n - j])
                 for j, x in self.rows.items()}
 
-    def spread(self, cls: list) -> "_Echelon":
-        """The reduced echelon basis, over len(cls) columns, of the vectors
-        x' with x'_v = x_cls[v] for x in the lattice: column c is copied to
-        every column v in its class {v : cls[v] = c}.  Class c's first
-        column must come before class c + 1's, as the classes of
-        ``graphs._closed_classes`` do; then each row keeps its pivot and
-        bound, at the first column of its pivot's class, and is zero left
-        of it and reduced at the new pivots."""
-        first = {}
-        for v, c in enumerate(cls):
-            first.setdefault(c, v)
-        e, n = _Echelon(len(cls)), len(cls)
-        lay = e.layout = _layout(n, self.layout.w)
-        for c, row in self.unpacked().items():
-            j = first[c]
-            e.rows[j] = lay.pack([row[cls[v]] for v in range(j, n)])
-            e.pivots[j], e.bounds[j] = self.pivots[c], self.bounds[c]
-        return e
-
 
 def _width(m: int) -> int:
     """The least field width 16 * 2^k whose signed fields hold magnitudes up
@@ -597,10 +578,10 @@ class _Quotient:
 
     def contains(self, u: int, v: int, s: int) -> bool:
         """Whether e_u + s*e_v (0-based columns) is in L: its image has
-        order 1."""
+        order 1, as every image has when Q is empty."""
         images = self.images
-        return self.order([a + s * b
-                           for a, b in zip(images[u], images[v])]) == 1
+        return not self.q or self.order([a + s * b for a, b in zip(
+            images[u], images[v])]) == 1
 
     def _h_rows(self) -> list:
         basis = self.h.unpacked()

@@ -6,55 +6,43 @@ integer row lattice decides how freely single-vertex commutator placements
 can be achieved, so the classification below is all about the elementary
 divisors of that lattice.
 
-A graph's lattice holds only what its answers need.  Closed twins u, v
-(N[u] = N[v]) give equal RA columns, since every RA row is a union of
-classes of closed twins (``graphs._closed_classes``).  So a graph with
-closed twins keeps the lattice of its twin quotient h, one vertex per class
-in order of first member, and the class map.  Its divisors are h's and a
-zero per vertex past the first of its class, a vertex alone in its class
-has h's axis multiple and a twin none, its Hermite basis is h's with each
-class's column repeated, and it is never RA.  Pair signs and the kernel mod
-p are read off the presentation of that basis.
-
-A twin-free graph's RA rows, as vertex masks, go to
-``intlin._echelon_basis``, which peels them before any insert: a
-singleton row {w} puts e_w in the lattice, so column w becomes a unit
-pivot and bit w is cleared in every row, until no singleton is left; then
-two rows s and s - e_w put e_w in it too, and the singletons go on, until
-neither rule finds a column.  Only the rows left are inserted, so a peel
-that takes every column builds the identity basis of Z^n, an RA lattice,
-with no insert.  (A tree on 3 or more vertices and a graph of girth >= 5
-peel every column by singletons alone, and so does every connected RA
-graph on 3 to 8 vertices.)  The packed echelon basis is over the n vertex
-columns, and every answer but the Hermite basis is read off one
-presentation of Z^n/L, an ``intlin._Quotient`` in the same n columns,
-through its methods alone: the divisor chain (``smith_form``), the axis
-multiples, whether e_u +- e_v lies in the lattice (``contains``) and the
-kernel mod p.  The graph is RA exactly when every column is a unit pivot,
-and an RA lattice answers (1, ..., 1), "both" and [] with no
-presentation.
+A graph's RA rows, as vertex masks, go to ``intlin._echelon_basis``, which
+peels them before any insert: a singleton row {w} puts e_w in the lattice,
+so column w becomes a unit pivot and bit w is cleared in every row, until
+no singleton is left; then two rows s and s - e_w put e_w in it too, and
+the singletons go on, until neither rule finds a column.  Only the rows
+left are inserted, so a peel that takes every column builds the identity
+basis of Z^n, an RA lattice, with no insert.  (A tree on 3 or more
+vertices and a graph of girth >= 5 peel every column by singletons alone,
+and so does every connected RA graph on 3 to 8 vertices.)  The packed
+echelon basis is over the n vertex columns, closed twins u, v (N[u] =
+N[v], two equal RA columns) included, and every answer but the Hermite
+basis is read off one presentation of Z^n/L, an ``intlin._Quotient`` in
+the same n columns, through its methods alone: the divisor chain
+(``smith_form``), the axis multiples, whether e_u +- e_v lies in the
+lattice (``contains``) and the kernel mod p.  The graph is RA exactly when
+every column is a unit pivot, so that the presentation is empty, and then
+it answers (1, ..., 1), "both" and [].
 The CLI's ``analyze`` and ``batch`` decode the graph6 lines of a chunk
 with at most ``graphs._LANES_MAX_N`` vertices straight into lanes
 (``graphs._graph6_chunk``): one big int per vertex, one lane per graph,
 holding the vertex's neighbours.  ``_lane_verdicts`` peels those graphs
 all at once.  It needs no quotient graph: every RA row is a union of
-classes (if w is in N[v] and N[u] = N[w], then v is in N[u], so u is in
-N[v]; and an intersection of unions of classes is one), so a row kept to
-the first member of each class loses nothing, and the kept rows are the
-twin quotient's rows, with first members for its vertices.  Singleton
+classes of closed twins (``graphs._closed_classes``; if w is in N[v] and
+N[u] = N[w], then v is in N[u], so u is in N[v]; and an intersection of
+unions of classes is one), so a row kept to the first member of each
+class loses nothing, and the kept rows are the rows of the twin quotient,
+one vertex per class, with first members for its vertices.  Singleton
 rounds run on every lane; the lanes they leave undecided are gathered
 into new ints, where the difference rule runs on the pairs (N[u],
 N[u] & N[v]), alternating with singleton rounds until neither finds a
 column.  A lane whose peel takes every first member has its verdict: on
 the 8-vertex corpus, every graph but crown(8), the 3-cube, which is not
-RA.  Any other graph, and every library call, goes through ``_Lattice``.
+RA.  Any other graph, and every library call, builds the graph's lattice.
 ``ra_lattice`` derives the canonical Hermite basis on each call and does
-not keep it.  The latest graph's lattice is kept, so calls on one graph
-(``classify``, a neighborly predictor, ``pair_sign``, ``kernel_mod_p``)
-share its echelon builds and presentations: one of each for a twin-free
-graph, and for a graph with twins one build, of h's basis, and up to two
-presentations, h's for the divisors and axis multiples and one over the
-n columns for the pair signs and the kernel mod p.
+not keep it.  The latest graph's basis and presentation are kept, so
+calls on one graph (``classify``, a neighborly predictor, ``pair_sign``,
+``kernel_mod_p``) share one echelon build and one presentation.
 """
 
 from __future__ import annotations
@@ -67,8 +55,6 @@ from operator import and_
 
 from .graphs import (
     Graph,
-    _bits,
-    _closed_classes,
     _lane_code,
     _lane_items,
     _lane_ones,
@@ -148,11 +134,7 @@ class RAClassification:
 def _ra_masks(g: Graph) -> list:
     """The RA rows as vertex masks: the distinct nonzero masks of N[v], then
     of N[u] & N[v] (u < v), in first-seen order."""
-    return _rows([a | 1 << v for v, a in enumerate(g.adj)])
-
-
-def _rows(closed: list) -> list:
-    """``_ra_masks`` of the closed neighbourhood masks N[1], ..., N[n]."""
+    closed = [a | 1 << v for v, a in enumerate(g.adj)]
     # a dict keeps first-seen order
     rows = dict.fromkeys(chain(closed, starmap(and_, combinations(closed, 2))))
     rows.pop(0, None)
@@ -165,115 +147,19 @@ def ra_matrix(g: Graph) -> RAMatrix:
     return RAMatrix(matrix=IntMatrix(data))
 
 
-def _twin_quotient(classes: dict, n: int):
-    """(h, cls) for the ``graphs._closed_classes`` of a graph on n vertices:
-    h has one vertex per class, in the same order, two adjacent when their
-    classes are, and cls[v] is the class of vertex v."""
-    cls, later = [0] * n, (1 << n) - 1  # later: each class past its first
-    for c, m in enumerate(classes.values()):
-        later ^= m & -m
-        for v in _bits(m):
-            cls[v] = c
-    # h's closed neighbourhoods are the classes': squeeze the bits of the
-    # later members out of theirs, highest first
-    closed = [m & ~later for m in classes]
-    for t in reversed(list(_bits(later))):
-        low = (1 << t) - 1
-        closed = [x & low | x >> 1 & ~low for x in closed]
-    return Graph._of_masks(len(closed), [
-        x ^ 1 << c for c, x in enumerate(closed)]), cls
-
-
-class _Lattice:
-    """One graph's RA row lattice L in Z^n, holding only what its answers
-    need; ``ra`` says whether L = Z^n.
-
-    A graph with closed twins keeps ``twins``: (h, cls, members), with h
-    the ``_Lattice`` of its twin quotient (one vertex per class of
-    ``graphs._closed_classes``, in the same order, adjacent when the
-    classes are; h is twin-free), cls[v] the class of vertex v and
-    members[c] the vertex mask of class c.  Every RA row is a union of
-    classes, so L is h's lattice with column cls[v] copied to column v:
-    the divisors, axis multiples and basis are h's, mapped through cls,
-    and the other answers read ``quotient()``.  Such a graph is never RA.
-
-    A twin-free graph's RA masks go to ``intlin._echelon_basis``, which
-    peels them and builds the packed Hermite basis, ``basis``, and
-    ``quotient()`` presents Z^n/L once, for every answer but the basis.
-    A twin lattice's ``basis`` is h's spread over the classes, made when
-    first asked for.
-    """
-
-    __slots__ = ("n", "ra", "twins", "_basis", "_quotient")
-
-    def __init__(self, g: Graph):
-        n = self.n = g.n
-        self._basis = self._quotient = self.twins = None
-        classes = _closed_classes(g)
-        if len(classes) < n:
-            h, cls = _twin_quotient(classes, n)
-            self.ra = False
-            self.twins = _Lattice(h), cls, list(classes.values())
-            return
-        basis = self._basis = intlin._echelon_basis(_rows(list(classes)), n)
-        # RA exactly when Q is empty: every column is a unit pivot
-        self.ra = list(basis.pivots.values()).count(1) == n
-
-    @property
-    def basis(self) -> intlin._Echelon:
-        """The reduced echelon basis of L over the n columns."""
-        if self._basis is None:  # a twin lattice's, spread from h's
-            h, cls, _ = self.twins
-            self._basis = h.basis.spread(cls)
-        return self._basis
-
-    def quotient(self) -> intlin._Quotient:
-        """The ``intlin._Quotient`` of the basis, made once.  The answers
-        below never read an RA lattice's (it is empty, Z^n/L = 0), and read
-        a twin lattice's only for ``contains`` and ``kernel_mod_p``."""
-        if self._quotient is None:
-            self._quotient = intlin._Quotient(self.basis)
-        return self._quotient
-
-    def smith_form(self, size: int) -> SmithForm:
-        """The divisor chain of L, padded with zeros to ``size`` >= n, with
-        ``size`` minus the rank as the nullity: a twin graph's is h's, and
-        a zero for each vertex past the first of its class."""
-        if self.ra:
-            return SmithForm((1,) * self.n + (0,) * (size - self.n),
-                             self.n, size - self.n)
-        if self.twins is None:
-            return self.quotient().smith_form(size, size)
-        return self.twins[0].smith_form(size)
-
-    def axis_multiples(self) -> tuple:
-        """Least a > 0 with a*e_v in L for each column v, or 0: h's for a
-        vertex alone in its class, 0 for a twin."""
-        if self.ra:
-            return (1,) * self.n
-        if self.twins is None:
-            return self.quotient().axis_multiples()
-        h, cls, members = self.twins
-        axis = h.axis_multiples()
-        return tuple(axis[c] if members[c].bit_count() == 1 else 0
-                     for c in cls)
-
-    def contains(self, u: int, v: int, s: int) -> bool:
-        """Whether e_u + s*e_v (0-based columns u != v) is in L."""
-        return self.ra or self.quotient().contains(u, v, s)
-
-    def kernel_mod_p(self, p: int) -> list:
-        """``kernel_basis_mod_p`` of the RA matrix, p prime."""
-        return [] if self.ra else self.quotient().kernel_mod_p(p)
-
-
-# exact: Graph compares by (n, adj), and the lattice is never changed
-_latest_lattice = lru_cache(maxsize=1)(_Lattice)
+# The latest graph's lattice L, kept so that calls on one graph share one
+# echelon build of its RA masks over its n columns and one presentation of
+# Z^n/L, which is empty exactly when the graph is RA.  Exact: Graph
+# compares by (n, adj), and neither object is ever changed.
+_latest_basis = lru_cache(maxsize=1)(
+    lambda g: intlin._echelon_basis(_ra_masks(g), g.n))
+_latest_quotient = lru_cache(maxsize=1)(
+    lambda g: intlin._Quotient(_latest_basis(g)))
 
 
 def _lane_verdicts(n: int, adj: list, count: int, connected: bool = False) -> list:
     """The verdict of each of ``count`` graphs on n <= 31 vertices that
-    the lanes decide, else None: ``_verdict(g)`` with no ``_Lattice``,
+    the lanes decide, else None: ``_verdict(g)`` with no lattice built,
     from the lane ints adj of ``graphs._graph6_chunk``.  A lane that peels
     all its representatives is decided: RA when it has no twins; else its
     twin quotient is RA, so its divisors are 1s and a 0 per vertex past
@@ -433,18 +319,18 @@ def _lane_pick(x: int, code: str, count: int, picked: list) -> int:
 def ra_lattice(g: Graph) -> HermiteForm:
     """Hermite basis of the integer row lattice of the RA matrix, derived
     from the graph's lattice on each call."""
-    return _form_of(_latest_lattice(g).basis)
+    return _form_of(_latest_basis(g))
 
 
 def elementary_divisors(g: Graph) -> SmithForm:
     """Smith divisors of the RA matrix, padded with zeros to length n."""
-    return _latest_lattice(g).smith_form(g.n)
+    return _latest_quotient(g).smith_form(g.n, g.n)
 
 
 def is_ra(g: Graph) -> bool:
     """Whether the RA row lattice is all of Z^n, that is every elementary
     divisor is 1, without a Smith form."""
-    return _latest_lattice(g).ra
+    return not _latest_quotient(g).q
 
 
 def classify(g: Graph):
@@ -458,12 +344,12 @@ def classify(g: Graph):
 
 def _verdict(g: Graph) -> RAClassification:
     """``classify`` of a graph already known to be connected."""
-    lat = _latest_lattice(g)
-    if lat.ra:
+    quo = _latest_quotient(g)
+    if not quo.q:  # Z^n/L = 0
         ones = (1,) * g.n
         return RAClassification("RA", 1, ones, 0, ones)
-    sf = lat.smith_form(g.n)
-    divisors, axis = sf.divisors, lat.axis_multiples()
+    sf = quo.smith_form(g.n, g.n)
+    divisors, axis = sf.divisors, quo.axis_multiples()
     status, mu, nonuniform = "general", None, False
     if sf.nullity == 0 and all(d == 1 for d in divisors[:-1]):
         k = divisors[-1]
@@ -517,9 +403,9 @@ def pair_sign(g: Graph, u: int, v: int) -> str:
     for w in (u, v):
         if not 1 <= w <= n:
             raise IndexError(f"vertex {w} out of range 1..{n}")
-    lat = _latest_lattice(g)
-    pos = lat.contains(u - 1, v - 1, 1)
-    neg = lat.contains(u - 1, v - 1, -1)
+    quo = _latest_quotient(g)
+    pos = quo.contains(u - 1, v - 1, 1)
+    neg = quo.contains(u - 1, v - 1, -1)
     if pos and neg:
         return "both"
     if pos:
@@ -534,7 +420,7 @@ def kernel_mod_p(g: Graph, p: int) -> list:
     ``kernel_basis_mod_p`` gives for it, read off the lattice.  p is
     checked before any lattice work."""
     _check_modulus(p)
-    return _latest_lattice(g).kernel_mod_p(p)
+    return _latest_quotient(g).kernel_mod_p(p)
 
 
 def is_neighborly(g: Graph) -> bool:

@@ -31,7 +31,7 @@ from ramat.graphs import (
 from ramat import graphs, intlin, ra_core
 from ramat.cli import BATCH_CATEGORIES, batch_category
 from ramat.intlin import IntMatrix, hermite_normal_form, kernel_basis_mod_p
-from ramat.products import cartesian, disjoint_union, join, pyramid
+from ramat.products import cartesian, disjoint_union, join, pyramid, strong
 from ramat.ra_core import (
     classification_record,
     classify,
@@ -266,6 +266,12 @@ class TestClassify:
             classification_record(g)
 
 
+def forget_lattice():
+    """Empty the memo of the latest graph's basis and presentation."""
+    ra_core._latest_basis.cache_clear()
+    ra_core._latest_quotient.cache_clear()
+
+
 def _count_builds(monkeypatch) -> list:
     """Record the dimension of every echelon build from now on, starting
     from an empty lattice memo."""
@@ -277,7 +283,7 @@ def _count_builds(monkeypatch) -> list:
         return real(rows, n)
 
     monkeypatch.setattr(intlin, "_echelon_basis", counted)
-    ra_core._latest_lattice.cache_clear()
+    forget_lattice()
     return builds
 
 
@@ -296,12 +302,11 @@ def oracle_peeled(g) -> int:
 
 class TestOneLatticePerGraph:
     def test_one_echelon_build_per_connected_graph(self, monkeypatch):
-        # one build per graph, of its RA masks: over all n columns for a
-        # twin-free graph, and over the twin quotient's columns otherwise.
-        # path(4) peels every column and builds Z^4 with no insert, and
-        # complete(5) builds its quotient K1, which peels too; the apex of
-        # the pyramid peels and the others do not, and each build takes in
-        # every row it was given
+        # one build per graph, of its RA masks over all n columns, closed
+        # twins or not.  path(4) peels every column and builds Z^4 with no
+        # insert; the apex of the pyramid peels and the others do not,
+        # complete(5) (all five vertices twins) included, and each build
+        # takes in every row it was given
         builds = []
 
         def counted(rows, n):
@@ -316,16 +321,25 @@ class TestOneLatticePerGraph:
                      (crown(10), 0), (kneser(6, 2), 0), (complete(5), 0)):
             assert peeled(g) == k == oracle_peeled(g)
             for fn in (classify, elementary_divisors):
-                ra_core._latest_lattice.cache_clear()
+                forget_lattice()
                 builds.clear()
                 fn(g)
-                want = ([(4, 4, True)] if g == path(4) else
-                        [(1, 1, True)] if g == complete(5) else
-                        [(g.n, k, False)])
+                want = [(4, 4, True)] if g == path(4) else [(g.n, k, False)]
                 assert builds == want, (fn.__name__, g)
 
     def test_consumers_of_one_graph_share_one_build(self, monkeypatch):
+        # one build and one presentation of Z^n/L per graph, both over its
+        # n columns, closed twins or not: strong(crown(20), K2) has 20
+        # classes of two
         builds = _count_builds(monkeypatch)
+        presented = []
+        init = intlin._Quotient.__init__
+
+        def logged_init(self, e):
+            presented.append(e.n)
+            init(self, e)
+
+        monkeypatch.setattr(intlin._Quotient, "__init__", logged_init)
         g = crown(10)
         classify(g)
         elementary_divisors(g)
@@ -333,7 +347,14 @@ class TestOneLatticePerGraph:
         assert mu_neighborly(g, is_bipartite(g)).mu == 3
         mu_negatively_neighborly(g)
         assert pair_sign(g, *g.edges()[0]) == "positive"
-        assert builds == [g.n]
+        assert builds == presented == [g.n]
+        builds.clear()
+        presented.clear()
+        g = strong(crown(20), complete(2))
+        assert classify(g).status == "general"
+        pair_sign(g, *g.edges()[0])
+        kernel_mod_p(g, 2)
+        assert builds == presented == [40]
 
     def test_equal_graph_hits_and_another_graph_rebuilds(self, monkeypatch):
         builds = _count_builds(monkeypatch)
@@ -348,7 +369,7 @@ class TestOneLatticePerGraph:
         assert builds == [10, 8, 10]
 
     def test_hit_equals_a_fresh_build(self):
-        ra_core._latest_lattice.cache_clear()
+        forget_lattice()
         for g in (path(4), kneser(6, 2), disjoint_union([complete(3), path(3)])):
             want = hermite_normal_form(ra_matrix(g).matrix)
             assert ra_lattice(g) == want  # builds the graph's lattice
@@ -401,7 +422,7 @@ def _count_full_bases(monkeypatch) -> list:
         return real(e)
 
     monkeypatch.setattr(ra_core, "_form_of", counted)
-    ra_core._latest_lattice.cache_clear()
+    forget_lattice()
     return made
 
 
@@ -435,35 +456,33 @@ class TestFullBasisOnDemand:
 
 class TestBatchCategory:
     def test_closed_classes_made_once_per_batch_graph(self, monkeypatch):
-        # a girth-3 graph asks for its closed-twin classes, and a twin-free
-        # one makes them again in its one lattice; a girth-4 graph (never
-        # with twins) makes them once, in its lattice, and a girth-3 graph
-        # with closed twins makes no lattice
+        # a girth-3 graph asks for its closed-twin classes once, and its
+        # lattice, if it has no twins, does not ask again; a girth-4 graph
+        # (never with twins) asks for none, and a girth-3 graph with closed
+        # twins builds no lattice
         calls, lattices = [], []
-        real_classes, real_init = graphs._closed_classes, ra_core._Lattice.__init__
+        real_classes, real_build = graphs._closed_classes, intlin._echelon_basis
 
         def counted_classes(g):
             calls.append(g)
             return real_classes(g)
 
-        def counted_init(self, g, *args):
-            lattices.append(g)
-            real_init(self, g, *args)
+        def counted_build(rows, n):
+            lattices.append(n)
+            return real_build(rows, n)
 
-        for module in (graphs, ra_core):
-            monkeypatch.setattr(module, "_closed_classes", counted_classes)
-        monkeypatch.setattr(ra_core._Lattice, "__init__", counted_init)
+        monkeypatch.setattr(graphs, "_closed_classes", counted_classes)
+        monkeypatch.setattr(intlin, "_echelon_basis", counted_build)
         seen = set()
         for line in connected_8_vertex_file().read_text().split():
             g = graph6_decode(line)
-            ra_core._latest_lattice.cache_clear()
+            forget_lattice()
             calls.clear()
             lattices.clear()
             band, category = batch_category(g)
             twins = category == "nbhd-indistinguishable"
-            made = 2 if band == "3" and not twins else 1 if band in "34" else 0
-            assert calls == [g] * made, line
-            assert lattices == ([g] if band in "34" and not twins else []), line
+            assert calls == ([g] if band == "3" else []), line
+            assert lattices == ([g.n] if band in "34" and not twins else []), line
             seen.add((band, category))
         # no connected 8-vertex graph is twin-free, of girth 3 and not RA
         assert seen == set(BATCH_CATEGORIES) - {("3", "nbhd-distinguishable-not-ra")}
@@ -508,9 +527,8 @@ class TestSaturatedCore:
             assert c.axis_multiples == tuple(
                 ref_axis_multiple(rows, i) for i in range(1, n + 1))
             assert is_ra(g) == all(d == 1 for d in ref)
-            lat = ra_core._latest_lattice(g)
             if peeled(g) < n:
-                kinds.add(set(lat.basis.pivots.values()) == {1})
+                kinds.add(set(ra_core._latest_basis(g).pivots.values()) == {1})
         assert kinds == {True, False}
 
     def test_batch_ra_question_matches_the_divisors(self):
@@ -532,8 +550,8 @@ class TestQuotientBlock:
             return real(rows, m)
 
         monkeypatch.setattr(intlin, "_smith_coordinates", recorded)
-        ra_core._latest_lattice.cache_clear()
-        ra_core._latest_lattice(kneser(12, 3))
+        forget_lattice()
+        ra_core._latest_basis(kneser(12, 3))
         built = calls[:]
         calls.clear()
         c = classify(kneser(12, 3))
@@ -558,12 +576,11 @@ class TestQuotientBlock:
         seen = 0
         for n in range(1, 7):
             for g in connected_graphs_up_to_iso(n):
-                ra_core._latest_lattice.cache_clear()
-                lat = ra_core._latest_lattice(g)
-                if lat.ra:
+                forget_lattice()
+                q = ra_core._latest_quotient(g)
+                if not q.q:  # RA
                     continue
                 seen += 1
-                q = lat.quotient()
                 assert q.q and not q.h.rows and len(q.q) <= n - peeled(g)
                 rows = ra_matrix(g).matrix.data
                 ref = ref_smith_divisors(rows)
@@ -595,7 +612,7 @@ class TestQuotientBlock:
         monkeypatch.setattr(intlin._Quotient, "__init__", logged_init)
         monkeypatch.setattr(intlin, "_echelon_basis",
                             lambda rows, n: intlin._build(rows, n, stats))
-        ra_core._latest_lattice.cache_clear()
+        forget_lattice()
         c = classify(kneser(12, 3))
         assert c.divisors == (1,) * 210 + (3,) * 10
         moved = log.index("moved")
@@ -704,7 +721,7 @@ class TestLanes:
                 assert (c is not None) == want[2]
                 if c is not None:
                     decided += 1
-                    ra_core._latest_lattice.cache_clear()
+                    forget_lattice()
                     assert c == ra_core._verdict(g), graph6_encode(g)
                     reps = want[0]
                     rows = [m & reps for m in ra_row_masks(g)]
@@ -755,7 +772,7 @@ class TestLanes:
             (picked, adj), = lanes.values()
             assert picked == list(range(len(chunk)))
             for g, c in zip(chunk, ra_core._lane_verdicts(n, adj, len(chunk), n == 7)):
-                ra_core._latest_lattice.cache_clear()
+                forget_lattice()
                 assert c == (None if g == hard else ra_core._verdict(g))
 
     def test_the_corpus_leaves_only_crown_8(self):
@@ -1007,10 +1024,10 @@ def graphs_with_twins(draw):
     return Graph(len(adj), moved)
 
 
-class TestTwinQuotient:
-    """A graph with closed twins is answered through its twin quotient's
-    lattice; every answer must be that of the direct build over its n
-    columns and of the textbook oracles."""
+class TestClosedTwins:
+    """A graph with closed twins has two equal RA columns; every answer
+    must be that of the direct build over its n columns and of the
+    textbook oracles."""
 
     @given(graphs_with_twins())
     @settings(max_examples=60, deadline=None)
@@ -1020,8 +1037,7 @@ class TestTwinQuotient:
         rows = ra_matrix(g).matrix.data
         e = intlin._build(ra_core._ra_masks(g), n)
         q = intlin._Quotient(e)
-        ra_core._latest_lattice.cache_clear()
-        assert ra_core._latest_lattice(g).twins is not None
+        forget_lattice()
         h = ra_lattice(g)
         assert h == intlin._form_of(e)
         assert (h.matrix.data, h.pivot_columns) == ref_hermite(rows)
@@ -1060,15 +1076,13 @@ class TestTwinQuotient:
             assert kernel_mod_p(g, p) == q.kernel_mod_p(p) == want, p
 
     def test_named_graphs(self):
-        # a clique's quotient is K1; crown(8) joined with K2 keeps a class
-        # of two whose e_c is not in the quotient's lattice
-        from ramat.products import join, strong
-
+        # a clique is one class of closed twins, and each graph below has
+        # classes of two or three
         for g in (complete(5), strong(crown(8), complete(2)),
                   join(crown(8), complete(2)), strong(kneser(6, 2), complete(3))):
             e = intlin._build(ra_core._ra_masks(g), g.n)
             q = intlin._Quotient(e)
-            ra_core._latest_lattice.cache_clear()
+            forget_lattice()
             assert ra_lattice(g) == intlin._form_of(e)
             assert elementary_divisors(g) == q.smith_form(g.n, g.n)
             assert classify(g).axis_multiples == q.axis_multiples()
